@@ -9,7 +9,7 @@ add, multiply, exact/euclidean division.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Poly = tuple[Fraction, ...]
 
@@ -88,17 +88,6 @@ def div_exact(num: Poly, den: Poly) -> Poly:
     if r:
         raise ValueError("division is not exact")
     return q
-
-
-def evaluate(p: Poly, x):
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def from_int_coeffs(coeffs: Sequence[int]) -> Poly:
-    return make(coeffs)
 
 
 def int_coeffs(p: Poly) -> tuple[int, ...]:

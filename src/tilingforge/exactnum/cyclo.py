@@ -180,9 +180,6 @@ class CycloElem:
             raise ValueError(f"{self} is not rational")
         return self.coeffs[0]
 
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
     def to_complex(self) -> complex:
         z = cmath.exp(2j * cmath.pi / self.n)
         acc = 0j

@@ -158,7 +158,7 @@ class QRoot3:
     # -- exact order ------------------------------------------------------------
 
     def sign(self) -> int:
-        return qr3_sign(self)
+        return _sign(self.n1, self.n3)
 
     def __lt__(self, other) -> bool:
         return (self - _coerce(other)).sign() < 0
@@ -250,22 +250,27 @@ QR3_ONE = QRoot3(1, 0)
 SQRT3 = QRoot3(0, 1)
 
 
-def qr3_sign(x: QRoot3) -> int:
-    """Sign of r + s*sqrt3 in {-1, 0, +1}, by comparing r^2 with 3 s^2."""
-    r, s = x.n1, x.n3  # shared positive denominator cannot change the sign
+def _sign(r: int, s: int) -> int:
+    """Sign of r + s*sqrt3 for plain integers r, s, in {-1, 0, +1}.
+
+    The one exact sign kernel: QRoot3 values and the geometry predicates'
+    fraction-free determinants both decide through it.  With mixed signs
+    |r| and |s|*sqrt3 are compared as r^2 against 3 s^2, which are never
+    equal unless both are zero, because sqrt3 is irrational.
+    """
     if s == 0:
-        return 0 if r == 0 else (1 if r > 0 else -1)
-    if r == 0:
+        return (r > 0) - (r < 0)
+    if r == 0 or (r > 0) == (s > 0):
         return 1 if s > 0 else -1
-    if r > 0 and s > 0:
-        return 1
-    if r < 0 and s < 0:
-        return -1
-    # mixed signs: |r| vs |s|*sqrt3 decides
-    big_r = r * r > 3 * s * s
-    if r > 0:  # s < 0
-        return 1 if big_r else -1
-    return -1 if big_r else 1
+    if r * r > 3 * s * s:
+        return 1 if r > 0 else -1
+    return 1 if s > 0 else -1
+
+
+def qr3_sign(x: QRoot3) -> int:
+    """Sign of r + s*sqrt3 in {-1, 0, +1}; the shared positive denominator
+    cannot change it."""
+    return _sign(x.n1, x.n3)
 
 
 _T_MUL = {

@@ -1,26 +1,57 @@
 """Exact planar primitives over Q(sqrt3).
 
-Every predicate here decides with qr3_sign on exact field values; no
-floating-point comparison participates in any decision.
+Coordinates are stored as QRoot3 values, the type that is compared,
+hashed and serialised.  Each Point also keeps, computed once, an integer
+form (X1, X3, Y1, Y3, D) with x = (X1 + X3*sqrt3)/D, y = (Y1 + Y3*sqrt3)/D
+and D > 0.  The predicates (orientation, segment and containment tests)
+multiply these integers into a determinant r + s*sqrt3 that positive
+denominators scale but never flip, and decide it with the shared kernel
+`_sign`: fraction-free, with no gcd and no QRoot3 built per call (exact
+geometric computation; Yap, CGTA 7, 1997).  No floating-point comparison
+participates in any decision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .exactnum import QRoot3, qr3_sign
+from .exactnum.qfield import _sign
 
 
 class GeometryError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
 class Point:
-    x: QRoot3
-    y: QRoot3
+    """Immutable point with QRoot3 coordinates x, y and their integer form
+    (which takes no part in equality, hashing, ordering or JSON)."""
+
+    __slots__ = ("x", "y", "form")
+
+    def __init__(self, x: QRoot3, y: QRoot3):
+        g = gcd(x.den, y.den)
+        kx, ky = y.den // g, x.den // g  # to the least common denominator
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "form", (x.n1 * kx, x.n3 * kx, y.n1 * ky, y.n3 * ky, x.den * kx))
+
+    def __setattr__(self, *_args):
+        raise AttributeError("Point is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Point:
+            return NotImplemented
+        return self.x == other.x and self.y == other.y
+
+    def __hash__(self):
+        return hash((self.x, self.y))
 
     def __add__(self, other: "Point") -> "Point":
         return Point(self.x + other.x, self.y + other.y)
@@ -55,38 +86,98 @@ def pt(x, y) -> Point:
                  QRoot3(Fraction(y)) if not isinstance(y, QRoot3) else y)
 
 
-def cross(u: Point, v: Point) -> QRoot3:
-    return u.x * v.y - u.y * v.x
+def midpoint(a: Point, b: Point) -> Point:
+    """Midpoint of a and b, summed on the integer forms and normalised once
+    per coordinate."""
+    ax1, ax3, ay1, ay3, ad = a.form
+    bx1, bx3, by1, by3, bd = b.form
+    den = 2 * ad * bd
+    return Point(QRoot3._raw(ax1 * bd + bx1 * ad, ax3 * bd + bx3 * ad, den),
+                 QRoot3._raw(ay1 * bd + by1 * ad, ay3 * bd + by3 * ad, den))
+
+
+def sort_along(points: list[Point], a: Point, b: Point) -> None:
+    """Sort points of the line through a != b in place, from a towards b,
+    by the coordinate in which a and b differ."""
+    if a.x != b.x:
+        points.sort(key=lambda p: p.x, reverse=b.x < a.x)
+    else:
+        points.sort(key=lambda p: p.y, reverse=b.y < a.y)
 
 
 def dot(u: Point, v: Point) -> QRoot3:
     return u.x * v.x + u.y * v.y
 
 
+# ---------------------------------------------------------------------------
+# fraction-free kernel on integer forms
+
+
+def _orient(a: tuple, b: tuple, c: tuple) -> int:
+    """Sign of cross(b - a, c - a) for the integer forms of a, b, c."""
+    ax1, ax3, ay1, ay3, ad = a
+    bx1, bx3, by1, by3, bd = b
+    cx1, cx3, cy1, cy3, cd = c
+    # b - a scaled by ad*bd, c - a by ad*cd: positive, so the sign holds
+    ux1, ux3, uy1, uy3 = bx1 * ad - ax1 * bd, bx3 * ad - ax3 * bd, by1 * ad - ay1 * bd, by3 * ad - ay3 * bd
+    vx1, vx3, vy1, vy3 = cx1 * ad - ax1 * cd, cx3 * ad - ax3 * cd, cy1 * ad - ay1 * cd, cy3 * ad - ay3 * cd
+    return _sign(ux1 * vy1 - uy1 * vx1 + 3 * (ux3 * vy3 - uy3 * vx3),
+                 ux1 * vy3 + ux3 * vy1 - uy1 * vx3 - uy3 * vx1)
+
+
+def _span(p: tuple, a: tuple, b: tuple) -> tuple[int, int]:
+    """For p collinear with a and b, the signs of t and 1 - t where
+    p = a + t*(b - a), read off the x coordinates, or the y coordinates
+    when a and b share x; (0, 0) when a == b."""
+    px1, px3, py1, py3, pd = p
+    ax1, ax3, ay1, ay3, ad = a
+    bx1, bx3, by1, by3, bd = b
+    d = _sign(bx1 * ad - ax1 * bd, bx3 * ad - ax3 * bd)
+    if d:
+        return (d * _sign(px1 * ad - ax1 * pd, px3 * ad - ax3 * pd),
+                d * _sign(bx1 * pd - px1 * bd, bx3 * pd - px3 * bd))
+    d = _sign(by1 * ad - ay1 * bd, by3 * ad - ay3 * bd)
+    return (d * _sign(py1 * ad - ay1 * pd, py3 * ad - ay3 * pd),
+            d * _sign(by1 * pd - py1 * bd, by3 * pd - py3 * bd))
+
+
 def orientation(a: Point, b: Point, c: Point) -> int:
     """+1 for counterclockwise a->b->c, -1 clockwise, 0 collinear."""
-    return qr3_sign(cross(b - a, c - a))
+    return _orient(a.form, b.form, c.form)
 
 
 def on_segment(p: Point, a: Point, b: Point) -> bool:
     """p lies on the closed segment [a, b]."""
-    if orientation(a, b, p) != 0:
+    fp, fa, fb = p.form, a.form, b.form
+    if _orient(fa, fb, fp):
         return False
-    return qr3_sign(dot(p - a, b - a)) >= 0 and qr3_sign(dot(p - b, a - b)) >= 0
+    t, rest = _span(fp, fa, fb)
+    return t >= 0 and rest >= 0
 
 
 def on_open_segment(p: Point, a: Point, b: Point) -> bool:
     """p lies strictly inside the segment (a, b)."""
-    if orientation(a, b, p) != 0:
+    fp, fa, fb = p.form, a.form, b.form
+    if _orient(fa, fb, fp):
         return False
-    return qr3_sign(dot(p - a, b - a)) > 0 and qr3_sign(dot(p - b, a - b)) > 0
+    t, rest = _span(fp, fa, fb)
+    return t > 0 and rest > 0
 
 
 def segments_properly_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
     """Open segments ab and cd cross in a single interior point."""
-    o1, o2 = orientation(a, b, c), orientation(a, b, d)
-    o3, o4 = orientation(c, d, a), orientation(c, d, b)
-    return o1 * o2 < 0 and o3 * o4 < 0
+    fa, fb, fc, fd = a.form, b.form, c.form, d.form
+    o = _orient(fa, fb, fc)
+    if o == 0 or _orient(fa, fb, fd) != -o:
+        return False
+    o = _orient(fc, fd, fa)
+    return o != 0 and _orient(fc, fd, fb) == -o
+
+
+def strictly_inside_triangle(p: Point, tri: Sequence[Point]) -> bool:
+    """p lies in the open interior of the counterclockwise triangle tri."""
+    fp, fa, fb, fc = p.form, tri[0].form, tri[1].form, tri[2].form
+    return _orient(fa, fb, fp) > 0 and _orient(fb, fc, fp) > 0 and _orient(fc, fa, fp) > 0
 
 
 def segment_length(a: Point, b: Point) -> QRoot3:
@@ -110,32 +201,65 @@ def point_in_polygon(p: Point, vertices: Sequence[Point]) -> str:
 
     Division-free crossing count: an upward edge crossing the rightward ray
     from p has p strictly to its left, a downward edge strictly to its
-    right; boundary points are detected first.
+    right.  An edge wholly above or below p can neither hold p nor cross
+    the ray, so only edges that reach p's height are tested further.
     """
-    n = len(vertices)
-    for i in range(n):
-        if on_segment(p, vertices[i], vertices[(i + 1) % n]):
-            return "on"
+    fp = p.form
+    px1, px3, py1, py3, pd = fp
+    forms = [v.form for v in vertices]
+    # sign of (vertex y - p.y), by vertex
+    ys = [_sign(y1 * pd - py1 * d, y3 * pd - py3 * d) for _, _, y1, y3, d in forms]
     crossings = 0
-    for i in range(n):
-        a, b = vertices[i], vertices[(i + 1) % n]
-        sa = qr3_sign(a.y - p.y)
-        sb = qr3_sign(b.y - p.y)
-        if sa <= 0 and sb > 0:  # upward, a at or below the ray, b above
-            if orientation(a, b, p) > 0:
-                crossings += 1
-        elif sb <= 0 and sa > 0:  # downward
-            if orientation(a, b, p) < 0:
-                crossings += 1
+    for i in range(len(forms)):
+        sa, sb = ys[i - 1], ys[i]
+        a, b = forms[i - 1], forms[i]
+        if sa == sb:
+            if sa == 0:  # horizontal edge at p's height: is p.x within it?
+                xa = _sign(a[0] * pd - px1 * a[4], a[1] * pd - px3 * a[4])
+                xb = _sign(b[0] * pd - px1 * b[4], b[1] * pd - px3 * b[4])
+                if xa * xb <= 0:
+                    return "on"
+            continue
+        o = _orient(a, b, fp)
+        if o == 0:
+            # on the line of a non-horizontal edge that reaches p's height
+            return "on"
+        if (o > 0 and sa <= 0 < sb) or (o < 0 and sb <= 0 < sa):
+            crossings += 1
     return "inside" if crossings % 2 == 1 else "outside"
 
 
 def polygon_area_twice(vertices: Sequence[Point]) -> QRoot3:
-    acc = QRoot3(0)
-    n = len(vertices)
-    for i in range(n):
-        acc = acc + cross(vertices[i], vertices[(i + 1) % n])
-    return acc
+    """Twice the signed area (positive for counterclockwise), summed on the
+    integer forms brought to their least common denominator."""
+    forms = [v.form for v in vertices]
+    den = 1
+    for f in forms:
+        den = den * f[4] // gcd(den, f[4])
+    scaled = [(x1 * (den // d), x3 * (den // d), y1 * (den // d), y3 * (den // d))
+              for x1, x3, y1, y3, d in forms]
+    r = s = 0
+    ax1, ax3, ay1, ay3 = scaled[-1]
+    for bx1, bx3, by1, by3 in scaled:
+        r += ax1 * by1 - ay1 * bx1 + 3 * (ax3 * by3 - ay3 * bx3)
+        s += ax1 * by3 + ax3 * by1 - ay1 * bx3 - ay3 * bx1
+        ax1, ax3, ay1, ay3 = bx1, bx3, by1, by3
+    return QRoot3._raw(r, s, den * den)
+
+
+def angle_at(v: Point, a: Point, b: Point) -> "AngleVec":
+    """Counterclockwise angle at v from direction a - v to direction b - v,
+    as (dot, cross) of the two directions scaled by a positive integer."""
+    vx1, vx3, vy1, vy3, vd = v.form
+    ax1, ax3, ay1, ay3, ad = a.form
+    bx1, bx3, by1, by3, bd = b.form
+    ux1, ux3, uy1, uy3 = ax1 * vd - vx1 * ad, ax3 * vd - vx3 * ad, ay1 * vd - vy1 * ad, ay3 * vd - vy3 * ad
+    wx1, wx3, wy1, wy3 = bx1 * vd - vx1 * bd, bx3 * vd - vx3 * bd, by1 * vd - vy1 * bd, by3 * vd - vy3 * bd
+    return AngleVec(
+        QRoot3._raw(ux1 * wx1 + uy1 * wy1 + 3 * (ux3 * wx3 + uy3 * wy3),
+                    ux1 * wx3 + ux3 * wx1 + uy1 * wy3 + uy3 * wy1, 1),
+        QRoot3._raw(ux1 * wy1 - uy1 * wx1 + 3 * (ux3 * wy3 - uy3 * wx3),
+                    ux1 * wy3 + ux3 * wy1 - uy1 * wx3 - uy3 * wx1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +279,6 @@ class AngleVec:
         if self.c.is_zero() and self.s.is_zero():
             raise GeometryError("zero angle vector")
 
-    @staticmethod
-    def between(u: Point, w: Point) -> "AngleVec":
-        """Counterclockwise angle from direction u to direction w."""
-        return AngleVec(dot(u, w), cross(u, w))
-
     def _band(self) -> int:
         ss = qr3_sign(self.s)
         if ss > 0:
@@ -171,19 +290,13 @@ class AngleVec:
     def is_zero_mod_2pi(self) -> bool:
         return self._band() == 3
 
-    def is_pi(self) -> bool:
-        return self._band() == 1
-
     def is_reflex(self) -> bool:
         return self._band() == 2
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AngleVec):
             return NotImplemented
-        return (
-            self._band() == other._band()
-            and cross(Point(self.c, self.s), Point(other.c, other.s)).is_zero()
-        )
+        return self._band() == other._band() and self._turn(other) == 0
 
     def __hash__(self):
         raise TypeError("AngleVec is not hashable; use ray_key()")
@@ -196,7 +309,15 @@ class AngleVec:
             return order[b1] < order[b2]
         if b1 in (1, 3):
             return False
-        return qr3_sign(cross(Point(self.c, self.s), Point(other.c, other.s))) > 0
+        return self._turn(other) > 0
+
+    def _turn(self, other: "AngleVec") -> int:
+        """Sign of cross((c, s), (other.c, other.s)), on the integers of the
+        four values with their positive denominators multiplied through."""
+        c1, s1, c2, s2 = self.c, self.s, other.c, other.s
+        k, m = s1.den * c2.den, c1.den * s2.den
+        return _sign((c1.n1 * s2.n1 + 3 * c1.n3 * s2.n3) * k - (s1.n1 * c2.n1 + 3 * s1.n3 * c2.n3) * m,
+                     (c1.n1 * s2.n3 + c1.n3 * s2.n1) * k - (s1.n1 * c2.n3 + s1.n3 * c2.n1) * m)
 
     def minus_rotation(self, cos_phi: QRoot3, sin_phi: QRoot3) -> "AngleVec":
         """Angle value minus phi, where (cos_phi, sin_phi) is exact."""
@@ -209,14 +330,3 @@ class AngleVec:
             slope = self.s / self.c
             return (qr3_sign(self.c), slope.n1, slope.n3, slope.den)
         return (0, qr3_sign(self.s), None, None)
-
-    def to_float(self) -> float:
-        import math
-
-        return math.atan2(float(self.s), float(self.c)) % (2 * math.pi)
-
-
-def relative_angle(reference: Point, d: Point) -> AngleVec:
-    """Angle of direction d measured counterclockwise from direction
-    reference, as an AngleVec (in (0, 2pi); equality with 0 not allowed)."""
-    return AngleVec(dot(reference, d), cross(reference, d))

@@ -20,12 +20,13 @@ from ..exactnum import QRoot3, qr3_sign
 from ..geometry import (
     GeometryError,
     Point,
-    cross,
     dot,
     orientation,
     point_in_polygon,
+    polygon_area_twice,
     segment_length,
     segments_properly_cross,
+    strictly_inside_triangle,
 )
 from ..tilealgebra import EdgeRelation, RelationKind, TileShape
 from .placements import Placement, placement_chirality
@@ -123,30 +124,31 @@ def check_certificate(cert: Certificate) -> list[Violation]:
             # the target is convex, so vertex containment is containment
             violations.append(Violation("OutsideTarget", (i,)))
 
-    for i in range(len(cert.placements)):
-        for j in range(i + 1, len(cert.placements)):
-            if _triangles_overlap(cert.placements[i].vertices, cert.placements[j].vertices):
+    tris = [p.vertices for p in cert.placements]
+    centroids = [_centroid(t) for t in tris]
+    for i in range(len(tris)):
+        for j in range(i + 1, len(tris)):
+            if _triangles_overlap(tris[i], tris[j], centroids[i], centroids[j]):
                 violations.append(Violation("Overlap", (i, j)))
 
     total2 = QRoot3(0)
-    for p in cert.placements:
-        v = p.vertices
-        total2 = total2 + cross(v[1] - v[0], v[2] - v[0])
-    target2 = cross(corners[1] - corners[0], corners[2] - corners[0])
+    for t in tris:
+        total2 = total2 + polygon_area_twice(t)
+    target2 = polygon_area_twice(corners)
     if total2 != target2 or cert.n * cert.tile.area * 2 != target2:
         violations.append(Violation("AreaMismatch"))
     return violations
 
 
-def _triangles_overlap(t1, t2) -> bool:
-    """Open interiors intersect."""
+def _triangles_overlap(t1, t2, c1: Point, c2: Point) -> bool:
+    """Open interiors intersect; c1 and c2 are the centroids."""
     for a, b in _tri_edges(t1):
         for c, d in _tri_edges(t2):
             if segments_properly_cross(a, b, c, d):
                 return True
-    return _point_strictly_in(t2, _centroid(t1)) or _point_strictly_in(t1, _centroid(t2)) or any(
-        _point_strictly_in(t2, v) for v in t1
-    ) or any(_point_strictly_in(t1, v) for v in t2)
+    return strictly_inside_triangle(c1, t2) or strictly_inside_triangle(c2, t1) or any(
+        strictly_inside_triangle(v, t2) for v in t1
+    ) or any(strictly_inside_triangle(v, t1) for v in t2)
 
 
 def _tri_edges(t):
@@ -156,10 +158,6 @@ def _tri_edges(t):
 def _centroid(t) -> Point:
     third = Fraction(1, 3)
     return Point((t[0].x + t[1].x + t[2].x) * third, (t[0].y + t[1].y + t[2].y) * third)
-
-
-def _point_strictly_in(t, p: Point) -> bool:
-    return all(orientation(t[i], t[(i + 1) % 3], p) > 0 for i in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +235,7 @@ def analyze_maximal_segments(cert: Certificate):
         for a, b, opp in edges:
             ta, tb = dot(a - Point(QRoot3(0), QRoot3(0)), d), dot(b - Point(QRoot3(0), QRoot3(0)), d)
             lo, hi = (ta, tb) if _qlt(ta, tb) else (tb, ta)
-            side = qr3_sign(cross(b - a, opp - a))  # +1 tile on the left of a->b
+            side = orientation(a, b, opp)  # +1 tile on the left of a->b
             left_of_line = side if _qlt(ta, tb) else -side
             events.append((lo, hi, left_of_line, segment_length(a, b)))
         # walk runs of contiguous coverage; QRoot3 sorts by exact value

@@ -12,7 +12,6 @@ angle's adjacent edges; they are mirror images of each other.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,11 +20,13 @@ from ..geometry import (
     AngleVec,
     GeometryError,
     Point,
-    dot,
+    midpoint,
     on_open_segment,
     orientation,
     segment_length,
     segments_properly_cross,
+    sort_along,
+    strictly_inside_triangle,
     unit_direction,
 )
 from ..tilealgebra import TileShape
@@ -78,28 +79,24 @@ class TileGeometry:
     def _representable_angle_rays(self) -> frozenset:
         """Ray keys of every angle i*alpha + j*beta + k*gamma in (0, 2*pi).
 
-        Bounds on i, j, k come from float estimates with a safety margin;
-        values that wrap past 2*pi can only weaken the filter, never
-        exclude a legal angle.
+        Each loop adds one tile angle as an exact rotation and stops before
+        the sum reaches or passes 2*pi.  The AngleVec order on [0, 2*pi)
+        decides that: below 2*pi a sum only grows, so a sum that wrapped
+        does not compare larger than the one before it.
         """
-        fa = math.acos(max(-1.0, min(1.0, float(self.tile.cos_alpha))))
-        fb = math.acos(max(-1.0, min(1.0, float(self.tile.cos_beta))))
-        two_pi = 2 * math.pi
+        (_, ca, sa, _, _), (_, cb, sb, _, _), (_, cg, sg, _, _) = self.angles
         rays = set()
-        i_max = int(two_pi / fa) + 1
-        j_max = int(two_pi / fb) + 1
-        for k in (0, 1, 2):
-            for i in range(i_max + 1):
-                for j in range(j_max + 1):
-                    if i == j == k == 0:
-                        continue
-                    approx = i * fa + j * fb + k * (2 * math.pi / 3)
-                    if approx > two_pi + 1e-9:
-                        continue
-                    vec = _compose_angle(self, i, j, k)
-                    ang = AngleVec(vec[0], vec[1])
-                    if not ang.is_zero_mod_2pi():
-                        rays.add(ang.ray_key())
+        by_gamma = AngleVec(QRoot3(1), QRoot3(0))
+        while by_gamma is not None:
+            by_alpha = by_gamma
+            while by_alpha is not None:
+                by_beta = by_alpha
+                while by_beta is not None:
+                    if not by_beta.is_zero_mod_2pi():
+                        rays.add(by_beta.ray_key())
+                    by_beta = _add_below_2pi(by_beta, cb, sb)
+                by_alpha = _add_below_2pi(by_alpha, ca, sa)
+            by_gamma = _add_below_2pi(by_gamma, cg, sg)
         return frozenset(rays)
 
     def angle_representable(self, ang: AngleVec) -> bool:
@@ -131,12 +128,11 @@ class TileGeometry:
         return result
 
 
-def _compose_angle(geom: TileGeometry, i: int, j: int, k: int):
-    c, s = QRoot3(1), QRoot3(0)
-    for count, (_, cos_v, sin_v, _, _) in zip((i, j, k), geom.angles):
-        for _ in range(count):
-            c, s = c * cos_v - s * sin_v, c * sin_v + s * cos_v
-    return (c, s)
+def _add_below_2pi(ang: AngleVec, cos_v: QRoot3, sin_v: QRoot3) -> Optional[AngleVec]:
+    """ang + phi for an angle phi in (0, pi) given by (cos_v, sin_v), or None
+    if the sum reaches or passes 2*pi (then it is not larger than ang)."""
+    nxt = ang.minus_rotation(cos_v, -sin_v)
+    return nxt if ang.less_than(nxt) else None
 
 
 def placement_chirality(tile: TileShape, p: Placement) -> Optional[bool]:
@@ -200,32 +196,21 @@ def tile_fits_in_region(region: Polygon, tri: tuple[Point, Point, Point]) -> boo
     reg_pts = list(region.vertices)
     for a, b in tri_edges:
         stops = [p for p in reg_pts if on_open_segment(p, a, b)]
-        stops.sort(key=lambda p: _param(p, a, b))
+        sort_along(stops, a, b)
         prev = a
         for p in stops + [b]:
-            mid = Point((prev.x + p.x) / 2, (prev.y + p.y) / 2)
-            if region.contains(mid) == "outside":
+            if region.contains(midpoint(prev, p)) == "outside":
                 return False
             prev = p
     for c, d in reg_edges:
         stops = [p for p in tri if on_open_segment(p, c, d)]
-        stops.sort(key=lambda p: _param(p, c, d))
+        sort_along(stops, c, d)
         prev = c
         for p in stops + [d]:
-            mid = Point((prev.x + p.x) / 2, (prev.y + p.y) / 2)
-            if _strictly_inside_triangle(mid, tri):
+            if strictly_inside_triangle(midpoint(prev, p), tri):
                 return False
             prev = p
     return True
-
-
-def _param(p: Point, a: Point, b: Point) -> QRoot3:
-    # QRoot3 is totally ordered, so it can serve as a sort key directly
-    return dot(p - a, b - a)
-
-
-def _strictly_inside_triangle(p: Point, tri) -> bool:
-    return all(orientation(tri[i], tri[(i + 1) % 3], p) > 0 for i in range(3))
 
 
 def candidate_placements(

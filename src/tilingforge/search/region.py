@@ -16,18 +16,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..exactnum import QRoot3, qr3_sign
+from ..exactnum import QRoot3
 from ..geometry import (
     AngleVec,
     GeometryError,
     Point,
-    cross,
-    dot,
+    angle_at,
     on_open_segment,
+    orientation,
     point_in_polygon,
     polygon_area_twice,
-    relative_angle,
     segment_length,
+    sort_along,
 )
 
 
@@ -42,7 +42,7 @@ class Polygon:
         pts = _merge_collinear(list(points))
         if len(pts) < 3:
             raise GeometryError("degenerate polygon")
-        if qr3_sign(polygon_area_twice(pts)) <= 0:
+        if polygon_area_twice(pts).sign() <= 0:
             raise GeometryError("polygon is not counterclockwise")
         pts = _rotate_to_min(pts)
         return Polygon(tuple(pts))
@@ -70,10 +70,8 @@ class Polygon:
     def interior_angle(self, i: int) -> AngleVec:
         """Interior angle at vertex i: ccw angle from the outgoing edge
         direction to the incoming-reversed direction."""
-        v = self.vertices[i]
-        nxt = self.vertices[(i + 1) % len(self.vertices)]
-        prv = self.vertices[i - 1]
-        return AngleVec.between(nxt - v, prv - v)
+        return angle_at(self.vertices[i], self.vertices[(i + 1) % len(self.vertices)],
+                        self.vertices[i - 1])
 
     def contains(self, p: Point) -> str:
         return point_in_polygon(p, self.vertices)
@@ -97,9 +95,8 @@ def _merge_collinear(pts: list[Point]) -> list[Point]:
             if cur == prv:
                 changed = True
                 continue
-            c = cross(cur - prv, nxt - cur)
-            if c.is_zero():
-                if qr3_sign(dot(cur - prv, nxt - cur)) > 0:
+            if orientation(prv, cur, nxt) == 0:
+                if on_open_segment(cur, prv, nxt):
                     changed = True
                     continue  # straight continuation
                 raise GeometryError("boundary doubles back on itself")
@@ -114,7 +111,7 @@ def _rotate_to_min(pts: list[Point]) -> list[Point]:
 
 
 def triangle_ccw(a: Point, b: Point, c: Point) -> tuple[Point, Point, Point]:
-    s = qr3_sign(cross(b - a, c - a))
+    s = orientation(a, b, c)
     if s == 0:
         raise GeometryError("degenerate triangle")
     return (a, b, c) if s > 0 else (a, c, b)
@@ -127,19 +124,14 @@ def _split_edges(edges: list[tuple[Point, Point]]) -> list[tuple[Point, Point]]:
         points.add(b)
     out = []
     for a, b in edges:
-        inner = [p for p in points if p != a and p != b and on_open_segment(p, a, b)]
-        inner.sort(key=lambda p: _param_key(p, a, b))
+        inner = [p for p in points if on_open_segment(p, a, b)]
+        sort_along(inner, a, b)
         prev = a
         for p in inner:
             out.append((prev, p))
             prev = p
         out.append((prev, b))
     return out
-
-
-def _param_key(p: Point, a: Point, b: Point) -> QRoot3:
-    # exact total order along the edge direction
-    return dot(p - a, b - a)
 
 
 def _cancel(edges: list[tuple[Point, Point]]) -> list[tuple[Point, Point]]:
@@ -199,13 +191,13 @@ def _extract_faces(edges: list[tuple[Point, Point]]) -> list[list[Point]]:
 
 def _next_edge(cur, outgoing, unused):
     u, v = cur
-    back = u - v  # reversed incoming direction
     best = None
     best_angle: Optional[AngleVec] = None
     for cand in outgoing.get(v.lex_key(), []):
         if (cand[0].lex_key(), cand[1].lex_key()) not in unused:
             continue
-        ang = relative_angle(back, cand[1] - v)
+        # measured from the reversed incoming direction
+        ang = angle_at(v, u, cand[1])
         if ang.is_zero_mod_2pi():
             raise GeometryError("slit edge encountered during face walk")
         if best_angle is None or best_angle.less_than(ang):
@@ -237,8 +229,7 @@ def subtract_triangle(region: Polygon, tri: tuple[Point, Point, Point]) -> list[
 
 
 def _check_area_conservation(region, tri, polys):
-    a, b, c = tri
-    tri_area2 = cross(b - a, c - a)
+    tri_area2 = polygon_area_twice(tri)
     total = QRoot3(0)
     for p in polys:
         total = total + p.area_twice()
