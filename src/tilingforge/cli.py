@@ -80,10 +80,6 @@ def parse_target(text: str, tile: TileShape) -> TriangleSpec:
     raise click.BadParameter(f"unknown target kind {kind!r}; use equilateral: or triangle:")
 
 
-def _qr3_str(v: QRoot3) -> str:
-    return repr(v)
-
-
 @click.group()
 @click.version_option(__version__, prog_name="tiling-forge")
 def main():
@@ -123,10 +119,10 @@ def tile_analyze(sides, max_j, fmt):
         eis = find_eisenstein_parameters(ia // g, ib // g, ic // g)
     data = {
         "schema": "v1",
-        "sides": {"a": _qr3_str(t.a), "b": _qr3_str(t.b), "c": _qr3_str(t.c)},
-        "cos_alpha": _qr3_str(t.cos_alpha),
-        "cos_beta": _qr3_str(t.cos_beta),
-        "area": _qr3_str(t.area),
+        "sides": {"a": repr(t.a), "b": repr(t.b), "c": repr(t.c)},
+        "cos_alpha": repr(t.cos_alpha),
+        "cos_beta": repr(t.cos_beta),
+        "area": repr(t.area),
         "integer_similar": report.integer_similar,
         "alpha_rational_multiple_of_pi": report.alpha_rational_multiple_of_pi,
         "alpha_over_pi": rat_to_str(report.alpha_over_pi) if report.alpha_over_pi is not None else None,
@@ -253,6 +249,10 @@ def search(sides, target_text, node_budget, workers, split_depth, no_mirror, pap
         paper_pruning=paper_pruning,
         checkpoint_path=checkpoint_path,
     )
+    for flag, value in (("--resume", resume_path), ("--checkpoint", checkpoint_path)):
+        if value and split_depth > 0:
+            click.echo(f"{flag} cannot be combined with --split-depth > 0", err=True)
+            sys.exit(2)
     if not resume_path and (sides is None or target_text is None):
         click.echo("need --sides and --target (or --resume)", err=True)
         sys.exit(2)

@@ -65,6 +65,10 @@ class QRoot3:
     def __setattr__(self, *_args):
         raise AttributeError("QRoot3 is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not the slots
+        return QRoot3, (self.r, self.s)
+
     @staticmethod
     def _raw(n1: int, n3: int, den: int) -> "QRoot3":
         if den < 0:

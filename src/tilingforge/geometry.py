@@ -45,6 +45,10 @@ class Point:
     def __setattr__(self, *_args):
         raise AttributeError("Point is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not the slots
+        return Point, (self.x, self.y)
+
     def __eq__(self, other) -> bool:
         if other.__class__ is not Point:
             return NotImplemented
@@ -144,15 +148,6 @@ def _span(p: tuple, a: tuple, b: tuple) -> tuple[int, int]:
 def orientation(a: Point, b: Point, c: Point) -> int:
     """+1 for counterclockwise a->b->c, -1 clockwise, 0 collinear."""
     return _orient(a.form, b.form, c.form)
-
-
-def on_segment(p: Point, a: Point, b: Point) -> bool:
-    """p lies on the closed segment [a, b]."""
-    fp, fa, fb = p.form, a.form, b.form
-    if _orient(fa, fb, fp):
-        return False
-    t, rest = _span(fp, fa, fb)
-    return t >= 0 and rest >= 0
 
 
 def on_open_segment(p: Point, a: Point, b: Point) -> bool:

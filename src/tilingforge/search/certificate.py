@@ -234,9 +234,9 @@ def analyze_maximal_segments(cert: Certificate):
         events = []
         for a, b, opp in edges:
             ta, tb = dot(a - Point(QRoot3(0), QRoot3(0)), d), dot(b - Point(QRoot3(0), QRoot3(0)), d)
-            lo, hi = (ta, tb) if _qlt(ta, tb) else (tb, ta)
+            lo, hi = (ta, tb) if ta < tb else (tb, ta)
             side = orientation(a, b, opp)  # +1 tile on the left of a->b
-            left_of_line = side if _qlt(ta, tb) else -side
+            left_of_line = side if ta < tb else -side
             events.append((lo, hi, left_of_line, segment_length(a, b)))
         # walk runs of contiguous coverage; QRoot3 sorts by exact value
         events.sort(key=lambda e: (e[0], e[1]))
@@ -244,12 +244,12 @@ def analyze_maximal_segments(cert: Certificate):
         cur = [events[0]]
         cur_end = events[0][1]
         for ev in events[1:]:
-            if _qlt(cur_end, ev[0]):
+            if cur_end < ev[0]:
                 runs.append(cur)
                 cur, cur_end = [ev], ev[1]
             else:
                 cur.append(ev)
-                if _qlt(cur_end, ev[1]):
+                if cur_end < ev[1]:
                     cur_end = ev[1]
         runs.append(cur)
         for run in runs:
@@ -261,10 +261,6 @@ def analyze_maximal_segments(cert: Certificate):
                 bucket[name] = bucket.get(name, 0) + 1
             out.append((left, right))
     return out
-
-
-def _qlt(x: QRoot3, y: QRoot3) -> bool:
-    return x < y
 
 
 def _classify_side(tile: TileShape, length: QRoot3) -> str:

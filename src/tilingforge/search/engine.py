@@ -147,95 +147,98 @@ class TilingSearch:
             return (a, b + 1, g)
         return (a, b, g + 1)
 
+    # -- the depth-first cursor ----------------------------------------------------
+
+    def _stack_at(self, indices: list[int]) -> tuple[list[_Frame], list[Candidate]]:
+        """The frame stack and placements of the depth-first state named by a
+        candidate-index path: each frame's idx is set from the path, and every
+        frame but the last is descended into."""
+        regions = (self.initial,)
+        stack, placements = [_Frame(regions, self._expand(regions, (0, 0, 0)), (0, 0, 0))], []
+        for idx in indices[:-1]:
+            if not (0 <= idx < len(stack[-1].cands)):
+                raise InvalidInstance("checkpoint does not match this instance")
+            stack[-1].idx = idx - 1
+            if next(self._walk(stack, placements)) is not None:
+                raise InvalidInstance("checkpoint replay ended in a completed tiling")
+        if indices:
+            stack[-1].idx = indices[-1]
+        return stack, placements
+
+    def _walk(self, stack: list[_Frame], placements: list[Candidate], floor: int = 0):
+        """Advance the search one node at a time until the stack shrinks to
+        `floor` frames.  After each node, yield `placements` if the node
+        completed a tiling, else None with the node's child frame pushed, so
+        every frame's idx is the index of its last explored candidate.  Both
+        lists are updated in place; a driver may close the top frame by
+        emptying its candidates."""
+        while len(stack) > floor:
+            frame = stack[-1]
+            frame.idx += 1
+            if frame.idx >= len(frame.cands):
+                stack.pop()
+                if placements:
+                    placements.pop()
+                continue
+            cand = frame.cands[frame.idx]
+            new_regions = self._apply(frame, cand)
+            placements.append(cand)
+            if not new_regions:
+                yield placements
+                placements.pop()
+                continue
+            counts = self._bump_counts(frame.corner_counts, cand)
+            stack.append(_Frame(new_regions, self._expand(new_regions, counts), counts))
+            yield None
+
     # -- sequential search --------------------------------------------------------
 
     def enumerate_all(self, limit: int = 10**6) -> list[Certificate]:
         """Every complete tiling in the canonical tree (validation aid)."""
         found: list[Certificate] = []
-        stack: list[_Frame] = []
-        placements: list[Candidate] = []
-        root = _Frame((self.initial,), [], (0, 0, 0))
-        root.cands = self._expand(root.regions, root.corner_counts)
-        stack.append(root)
-        nodes = 0
-        while stack:
+        stack, placements = self._stack_at([])
+        for nodes, tiling in enumerate(self._walk(stack, placements), 1):
+            if tiling is not None:
+                found.append(self._certificate(tiling))
             if nodes >= limit:
                 raise RuntimeError("enumeration limit hit")
-            frame = stack[-1]
-            frame.idx += 1
-            if frame.idx >= len(frame.cands):
-                stack.pop()
-                if placements:
-                    placements.pop()
-                continue
-            cand = frame.cands[frame.idx]
-            nodes += 1
-            new_regions = self._apply(frame, cand)
-            placements.append(cand)
-            if not new_regions:
-                found.append(self._certificate(placements))
-                placements.pop()
-                continue
-            child = _Frame(new_regions, [], self._bump_counts(frame.corner_counts, cand))
-            child.cands = self._expand(new_regions, child.corner_counts)
-            stack.append(child)
         return found
 
     def run(self, resume_indices: Optional[list[int]] = None, start_nodes: int = 0) -> Outcome:
+        stack, placements = self._stack_at([])
+        if resume_indices:
+            # the root is expanded a second time here, as the replay always
+            # has; perfbench's traced candidate_placements count expects it
+            stack, placements = self._stack_at(resume_indices)
+        return self._drive(stack, placements, start_nodes)
+
+    def _drive(self, stack, placements, nodes: int, floor: int = 0) -> Outcome:
+        """Walk on from a stack state to a tiling, the node budget or the end
+        of the frames above `floor`, checkpointing between nodes."""
         t0 = time.monotonic()
         stats = SearchStats(conditional_on_paper_lemmas=self._pruning_active)
-        stack: list[_Frame] = []
-        placements: list[Candidate] = []
-
-        root = _Frame(( self.initial,), [], (0, 0, 0))
-        root.cands = self._expand(root.regions, root.corner_counts)
-        stack.append(root)
-        nodes = start_nodes
-
-        if resume_indices:
-            nodes, stack, placements = self._replay(resume_indices, nodes)
-
-        budget = self.config.node_budget
-        interval = self.config.checkpoint_interval
-        last_checkpoint = -1
-        while stack:
-            # checkpoints are only written here, where every frame's idx is
-            # the index of its last fully explored candidate
-            if nodes >= budget:
-                path = self._maybe_checkpoint(stack, nodes, force=True)
-                stats.nodes = nodes
-                stats.elapsed = time.monotonic() - t0
-                return Outcome("budget", stats, checkpoint_path=path)
-            if (
-                self.config.checkpoint_path
-                and nodes % interval == 0
-                and nodes != last_checkpoint
-            ):
+        cfg = self.config
+        steps = self._walk(stack, placements, floor)
+        status, cert, path = "exhausted", None, None
+        while True:
+            # checkpoints are only written between nodes, where every frame's
+            # idx is the index of its last explored candidate
+            if nodes >= cfg.node_budget:
+                status, path = "budget", self._maybe_checkpoint(stack, nodes, force=True)
+                break
+            if cfg.checkpoint_path and nodes % cfg.checkpoint_interval == 0:
                 self._maybe_checkpoint(stack, nodes, force=False)
-                last_checkpoint = nodes
-            frame = stack[-1]
-            frame.idx += 1
-            if frame.idx >= len(frame.cands):
-                stack.pop()
-                if placements:
-                    placements.pop()
-                continue
-            cand = frame.cands[frame.idx]
+            tiling = next(steps, False)  # False: the walk is over
+            if tiling is False:
+                break
             nodes += 1
-            new_regions = self._apply(frame, cand)
-            placements.append(cand)
             stats.max_depth = max(stats.max_depth, len(placements))
-            if not new_regions:
-                cert = self._certificate(placements)
-                stats.nodes = nodes
-                stats.elapsed = time.monotonic() - t0
-                return Outcome("found", stats, certificate=cert)
-            child = _Frame(new_regions, [], self._bump_counts(frame.corner_counts, cand))
-            child.cands = self._expand(new_regions, child.corner_counts)
-            stack.append(child)
+            if tiling is not None:
+                status, cert = "found", self._certificate(tiling)
+                break
         stats.nodes = nodes
         stats.elapsed = time.monotonic() - t0
-        return Outcome("exhausted", stats)
+        return Outcome(status, stats, certificate=cert, checkpoint_path=path)
 
     def _certificate(self, placements: list[Candidate]) -> Certificate:
         cert = Certificate(
@@ -264,30 +267,6 @@ class TilingSearch:
             json.dump(data, fh)
         return path
 
-    def _replay(self, indices: list[int], nodes: int):
-        """Rebuild the depth-first stack from a saved candidate-index path."""
-        stack: list[_Frame] = []
-        placements: list[Candidate] = []
-        root = _Frame((self.initial,), [], (0, 0, 0))
-        root.cands = self._expand(root.regions, root.corner_counts)
-        stack.append(root)
-        for level, idx in enumerate(indices):
-            frame = stack[-1]
-            frame.idx = idx
-            if level == len(indices) - 1:
-                break
-            if not (0 <= idx < len(frame.cands)):
-                raise InvalidInstance("checkpoint does not match this instance")
-            cand = frame.cands[idx]
-            new_regions = self._apply(frame, cand)
-            placements.append(cand)
-            if not new_regions:
-                raise InvalidInstance("checkpoint replay ended in a completed tiling")
-            child = _Frame(new_regions, [], self._bump_counts(frame.corner_counts, cand))
-            child.cands = self._expand(new_regions, child.corner_counts)
-            stack.append(child)
-        return nodes, stack, placements
-
 
 def resume_from_checkpoint(path: str, config: Optional[SearchConfig] = None) -> Outcome:
     with open(path) as fh:
@@ -308,41 +287,37 @@ def resume_from_checkpoint(path: str, config: Optional[SearchConfig] = None) -> 
 # worker pool
 
 
-def _subtree_prefixes(search: TilingSearch, depth: int) -> list[list[int]]:
-    """Candidate-index paths of length `depth` (or to a leaf), in canonical
-    order; the subtrees below them partition the search tree."""
-    prefixes: list[list[int]] = []
+def _subtree_prefixes(search: TilingSearch, depth: int):
+    """Walk the tree down to `depth` placements, closing every frame there.
 
-    def walk(regions, counts, path):
-        if len(path) == depth:
-            prefixes.append(list(path))
-            return
-        cands = search._expand(regions, counts)
-        if not cands:
-            prefixes.append(list(path))
-            return
-        for i, cand in enumerate(cands):
-            new_regions = search._apply(_Frame(regions, cands, counts, i), cand)
-            if not new_regions:
-                prefixes.append(list(path) + [i])
-                continue
-            walk(new_regions, search._bump_counts(counts, cand), path + [i])
-
-    walk((search.initial,), (0, 0, 0), [])
-    return prefixes
+    Returns the frontier (the index paths of the nodes at `depth` that have
+    a child frame, in canonical order, each with the number of other nodes
+    before it in preorder), the number of other nodes walked, their maximum
+    depth and the first tiling met.  A tiling takes N placements, so one is
+    met only when depth >= N, and then there is no frontier."""
+    stack, placements = search._stack_at([])
+    frontier: list[tuple[list[int], int]] = []
+    nodes = max_depth = 0
+    for tiling in search._walk(stack, placements):
+        max_depth = max(max_depth, len(placements))
+        if tiling is not None:
+            return frontier, nodes + 1, max_depth, search._certificate(tiling)
+        if len(placements) == depth:
+            frontier.append(([f.idx for f in stack[:-1]], nodes))
+            stack[-1].cands = []
+        else:
+            nodes += 1
+    return frontier, nodes, max_depth, None
 
 
 def _run_subtree(args) -> dict:
+    """Search the subtree of one frontier node, counting the node itself."""
     tile_json, target_json, config_json, prefix, budget = args
-    tile = TileShape.from_json(tile_json)
-    target = TriangleSpec.from_json(target_json)
-    cfg = SearchConfig(
-        node_budget=budget,
-        allow_mirror=config_json["allow_mirror"],
-        paper_pruning=config_json["paper_pruning"],
-    )
-    search = TilingSearch(tile, target, cfg)
-    outcome = _run_rooted(search, prefix)
+    cfg = SearchConfig(node_budget=budget, allow_mirror=config_json["allow_mirror"],
+                       paper_pruning=config_json["paper_pruning"])
+    search = TilingSearch(TileShape.from_json(tile_json), TriangleSpec.from_json(target_json), cfg)
+    stack, placements = search._stack_at(prefix + [-1])
+    outcome = search._drive(stack, placements, 1, floor=len(prefix))
     return {
         "status": outcome.status,
         "nodes": outcome.stats.nodes,
@@ -351,68 +326,31 @@ def _run_subtree(args) -> dict:
     }
 
 
-def _run_rooted(search: TilingSearch, prefix: list[int]) -> Outcome:
-    """Run the sequential search restricted to the subtree under `prefix`."""
-    t0 = time.monotonic()
-    stats = SearchStats(conditional_on_paper_lemmas=search._pruning_active)
-    stack: list[_Frame] = []
-    placements: list[Candidate] = []
-    regions: tuple[Polygon, ...] = (search.initial,)
-    counts = (0, 0, 0)
-    for idx in prefix:
-        frame = _Frame(regions, search._expand(regions, counts), counts, idx)
-        if not (0 <= idx < len(frame.cands)):
-            return Outcome("exhausted", stats)
-        cand = frame.cands[idx]
-        new_regions = search._apply(frame, cand)
-        placements.append(cand)
-        counts = search._bump_counts(counts, cand)
-        if not new_regions:
-            cert = search._certificate(placements)
-            stats.elapsed = time.monotonic() - t0
-            return Outcome("found", stats, certificate=cert)
-        regions = new_regions
-    root = _Frame(regions, search._expand(regions, counts), counts)
-    stack.append(root)
-    nodes = 0
-    while stack:
-        if nodes >= search.config.node_budget:
-            stats.nodes = nodes
-            stats.elapsed = time.monotonic() - t0
-            return Outcome("budget", stats)
-        frame = stack[-1]
-        frame.idx += 1
-        if frame.idx >= len(frame.cands):
-            stack.pop()
-            if len(placements) > len(prefix):
-                placements.pop()
-            continue
-        cand = frame.cands[frame.idx]
-        nodes += 1
-        new_regions = search._apply(frame, cand)
-        placements.append(cand)
-        stats.max_depth = max(stats.max_depth, len(placements))
-        if not new_regions:
-            cert = search._certificate(placements)
-            stats.nodes = nodes
-            stats.elapsed = time.monotonic() - t0
-            return Outcome("found", stats, certificate=cert)
-        child = _Frame(new_regions, [], search._bump_counts(frame.corner_counts, cand))
-        child.cands = search._expand(new_regions, child.corner_counts)
-        stack.append(child)
-    stats.nodes = nodes
-    stats.elapsed = time.monotonic() - t0
-    return Outcome("exhausted", stats)
+def _merge(frontier, results, stats: SearchStats) -> Outcome:
+    """Add the subtree results, in frontier order, to the prefix walk's
+    `stats`, up to the first tiling."""
+    status, walked = "exhausted", stats.nodes
+    for (_, before), res in zip(frontier, results):
+        stats.nodes += res["nodes"]
+        stats.max_depth = max(stats.max_depth, res["max_depth"])
+        if res["status"] == "found":
+            # the preorder count: the other nodes before this subtree and
+            # every subtree up to the tiling
+            stats.nodes -= walked - before
+            return Outcome("found", stats, certificate=Certificate.from_json(res["certificate"]))
+        if res["status"] == "budget":
+            status = "budget"
+    return Outcome(status, stats)
 
 
 def run_search(tile: TileShape, target: TriangleSpec, config: Optional[SearchConfig] = None) -> Outcome:
     """Entry point: sequential when split_depth == 0, else partitioned into
     subtrees handled by a pool of `workers` processes.
 
-    With a fixed split_depth the partition, the per-subtree budgets and the
-    merged result are independent of the worker count: every subtree is
-    explored to its own completion or budget, the first certificate in
-    canonical subtree order wins, and node counts are summed.
+    Every subtree below split_depth gets an equal share of the node budget.
+    Results are taken in canonical order up to the first tiling, so unless
+    a subtree runs out of budget the status, node count, max_depth and
+    certificate are the sequential ones at every split depth and worker count.
     """
     cfg = config or SearchConfig()
     search = TilingSearch(tile, target, cfg)
@@ -420,37 +358,18 @@ def run_search(tile: TileShape, target: TriangleSpec, config: Optional[SearchCon
         return search.run()
 
     t0 = time.monotonic()
-    prefixes = _subtree_prefixes(search, cfg.split_depth)
     stats = SearchStats(conditional_on_paper_lemmas=search._pruning_active)
-    if not prefixes:
+    frontier, stats.nodes, stats.max_depth, cert = _subtree_prefixes(search, cfg.split_depth)
+    if cert is not None or not frontier:
         stats.elapsed = time.monotonic() - t0
-        return Outcome("exhausted", stats)
-    per_budget = max(1, cfg.node_budget // max(1, len(prefixes)))
-    jobs = [
-        (tile.to_json(), target.to_json(), cfg.to_json(), prefix, per_budget)
-        for prefix in prefixes
-    ]
+        return Outcome("found" if cert else "exhausted", stats, certificate=cert)
+    per_budget = max(1, cfg.node_budget // len(frontier))
+    jobs = [(tile.to_json(), target.to_json(), cfg.to_json(), prefix, per_budget) for prefix, _ in frontier]
     if cfg.workers <= 1:
-        results = [_run_subtree(j) for j in jobs]
+        outcome = _merge(frontier, map(_run_subtree, jobs), stats)
     else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=cfg.workers) as pool:
-            results = pool.map(_run_subtree, jobs)
-
-    total_nodes = len(prefixes)
-    found: Optional[Certificate] = None
-    any_budget = False
-    for res in results:
-        total_nodes += res["nodes"]
-        stats.max_depth = max(stats.max_depth, res["max_depth"])
-        if res["status"] == "budget":
-            any_budget = True
-        if res["status"] == "found" and found is None:
-            found = Certificate.from_json(res["certificate"])
-    stats.nodes = total_nodes
+        # leaving the block terminates the subtrees still running
+        with multiprocessing.get_context("fork").Pool(processes=cfg.workers) as pool:
+            outcome = _merge(frontier, pool.imap(_run_subtree, jobs), stats)
     stats.elapsed = time.monotonic() - t0
-    if found is not None:
-        return Outcome("found", stats, certificate=found)
-    if any_budget:
-        return Outcome("budget", stats)
-    return Outcome("exhausted", stats)
+    return outcome

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from tilingforge.search.certificate import (
 )
 from tilingforge.search.engine import SearchConfig, run_search
 from tilingforge.search.placements import Placement
+from tilingforge.search.region import Polygon
 from tilingforge.tilealgebra import EdgeRelation, RelationKind, tile_from_sides
 
 T357 = tile_from_sides(3, 5, 7)
@@ -147,3 +150,16 @@ def test_warning_when_no_relation(monkeypatch):
 
     monkeypatch.setattr(cmod, "extract_edge_relations", lambda c: [])
     assert certificate_warnings(fake)
+
+
+def test_exact_values_pickle_and_deepcopy():
+    cert = midpoint_n4_certificate()
+    polygon = Polygon.from_points(list(canonical_target_vertices(cert.target)))
+    for value in (QRoot3(Fraction(1, 3), -2), pt(QRoot3(1, 2), Fraction(-5, 7)), polygon, cert):
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert copied == value
+            assert type(copied) is type(value)
+    copied = pickle.loads(pickle.dumps(cert))
+    assert copied.to_json() == cert.to_json()
+    assert check_certificate(copied) == []
+    assert copied.placements[0].vertices[0].form == cert.placements[0].vertices[0].form

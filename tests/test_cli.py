@@ -185,3 +185,32 @@ def test_console_entrypoint():
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert "tiling-forge" in out.stdout
+
+
+def _split_search(runner, tmp_path, *extra):
+    return runner.invoke(main, ["search", "--sides", "3,5,7", "--target", "equilateral:15",
+                                "--split-depth", "2", *extra,
+                                "--cert-out", str(tmp_path / "c.json"),
+                                "--stats-out", str(tmp_path / "s.json")])
+
+
+def test_search_rejects_resume_with_split_depth(runner, tmp_path):
+    ck = tmp_path / "ck.json"
+    res = runner.invoke(main, ["search", "--sides", "3,5,7", "--target", "equilateral:15",
+                               "--node-budget", "10", "--checkpoint", str(ck),
+                               "--stats-out", str(tmp_path / "s.json")])
+    assert res.exit_code == 3
+    (tmp_path / "s.json").unlink()
+    res = _split_search(runner, tmp_path, "--resume", str(ck))
+    assert res.exit_code == 2
+    assert res.stderr == "--resume cannot be combined with --split-depth > 0\n"
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_search_rejects_checkpoint_with_split_depth(runner, tmp_path):
+    ck = tmp_path / "ck.json"
+    res = _split_search(runner, tmp_path, "--node-budget", "10", "--checkpoint", str(ck))
+    assert res.exit_code == 2
+    assert res.stderr == "--checkpoint cannot be combined with --split-depth > 0\n"
+    assert not ck.exists()
+    assert not (tmp_path / "s.json").exists()

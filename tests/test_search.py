@@ -165,3 +165,24 @@ def test_mirror_flag_respected():
     out = run_search(T357, tri, SearchConfig(allow_mirror=False))
     assert out.status == "found"
     assert all(not p.mirrored for p in out.certificate.placements)
+
+
+def _summary(out):
+    cert = out.certificate.to_json() if out.certificate else None
+    return out.status, out.stats.nodes, out.stats.max_depth, cert
+
+
+@pytest.mark.parametrize("tile, sides, expected, depths", [
+    (T357, [QRoot3(15)] * 3, ("exhausted", 380), (1, 2, 3)),
+    (T357, [QRoot3(15), QRoot3(25), QRoot3(35)], ("found", 814), (1, 2, 3)),
+    (ISO, [2 * SQRT3] * 3, ("found", 12), (1, 2, 3, 30)),  # 30 >= N: no frontier
+])
+def test_split_agrees_with_sequential(tile, sides, expected, depths):
+    # same tree, same preorder count up to the first tiling, same certificate
+    tri = triangle_spec(tile, sides)
+    sequential = _summary(run_search(tile, tri, SearchConfig()))
+    assert sequential[:2] == expected
+    for depth in depths:
+        for workers in (1, 2):
+            split = run_search(tile, tri, SearchConfig(split_depth=depth, workers=workers))
+            assert _summary(split) == sequential, (depth, workers)
