@@ -8,7 +8,6 @@ of the side product XZ after eliminating a^2 through the law of cosines.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -101,24 +100,32 @@ def combo_angle_vec(tile: TileShape, combo: tuple[int, int, int]) -> tuple[QRoot
 
 def corner_angle_combos(tile: TileShape) -> list[tuple[tuple[int, int, int], tuple[QRoot3, QRoot3]]]:
     """All combinations i*alpha + j*beta + k*gamma strictly between 0 and pi,
-    with their exact (cos, sin)."""
-    fa = math.acos(min(1.0, max(-1.0, float(tile.cos_alpha))))
-    fb = math.acos(min(1.0, max(-1.0, float(tile.cos_beta))))
+    with their exact (cos, sin), ordered by (k, i, j).
+
+    Each loop adds one tile angle as an exact rotation and stops when the
+    sine is no longer positive: every tile angle is below pi, so a sum
+    leaves (0, pi) only by reaching pi or more, and stays out after that.
+    """
+    alpha, beta, gamma = (tile.angle_vec(name) for name in ("alpha", "beta", "gamma"))
     out = []
-    i_max = int(math.pi / fa + 1e-9) + 1
-    j_max = int(math.pi / fb + 1e-9) + 1
-    for k in (0, 1):
-        for i in range(i_max + 1):
-            for j in range(j_max + 1):
-                if i == j == k == 0:
-                    continue
-                approx = i * fa + j * fb + k * (2 * math.pi / 3)
-                if approx > math.pi + 1e-9:
-                    continue
-                vec = combo_angle_vec(tile, (i, j, k))
-                if qr3_sign(vec[1]) > 0:  # strictly inside (0, pi)
-                    out.append(((i, j, k), vec))
+    by_k, k = (QRoot3(1), QRoot3(0)), 0
+    while by_k is not None:
+        by_i, i = by_k, 0
+        while by_i is not None:
+            by_j, j = by_i, 0
+            while by_j is not None:
+                if i or j or k:
+                    out.append(((i, j, k), by_j))
+                by_j, j = _add_below_pi(by_j, beta), j + 1
+            by_i, i = _add_below_pi(by_i, alpha), i + 1
+        by_k, k = _add_below_pi(by_k, gamma), k + 1
     return out
+
+
+def _add_below_pi(u: tuple[QRoot3, QRoot3], step: tuple[QRoot3, QRoot3]):
+    """u rotated by step, or None if the sum is not below pi."""
+    total = _rotvec_mul(u, step)
+    return total if qr3_sign(total[1]) > 0 else None
 
 
 @dataclass(frozen=True)

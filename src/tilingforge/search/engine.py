@@ -351,8 +351,12 @@ def run_search(tile: TileShape, target: TriangleSpec, config: Optional[SearchCon
     Results are taken in canonical order up to the first tiling, so unless
     a subtree runs out of budget the status, node count, max_depth and
     certificate are the sequential ones at every split depth and worker count.
+    Split mode writes no checkpoint, so a `checkpoint_path` with it is a
+    ValueError.
     """
     cfg = config or SearchConfig()
+    if cfg.split_depth > 0 and cfg.checkpoint_path:
+        raise ValueError("checkpoint_path cannot be combined with split_depth > 0")
     search = TilingSearch(tile, target, cfg)
     if cfg.split_depth <= 0:
         return search.run()

@@ -21,16 +21,14 @@ from ..geometry import (
     GeometryError,
     Point,
     midpoint,
-    on_open_segment,
     orientation,
     segment_length,
     segments_properly_cross,
-    sort_along,
     strictly_inside_triangle,
     unit_direction,
 )
 from ..tilealgebra import TileShape
-from .region import Polygon
+from .region import Polygon, cut
 
 
 @dataclass(frozen=True)
@@ -193,23 +191,14 @@ def tile_fits_in_region(region: Polygon, tri: tuple[Point, Point, Point]) -> boo
                 return False
     if any(region.contains(p) == "outside" for p in tri):
         return False
-    reg_pts = list(region.vertices)
     for a, b in tri_edges:
-        stops = [p for p in reg_pts if on_open_segment(p, a, b)]
-        sort_along(stops, a, b)
-        prev = a
-        for p in stops + [b]:
-            if region.contains(midpoint(prev, p)) == "outside":
+        for p, q in cut(a, b, region.vertices):
+            if region.contains(midpoint(p, q)) == "outside":
                 return False
-            prev = p
     for c, d in reg_edges:
-        stops = [p for p in tri if on_open_segment(p, c, d)]
-        sort_along(stops, c, d)
-        prev = c
-        for p in stops + [d]:
-            if strictly_inside_triangle(midpoint(prev, p), tri):
+        for p, q in cut(c, d, tri):
+            if strictly_inside_triangle(midpoint(p, q), tri):
                 return False
-            prev = p
     return True
 
 

@@ -2,13 +2,16 @@
 
 The uncovered part of the target is a list of simple polygons with
 counterclockwise boundary (interior on the left of each directed edge).
-Subtracting a placed tile is done combinatorially: take the region's
-directed boundary edges plus the tile's edges reversed, split every edge
-at every endpoint lying on it, cancel opposite pairs, and re-extract the
-boundary cycles by always leaving a vertex along the most-counterclockwise
-turn from the reversed incoming direction.  Pinches (a tile touching the
-far boundary) then fall out as several independent simple polygons, and a
-tile that exactly finishes a region cancels its boundary away entirely.
+Subtracting a placed tile is done combinatorially.  A simple polygon has
+no vertex inside its own edges, and neither has a triangle, so each
+boundary only needs cutting where the other one touches it: the region's
+directed edges are cut at the tile's vertices, and the tile's edges,
+reversed, at the region's vertices (`cut`).  Opposite pairs of these
+pieces cancel, and the boundary cycles are re-extracted by always leaving
+a vertex along the most-counterclockwise turn from the reversed incoming
+direction.  Pinches (a tile touching the far boundary) then fall out as
+several independent simple polygons, and a tile that exactly finishes a
+region cancels its boundary away entirely.
 """
 
 from __future__ import annotations
@@ -117,91 +120,67 @@ def triangle_ccw(a: Point, b: Point, c: Point) -> tuple[Point, Point, Point]:
     return (a, b, c) if s > 0 else (a, c, b)
 
 
-def _split_edges(edges: list[tuple[Point, Point]]) -> list[tuple[Point, Point]]:
-    points = set()
-    for a, b in edges:
-        points.add(a)
-        points.add(b)
-    out = []
-    for a, b in edges:
-        inner = [p for p in points if on_open_segment(p, a, b)]
-        sort_along(inner, a, b)
-        prev = a
-        for p in inner:
-            out.append((prev, p))
-            prev = p
-        out.append((prev, b))
-    return out
+def cut(a: Point, b: Point, points: Sequence[Point]) -> list[tuple[Point, Point]]:
+    """The pieces of the segment a -> b, cut at those of `points` that lie
+    strictly inside it, in order from a."""
+    inner = [p for p in points if on_open_segment(p, a, b)]
+    if not inner:
+        return [(a, b)]
+    sort_along(inner, a, b)
+    ends = [a, *inner, b]
+    return list(zip(ends, ends[1:]))
 
 
-def _cancel(edges: list[tuple[Point, Point]]) -> list[tuple[Point, Point]]:
-    net: dict[tuple, int] = {}
-    rep: dict[tuple, tuple[Point, Point]] = {}
+def _cancel(edges: list[tuple[Point, Point]]) -> dict[tuple, tuple[Point, Point]]:
+    """The edges whose reverse is absent, keyed by their endpoints'
+    lex_key() pairs."""
+    keyed: dict[tuple, tuple[Point, Point]] = {}
     for a, b in edges:
-        ka, kb = a.lex_key(), b.lex_key()
-        if ka < kb:
-            key, direction = (ka, kb), 1
-            rep.setdefault(key, (a, b))
-        else:
-            key, direction = (kb, ka), -1
-            rep.setdefault(key, (b, a))
-        net[key] = net.get(key, 0) + direction
-    out = []
-    for key, count in net.items():
-        if count == 0:
-            continue
-        if abs(count) != 1:
+        key = (a.lex_key(), b.lex_key())
+        if key in keyed:
             raise GeometryError("boundary edge traversed twice in the same direction")
-        a, b = rep[key]
-        out.append((a, b) if count == 1 else (b, a))
-    return out
+        keyed[key] = (a, b)
+    return {key: e for key, e in keyed.items() if (key[1], key[0]) not in keyed}
 
 
-def _extract_faces(edges: list[tuple[Point, Point]]) -> list[list[Point]]:
-    outgoing: dict[tuple, list[tuple[Point, Point]]] = {}
-    for e in edges:
-        outgoing.setdefault(e[0].lex_key(), []).append(e)
-    for lst in outgoing.values():
-        lst.sort(key=lambda e: e[1].lex_key())
-    unused = set()
-    for e in edges:
-        key = (e[0].lex_key(), e[1].lex_key())
-        if key in unused:
-            raise GeometryError("duplicate directed edge")
-        unused.add(key)
-
-    def take(e):
-        unused.discard((e[0].lex_key(), e[1].lex_key()))
-
+def _extract_faces(edges: dict[tuple, tuple[Point, Point]]) -> list[list[Point]]:
+    # walked in key order, so each vertex lists its outgoing edges by target
+    order = sorted(edges)
+    outgoing: dict[tuple, list[tuple]] = {}
+    for key in order:
+        outgoing.setdefault(key[0], []).append(key)
+    unused = set(edges)
     faces = []
-    ordered = sorted(edges, key=lambda e: (e[0].lex_key(), e[1].lex_key()))
-    for start in ordered:
-        if (start[0].lex_key(), start[1].lex_key()) not in unused:
+    for start in order:
+        if start not in unused:
             continue
-        cycle = [start[0]]
-        cur = start
-        take(cur)
-        while cur[1] != start[0]:
-            cycle.append(cur[1])
-            cur = _next_edge(cur, outgoing, unused)
-            take(cur)
+        unused.discard(start)
+        u, v = edges[start]
+        cycle = [u]
+        key = start
+        while key[1] != start[0]:
+            cycle.append(v)
+            key = _next_edge(u, v, outgoing.get(key[1], ()), edges, unused)
+            unused.discard(key)
+            u, v = edges[key]
         faces.append(cycle)
     return faces
 
 
-def _next_edge(cur, outgoing, unused):
-    u, v = cur
+def _next_edge(u, v, keys, edges, unused):
+    """Key of the unused edge out of v with the most counterclockwise turn
+    from the incoming edge u -> v."""
     best = None
     best_angle: Optional[AngleVec] = None
-    for cand in outgoing.get(v.lex_key(), []):
-        if (cand[0].lex_key(), cand[1].lex_key()) not in unused:
+    for key in keys:
+        if key not in unused:
             continue
         # measured from the reversed incoming direction
-        ang = angle_at(v, u, cand[1])
+        ang = angle_at(v, u, edges[key][1])
         if ang.is_zero_mod_2pi():
             raise GeometryError("slit edge encountered during face walk")
         if best_angle is None or best_angle.less_than(ang):
-            best, best_angle = cand, ang
+            best, best_angle = key, ang
     if best is None:
         raise GeometryError("open boundary during face walk")
     return best
@@ -216,9 +195,9 @@ def subtract_triangle(region: Polygon, tri: tuple[Point, Point, Point]) -> list[
     the caller is responsible for having validated the placement.
     """
     a, b, c = tri
-    edges = list(region.edges()) + [(b, a), (c, b), (a, c)]
-    atomic = _split_edges(edges)
-    remaining = _cancel(atomic)
+    pieces = [piece for p, q in region.edges() for piece in cut(p, q, tri)]
+    pieces += [piece for p, q in ((b, a), (c, b), (a, c)) for piece in cut(p, q, region.vertices)]
+    remaining = _cancel(pieces)
     if not remaining:
         _check_area_conservation(region, tri, [])
         return []

@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from tilingforge.exactnum import QRoot3, SQRT3
+from tilingforge.exactnum import QRoot3, SQRT3, qr3_sign
 from tilingforge.constraints import (
     ConstraintError,
     DMatrix,
@@ -11,6 +12,7 @@ from tilingforge.constraints import (
     area_count,
     area_equation_nab_holds,
     area_equation_nac_holds,
+    combo_angle_vec,
     corner_angle_combos,
     enumerate_dmatrices,
     enumerate_vertex_splits,
@@ -20,7 +22,8 @@ from tilingforge.constraints import (
     triangle_spec,
     xz_coefficients,
 )
-from tilingforge.tilealgebra import tile_from_sides
+from tilingforge.geometry import AngleVec
+from tilingforge.tilealgebra import eisenstein_triple, tile_from_sides
 
 T357 = tile_from_sides(3, 5, 7)
 ISO = tile_from_sides(1, 1, SQRT3)
@@ -166,3 +169,44 @@ def test_corner_angle_combos_iso():
     assert (0, 0, 1) in combos  # 2 pi/3
     assert (5, 0, 0) in combos  # 5 pi/6
     assert (6, 0, 0) not in combos  # pi exactly is not a corner
+
+
+def _sum_below_pi(steps):
+    """The exact sum of the given angle steps if it lies in (0, pi): adding
+    them one by one never wraps past 2*pi and ends on a positive sine."""
+    cur = AngleVec(QRoot3(1), QRoot3(0))
+    for c, s in steps:
+        nxt = cur.minus_rotation(c, -s)
+        if not cur.less_than(nxt):
+            return None
+        cur = nxt
+    return cur if qr3_sign(cur.s) > 0 else None
+
+
+def _naive_combos(tile):
+    """Compose every i*alpha + j*beta + k*gamma from scratch inside a box
+    whose sides are the step counts to pi of each angle alone."""
+    vecs = [tile.angle_vec(name) for name in ("alpha", "beta", "gamma")]
+    limits = []
+    for v in vecs:
+        n = 1
+        while _sum_below_pi([v] * n) is not None:
+            n += 1
+        limits.append(n)
+    out = []
+    for k in range(limits[2]):
+        for i in range(limits[0]):
+            for j in range(limits[1]):
+                if (i or j or k) and _sum_below_pi([vecs[0]] * i + [vecs[1]] * j + [vecs[2]] * k):
+                    out.append(((i, j, k), combo_angle_vec(tile, (i, j, k))))
+    return out
+
+
+def test_corner_angle_combos_exact():
+    tiles = [T357, ISO] + [tile_from_sides(*eisenstein_triple(m, n))
+                           for m in range(2, 9) for n in range(1, m) if math.gcd(m, n) == 1]
+    assert len(tiles) == 23
+    for tile in tiles:
+        assert corner_angle_combos(tile) == _naive_combos(tile)
+    assert len(corner_angle_combos(T357)) == 29
+    assert len(corner_angle_combos(ISO)) == 23

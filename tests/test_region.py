@@ -2,9 +2,24 @@ from fractions import Fraction
 
 import pytest
 
-from tilingforge.exactnum import QRoot3
-from tilingforge.geometry import GeometryError, Point, pt
-from tilingforge.search.region import Polygon, subtract_triangle, triangle_ccw
+from tilingforge.constraints import triangle_spec
+from tilingforge.exactnum import QRoot3, SQRT3
+from tilingforge.geometry import (
+    GeometryError,
+    Point,
+    angle_at,
+    midpoint,
+    on_open_segment,
+    pt,
+    segments_properly_cross,
+    sort_along,
+    strictly_inside_triangle,
+)
+from tilingforge.search import engine
+from tilingforge.search.engine import SearchConfig, run_search
+from tilingforge.search.placements import candidate_placements, tile_fits_in_region
+from tilingforge.search.region import Polygon, cut, subtract_triangle, triangle_ccw
+from tilingforge.tilealgebra import tile_from_sides
 
 
 def sq(x1, y1, x2, y2):
@@ -107,3 +122,117 @@ def test_determinism():
     a = subtract_triangle(p, tri)
     b = subtract_triangle(p, tri)
     assert a == b
+
+
+def test_cut_orders_pieces_from_the_start():
+    a, b = pt(4, 0), pt(0, 0)
+    assert cut(a, b, [pt(1, 0), pt(3, 0), pt(0, 0), pt(2, 1)]) == [(a, pt(3, 0)), (pt(3, 0), pt(1, 0)),
+                                                                 (pt(1, 0), b)]
+    assert cut(a, b, [pt(5, 0)]) == [(a, b)]
+
+
+# -- differential check against the all-pairs subtraction and stop-loop fit ----
+
+def _ref_subtract(region, tri):
+    """Split every edge at every endpoint lying on it, cancel opposite
+    pairs by net count, and walk the faces."""
+    a, b, c = tri
+    edges = list(region.edges()) + [(b, a), (c, b), (a, c)]
+    points = {p for e in edges for p in e}
+    atomic = []
+    for p, q in edges:
+        inner = [r for r in points if on_open_segment(r, p, q)]
+        sort_along(inner, p, q)
+        ends = [p, *inner, q]
+        atomic += zip(ends, ends[1:])
+    net, rep = {}, {}
+    for p, q in atomic:
+        key = tuple(sorted((p.lex_key(), q.lex_key())))
+        rep.setdefault(key, (p, q) if p.lex_key() < q.lex_key() else (q, p))
+        net[key] = net.get(key, 0) + (1 if p.lex_key() < q.lex_key() else -1)
+    assert all(abs(n) <= 1 for n in net.values())
+    remaining = [rep[k] if n == 1 else rep[k][::-1] for k, n in net.items() if n]
+    unused = set(remaining)
+    faces = []
+    for start in sorted(remaining, key=lambda e: (e[0].lex_key(), e[1].lex_key())):
+        if start not in unused:
+            continue
+        unused.discard(start)
+        cycle, cur = [start[0]], start
+        while cur[1] != start[0]:
+            cycle.append(cur[1])
+            # leave along the most counterclockwise turn from the way back
+            outs = sorted((e for e in unused if e[0] == cur[1]), key=lambda e: e[1].lex_key())
+            best = outs[0]
+            for e in outs[1:]:
+                if angle_at(cur[1], cur[0], best[1]).less_than(angle_at(cur[1], cur[0], e[1])):
+                    best = e
+            unused.discard(best)
+            cur = best
+        faces.append(Polygon.from_points(cycle))
+    return sorted(faces, key=lambda f: f.vertices[0].lex_key())
+
+
+def _ref_fits(region, tri):
+    """Crossing and vertex tests, then every tile sub-edge midpoint inside
+    or on the region and no region sub-edge midpoint inside the tile, each
+    edge split at the other boundary's vertices by its own stop loop."""
+    tri_edges = [(tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])]
+    if any(segments_properly_cross(a, b, c, d) for a, b in tri_edges for c, d in region.edges()):
+        return False
+    if any(region.contains(p) == "outside" for p in tri):
+        return False
+    for a, b in tri_edges:
+        stops = [p for p in region.vertices if on_open_segment(p, a, b)]
+        sort_along(stops, a, b)
+        prev = a
+        for p in stops + [b]:
+            if region.contains(midpoint(prev, p)) == "outside":
+                return False
+            prev = p
+    for c, d in region.edges():
+        stops = [p for p in tri if on_open_segment(p, c, d)]
+        sort_along(stops, c, d)
+        prev = c
+        for p in stops + [d]:
+            if strictly_inside_triangle(midpoint(prev, p), tri):
+                return False
+            prev = p
+    return True
+
+
+T357 = tile_from_sides(3, 5, 7)
+ISO = tile_from_sides(1, 1, SQRT3)
+
+
+@pytest.mark.parametrize("tile, sides, expected", [
+    (T357, [QRoot3(15)] * 3, ("exhausted", 380)),
+    (T357, [QRoot3(15), QRoot3(25), QRoot3(35)], ("found", 814)),
+    (ISO, [3 * SQRT3] * 3, ("found", 27)),
+])
+def test_cut_matches_all_pairs_reference(monkeypatch, tile, sides, expected):
+    # every subtraction the search applies, and the fit test of every
+    # candidate before filtering, agree with the all-pairs reference
+    applied, expanded = [], []
+
+    def record_subtract(region, tri):
+        applied.append((region, tri))
+        return subtract_triangle(region, tri)
+
+    def record_expand(region, corner, geom, **kwargs):
+        expanded.append((region, corner, geom, kwargs))
+        return candidate_placements(region, corner, geom, **kwargs)
+
+    monkeypatch.setattr(engine, "subtract_triangle", record_subtract)
+    monkeypatch.setattr(engine, "candidate_placements", record_expand)
+    out = run_search(tile, triangle_spec(tile, sides), SearchConfig())
+    assert (out.status, out.stats.nodes) == expected
+    assert len(applied) == out.stats.nodes
+    for region, tri in applied:
+        got = [[p.lex_key() for p in poly.vertices] for poly in subtract_triangle(region, tri)]
+        want = [[p.lex_key() for p in poly.vertices] for poly in _ref_subtract(region, tri)]
+        assert got == want
+    for region, corner, geom, kwargs in expanded:
+        for cand in candidate_placements(region, corner, geom, check_fit=False, **kwargs):
+            tri = cand.placement.vertices
+            assert tile_fits_in_region(region, tri) == _ref_fits(region, tri)

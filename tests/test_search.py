@@ -102,6 +102,14 @@ def test_periodic_checkpoint_interval(tmp_path):
     assert resumed.stats.nodes == TilingSearch(T357, tri, SearchConfig()).run().stats.nodes
 
 
+def test_split_mode_rejects_checkpoint(tmp_path):
+    ck = tmp_path / "ck.json"
+    cfg = SearchConfig(split_depth=2, node_budget=50, checkpoint_path=str(ck))
+    with pytest.raises(ValueError, match="checkpoint_path cannot be combined with split_depth"):
+        run_search(T357, tri_eq(T357, QRoot3(15)), cfg)
+    assert not ck.exists()
+
+
 def test_worker_counts_agree():
     tri = tri_eq(T357, QRoot3(15))
     one = run_search(T357, tri, SearchConfig(split_depth=2, workers=1))
