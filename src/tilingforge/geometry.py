@@ -175,20 +175,23 @@ def strictly_inside_triangle(p: Point, tri: Sequence[Point]) -> bool:
     return _orient(fa, fb, fp) > 0 and _orient(fb, fc, fp) > 0 and _orient(fc, fa, fp) > 0
 
 
+def squared_distance(a: Point, b: Point) -> QRoot3:
+    """|b - a|^2, squared on the integer forms and normalised once."""
+    ax1, ax3, ay1, ay3, ad = a.form
+    bx1, bx3, by1, by3, bd = b.form
+    ux1, ux3, uy1, uy3 = bx1 * ad - ax1 * bd, bx3 * ad - ax3 * bd, by1 * ad - ay1 * bd, by3 * ad - ay3 * bd
+    den = ad * bd
+    return QRoot3._raw(ux1 * ux1 + uy1 * uy1 + 3 * (ux3 * ux3 + uy3 * uy3),
+                       2 * (ux1 * ux3 + uy1 * uy3), den * den)
+
+
 def segment_length(a: Point, b: Point) -> QRoot3:
     """Exact length; raises if it leaves Q(sqrt3) (closure violation)."""
-    d = b - a
-    sq = dot(d, d)
+    sq = squared_distance(a, b)
     root = sq.sqrt()
     if root is None:
         raise GeometryError(f"segment length sqrt({sq}) is not in Q(sqrt3)")
     return root
-
-
-def unit_direction(a: Point, b: Point) -> Point:
-    ln = segment_length(a, b)
-    d = b - a
-    return Point(d.x / ln, d.y / ln)
 
 
 def point_in_polygon(p: Point, vertices: Sequence[Point]) -> str:

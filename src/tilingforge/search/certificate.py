@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -79,13 +80,28 @@ class Certificate:
         )
 
     def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=1)
+        write_json(path, self.to_json(), indent=1)
 
     @staticmethod
     def load(path) -> "Certificate":
         with open(path) as fh:
             return Certificate.from_json(json.load(fh))
+
+
+def write_json(path, obj, indent=None) -> None:
+    """Write obj as JSON to a temporary file beside path, then move it into
+    place, so a failure mid-write leaves any earlier file at path intact."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(obj, fh, indent=indent)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,9 @@ from typing import Optional
 
 from ..constraints import TriangleSpec, area_count, enumerate_dmatrices
 from ..tilealgebra import TileShape
-from .certificate import Certificate, canonical_target_vertices, check_certificate
+from .certificate import Certificate, canonical_target_vertices, check_certificate, write_json
 from .placements import Candidate, TileGeometry, candidate_placements, select_corner
-from .region import Polygon, subtract_triangle
+from .region import Polygon
 
 CHECKPOINT_SCHEMA = "v1"
 
@@ -132,8 +132,7 @@ class TilingSearch:
         return False  # no gamma at target corners under the splitting cap
 
     def _apply(self, frame: _Frame, cand: Candidate) -> tuple[Polygon, ...]:
-        rest = subtract_triangle(frame.regions[0], cand.placement.vertices)
-        merged = list(rest) + list(frame.regions[1:])
+        merged = cand.remainder + list(frame.regions[1:])
         merged.sort(key=lambda p: p.vertices[0].lex_key())
         return tuple(merged)
 
@@ -263,8 +262,7 @@ class TilingSearch:
             "indices": [f.idx for f in stack],
             "nodes": nodes,
         }
-        with open(path, "w") as fh:
-            json.dump(data, fh)
+        write_json(path, data)
         return path
 
 
@@ -373,7 +371,7 @@ def run_search(tile: TileShape, target: TriangleSpec, config: Optional[SearchCon
         outcome = _merge(frontier, map(_run_subtree, jobs), stats)
     else:
         # leaving the block terminates the subtrees still running
-        with multiprocessing.get_context("fork").Pool(processes=cfg.workers) as pool:
+        with multiprocessing.get_context("spawn").Pool(processes=cfg.workers) as pool:
             outcome = _merge(frontier, pool.imap(_run_subtree, jobs), stats)
     stats.elapsed = time.monotonic() - t0
     return outcome

@@ -12,23 +12,13 @@ angle's adjacent edges; they are mirror images of each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..exactnum import QRoot3
-from ..geometry import (
-    AngleVec,
-    GeometryError,
-    Point,
-    midpoint,
-    orientation,
-    segment_length,
-    segments_properly_cross,
-    strictly_inside_triangle,
-    unit_direction,
-)
+from ..geometry import AngleVec, Point, orientation, squared_distance
 from ..tilealgebra import TileShape
-from .region import Polygon, cut
+from .region import Polygon, place
 
 
 @dataclass(frozen=True)
@@ -54,6 +44,8 @@ class Candidate:
     placement: Placement
     corner: Point
     angle_name: str  # which tile angle sits at the corner
+    # the region left once the placement is made; None if it does not fit
+    remainder: Optional[list[Polygon]] = field(compare=False)
 
 
 class TileGeometry:
@@ -139,26 +131,20 @@ def placement_chirality(tile: TileShape, p: Placement) -> Optional[bool]:
 
     A direct copy lists its edge lengths counterclockwise as a rotation of
     (c, a, b) (starting at the alpha vertex); a mirrored one as (b, a, c).
-    For an isosceles tile the two orders agree and direct is reported.
+    Lengths are positive, so their squares are compared, with no square
+    root taken.  For an isosceles tile the two orders agree and direct is
+    reported.
     """
     v = p.vertices
     if orientation(*v) <= 0:
         return None
-    try:
-        lens = tuple(segment_length(v[i], v[(i + 1) % 3]) for i in range(3))
-    except GeometryError:
-        return None
-    a, b, c = tile.a, tile.b, tile.c
-    direct = (c, a, b)
-    mirrored = (b, a, c)
-    for shift in range(3):
-        rotated = (lens[shift], lens[(shift + 1) % 3], lens[(shift + 2) % 3])
-        if rotated == direct:
-            return False
-    for shift in range(3):
-        rotated = (lens[shift], lens[(shift + 1) % 3], lens[(shift + 2) % 3])
-        if rotated == mirrored:
-            return True
+    sq = tuple(squared_distance(v[i], v[(i + 1) % 3]) for i in range(3))
+    rotations = (sq, sq[1:] + sq[:1], sq[2:] + sq[:2])
+    a2, b2, c2 = tile.a * tile.a, tile.b * tile.b, tile.c * tile.c
+    if (c2, a2, b2) in rotations:
+        return False
+    if (b2, a2, c2) in rotations:
+        return True
     return None
 
 
@@ -182,24 +168,9 @@ def _rotate_dir(u: Point, cos_v: QRoot3, sin_v: QRoot3) -> Point:
 
 def tile_fits_in_region(region: Polygon, tri: tuple[Point, Point, Point]) -> bool:
     """Exact containment: no proper edge crossing, every tile sub-edge
-    midpoint inside or on the region, no boundary portion inside the tile."""
-    tri_edges = [(tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])]
-    reg_edges = list(region.edges())
-    for a, b in tri_edges:
-        for c, d in reg_edges:
-            if segments_properly_cross(a, b, c, d):
-                return False
-    if any(region.contains(p) == "outside" for p in tri):
-        return False
-    for a, b in tri_edges:
-        for p, q in cut(a, b, region.vertices):
-            if region.contains(midpoint(p, q)) == "outside":
-                return False
-    for c, d in reg_edges:
-        for p, q in cut(c, d, tri):
-            if strictly_inside_triangle(midpoint(p, q), tri):
-                return False
-    return True
+    midpoint inside or on the region, no boundary portion inside the tile
+    (the fit test of `place`)."""
+    return place(region, tri) is not None
 
 
 def candidate_placements(
@@ -216,13 +187,16 @@ def candidate_placements(
     nonnegative combination of tile angles), the flush boundary edge keeps
     a representable remainder (or the far corner is reflex and the tile
     overhangs it, which the exact containment check then vets), and the
-    tile lies inside the region.
+    tile lies inside the region.  Each candidate carries the remainder that
+    `place` leaves; with check_fit=False the candidates that do not fit
+    are kept too, with remainder None.
     """
     v = region.vertices[corner]
     nxt = region.vertices[(corner + 1) % len(region)]
     theta = region.interior_angle(corner)
-    u_hat = unit_direction(v, nxt)
     boundary_len = region.edge_length(corner)
+    d = nxt - v
+    u_hat = Point(d.x / boundary_len, d.y / boundary_len)
     next_angle_reflex = region.interior_angle((corner + 1) % len(region)).is_reflex()
 
     out: list[Candidate] = []
@@ -251,8 +225,9 @@ def candidate_placements(
             assert mirrored is not None, "constructed placement must be congruent"
             if mirrored and not allow_mirror:
                 continue
-            if check_fit and not tile_fits_in_region(region, placement_vertices):
+            remainder = place(region, placement_vertices)
+            if check_fit and remainder is None:
                 continue
             seen.add(key)
-            out.append(Candidate(Placement(placement_vertices, mirrored), v, name))
+            out.append(Candidate(Placement(placement_vertices, mirrored), v, name, remainder))
     return out

@@ -1,22 +1,33 @@
-"""Simple-polygon regions and exact triangle subtraction.
+"""Simple-polygon regions and exact placement of a triangle in them.
 
 The uncovered part of the target is a list of simple polygons with
 counterclockwise boundary (interior on the left of each directed edge).
-Subtracting a placed tile is done combinatorially.  A simple polygon has
-no vertex inside its own edges, and neither has a triangle, so each
-boundary only needs cutting where the other one touches it: the region's
-directed edges are cut at the tile's vertices, and the tile's edges,
-reversed, at the region's vertices (`cut`).  Opposite pairs of these
-pieces cancel, and the boundary cycles are re-extracted by always leaving
-a vertex along the most-counterclockwise turn from the reversed incoming
+`place(region, tri)` decides in one pass whether a triangle lies in the
+region and, if it does, what is left of the region.
+
+It first takes the side of every region vertex against each of the three
+tile-edge lines (3E orientations), and that table decides which exact
+tests are needed.  Only a region edge whose endpoints lie strictly apart
+on a tile line can properly cross that tile edge.  Only a region vertex on
+a tile line can cut that tile edge.  Only a region edge that meets both
+lines through a tile vertex can be cut there.  And a region edge on the
+closed outer side of some tile line can neither cross the tile nor run
+inside it.  A simple polygon has no vertex inside its own edges, and
+neither has a triangle, so these cuts are all there are: the region's
+directed edges are cut at the tile's vertices (`cut`), and the tile's
+edges, reversed, at the region's vertices.  Opposite pairs of these pieces
+cancel, and the boundary cycles are re-extracted by always leaving a
+vertex along the most-counterclockwise turn from the reversed incoming
 direction.  Pinches (a tile touching the far boundary) then fall out as
 several independent simple polygons, and a tile that exactly finishes a
-region cancels its boundary away entirely.
+region cancels its boundary away entirely.  `subtract_triangle` is the
+remainder of `place` for a triangle known to fit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from ..exactnum import QRoot3
@@ -25,12 +36,14 @@ from ..geometry import (
     GeometryError,
     Point,
     angle_at,
+    midpoint,
     on_open_segment,
     orientation,
     point_in_polygon,
     polygon_area_twice,
     segment_length,
     sort_along,
+    strictly_inside_triangle,
 )
 
 
@@ -39,16 +52,19 @@ class Polygon:
     """Simple polygon, counterclockwise, no straight-angle vertices."""
 
     vertices: tuple[Point, ...]
+    # twice the area, kept from from_points; None: computed when asked for
+    area2: Optional[QRoot3] = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def from_points(points: Sequence[Point]) -> "Polygon":
         pts = _merge_collinear(list(points))
         if len(pts) < 3:
             raise GeometryError("degenerate polygon")
-        if polygon_area_twice(pts).sign() <= 0:
+        area2 = polygon_area_twice(pts)
+        if area2.sign() <= 0:
             raise GeometryError("polygon is not counterclockwise")
         pts = _rotate_to_min(pts)
-        return Polygon(tuple(pts))
+        return Polygon(tuple(pts), area2)
 
     def __len__(self):
         return len(self.vertices)
@@ -65,16 +81,20 @@ class Polygon:
         return segment_length(a, b)
 
     def area_twice(self) -> QRoot3:
-        return polygon_area_twice(self.vertices)
+        return self.area2 if self.area2 is not None else polygon_area_twice(self.vertices)
 
     def area(self) -> QRoot3:
         return self.area_twice() / 2
 
-    def interior_angle(self, i: int) -> AngleVec:
-        """Interior angle at vertex i: ccw angle from the outgoing edge
+    @cached_property
+    def angles(self) -> tuple[AngleVec, ...]:
+        """Interior angle at each vertex: ccw angle from the outgoing edge
         direction to the incoming-reversed direction."""
-        return angle_at(self.vertices[i], self.vertices[(i + 1) % len(self.vertices)],
-                        self.vertices[i - 1])
+        vs = self.vertices
+        return tuple(angle_at(vs[i], vs[(i + 1) % len(vs)], vs[i - 1]) for i in range(len(vs)))
+
+    def interior_angle(self, i: int) -> AngleVec:
+        return self.angles[i]
 
     def contains(self, p: Point) -> str:
         return point_in_polygon(p, self.vertices)
@@ -169,12 +189,17 @@ def _extract_faces(edges: dict[tuple, tuple[Point, Point]]) -> list[list[Point]]
 
 def _next_edge(u, v, keys, edges, unused):
     """Key of the unused edge out of v with the most counterclockwise turn
-    from the incoming edge u -> v."""
+    from the incoming edge u -> v.  A single exit needs no turn angle, only
+    the slit test: it must not lead back along v -> u."""
+    exits = [key for key in keys if key in unused]
+    if len(exits) == 1:
+        w = edges[exits[0]][1]
+        if orientation(v, u, w) == 0 and angle_at(v, u, w).is_zero_mod_2pi():
+            raise GeometryError("slit edge encountered during face walk")
+        return exits[0]
     best = None
     best_angle: Optional[AngleVec] = None
-    for key in keys:
-        if key not in unused:
-            continue
+    for key in exits:
         # measured from the reversed incoming direction
         ang = angle_at(v, u, edges[key][1])
         if ang.is_zero_mod_2pi():
@@ -186,31 +211,66 @@ def _next_edge(u, v, keys, edges, unused):
     return best
 
 
-def subtract_triangle(region: Polygon, tri: tuple[Point, Point, Point]) -> list[Polygon]:
-    """Remove a triangle (given ccw, assumed to lie inside the region and
-    share boundary along at least one edge portion) from the region.
+def place(region: Polygon, tri: tuple[Point, Point, Point]) -> Optional[list[Polygon]]:
+    """Place a counterclockwise triangle in the region.
 
-    Returns the remaining region as zero or more simple polygons, sorted
-    canonically.  Raises GeometryError on any combinatorial inconsistency;
-    the caller is responsible for having validated the placement.
+    Returns None if the triangle does not lie in the region (a proper edge
+    crossing, a tile vertex outside, a tile sub-edge midpoint outside, or
+    a region sub-edge midpoint strictly inside the tile).  Otherwise
+    returns the rest of the region as zero or more simple polygons, sorted
+    canonically; raises GeometryError if that rest is inconsistent, as it
+    is when the triangle touches no part of the region's boundary (a hole).
     """
-    a, b, c = tri
-    pieces = [piece for p, q in region.edges() for piece in cut(p, q, tri)]
-    pieces += [piece for p, q in ((b, a), (c, b), (a, c)) for piece in cut(p, q, region.vertices)]
-    remaining = _cancel(pieces)
-    if not remaining:
-        _check_area_conservation(region, tri, [])
-        return []
-    faces = _extract_faces(remaining)
-    polys = [Polygon.from_points(f) for f in faces]
+    verts = region.vertices
+    lines = ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0]))
+    # side[i][k]: side of region vertex i against tile line k, +1 inner
+    side = [(orientation(tri[0], tri[1], p), orientation(tri[1], tri[2], p),
+             orientation(tri[2], tri[0], p)) for p in verts]
+
+    region_pieces = []
+    for i in range(len(verts)):
+        c, d = verts[i - 1], verts[i]
+        sc, sd = side[i - 1], side[i]
+        # tile vertex k lies on lines k - 1 and k, so the edge must meet both
+        meets = [sc[k] * sd[k] <= 0 for k in range(3)]
+        pieces = cut(c, d, [tri[k] for k in range(3) if meets[k] and meets[k - 1]])
+        region_pieces += pieces
+        if any(sc[k] <= 0 and sd[k] <= 0 for k in range(3)):
+            continue  # on the closed outer side of a tile line: it keeps out of the tile
+        for k in range(3):
+            if sc[k] * sd[k] < 0:  # c and d strictly apart: test the reverse pair
+                o = orientation(c, d, lines[k][0])
+                if o and orientation(c, d, lines[k][1]) == -o:
+                    return None  # proper crossing
+        if any(strictly_inside_triangle(midpoint(p, q), tri) for p, q in pieces):
+            return None
+    if any(region.contains(t) == "outside" for t in tri):
+        return None
+    tile_pieces = []
+    for k, (a, b) in enumerate(lines):
+        pieces = cut(a, b, [p for p, s in zip(verts, side) if s[k] == 0])
+        if any(region.contains(midpoint(p, q)) == "outside" for p, q in pieces):
+            return None
+        tile_pieces += [(q, p) for p, q in pieces]
+
+    polys = [Polygon.from_points(f) for f in _extract_faces(_cancel(region_pieces + tile_pieces))]
     _check_area_conservation(region, tri, polys)
     return sorted(polys, key=lambda p: p.vertices[0].lex_key())
 
 
+def subtract_triangle(region: Polygon, tri: tuple[Point, Point, Point]) -> list[Polygon]:
+    """Remove a triangle (given ccw, lying inside the region) from the
+    region: the remainder of `place`, which raises GeometryError if the
+    triangle does not fit."""
+    rest = place(region, tri)
+    if rest is None:
+        raise GeometryError("triangle does not lie in the region")
+    return rest
+
+
 def _check_area_conservation(region, tri, polys):
-    tri_area2 = polygon_area_twice(tri)
-    total = QRoot3(0)
+    total = polygon_area_twice(tri)
     for p in polys:
         total = total + p.area_twice()
-    if total + tri_area2 != region.area_twice():
+    if total != region.area_twice():
         raise GeometryError("area not conserved by subtraction")

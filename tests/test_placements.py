@@ -89,6 +89,18 @@ def test_chirality_detection():
     assert placement_chirality(ISO, p) is False
 
 
+def test_chirality_from_any_start_vertex():
+    # the squared sides are compared in every cyclic order, so the listing
+    # may start at any vertex; listed clockwise it is no placement
+    cos_a, sin_a = T357.angle_vec("alpha")
+    direct = (pt(0, 0), pt(7, 0), Point(cos_a * 5, sin_a * 5))
+    mirrored = (pt(0, 0), pt(5, 0), Point(cos_a * 7, sin_a * 7))
+    for shift in (1, 2):
+        assert placement_chirality(T357, Placement(direct[shift:] + direct[:shift], False)) is False
+        assert placement_chirality(T357, Placement(mirrored[shift:] + mirrored[:shift], True)) is True
+    assert placement_chirality(T357, Placement(direct[::-1], False)) is None
+
+
 def test_select_corner_smallest_angle():
     # right trapezoid: 60-degree corner at (2,0) is the unique smallest
     region = Polygon.from_points([pt(0, 0), pt(2, 0),

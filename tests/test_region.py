@@ -18,7 +18,15 @@ from tilingforge.geometry import (
 from tilingforge.search import engine
 from tilingforge.search.engine import SearchConfig, run_search
 from tilingforge.search.placements import candidate_placements, tile_fits_in_region
-from tilingforge.search.region import Polygon, cut, subtract_triangle, triangle_ccw
+from tilingforge.search.region import (
+    Polygon,
+    _cancel,
+    _extract_faces,
+    cut,
+    place,
+    subtract_triangle,
+    triangle_ccw,
+)
 from tilingforge.tilealgebra import tile_from_sides
 
 
@@ -209,30 +217,62 @@ ISO = tile_from_sides(1, 1, SQRT3)
     (T357, [QRoot3(15)] * 3, ("exhausted", 380)),
     (T357, [QRoot3(15), QRoot3(25), QRoot3(35)], ("found", 814)),
     (ISO, [3 * SQRT3] * 3, ("found", 27)),
+    (T357, [QRoot3(30)] * 3, ("budget", 400)),
+    (ISO, [5 * SQRT3] * 3, ("found", 75)),
 ])
 def test_cut_matches_all_pairs_reference(monkeypatch, tile, sides, expected):
-    # every subtraction the search applies, and the fit test of every
-    # candidate before filtering, agree with the all-pairs reference
-    applied, expanded = [], []
-
-    def record_subtract(region, tri):
-        applied.append((region, tri))
-        return subtract_triangle(region, tri)
+    # at every expansion of the search, every candidate before the fit
+    # filter gets the reference fit verdict, and every fitting one carries
+    # the reference remainder; the search keeps exactly the fitting ones
+    expanded = []
 
     def record_expand(region, corner, geom, **kwargs):
-        expanded.append((region, corner, geom, kwargs))
-        return candidate_placements(region, corner, geom, **kwargs)
+        cands = candidate_placements(region, corner, geom, **kwargs)
+        expanded.append((region, corner, geom, kwargs, cands))
+        return cands
 
-    monkeypatch.setattr(engine, "subtract_triangle", record_subtract)
     monkeypatch.setattr(engine, "candidate_placements", record_expand)
-    out = run_search(tile, triangle_spec(tile, sides), SearchConfig())
+    budget = expected[1] if expected[0] == "budget" else SearchConfig().node_budget
+    out = run_search(tile, triangle_spec(tile, sides), SearchConfig(node_budget=budget))
     assert (out.status, out.stats.nodes) == expected
-    assert len(applied) == out.stats.nodes
-    for region, tri in applied:
-        got = [[p.lex_key() for p in poly.vertices] for poly in subtract_triangle(region, tri)]
-        want = [[p.lex_key() for p in poly.vertices] for poly in _ref_subtract(region, tri)]
-        assert got == want
-    for region, corner, geom, kwargs in expanded:
-        for cand in candidate_placements(region, corner, geom, check_fit=False, **kwargs):
+    # the root, and every node but one that completes a tiling
+    assert len(expanded) == out.stats.nodes + (0 if out.status == "found" else 1)
+    for region, corner, geom, kwargs, cands in expanded:
+        unfiltered = candidate_placements(region, corner, geom, check_fit=False, **kwargs)
+        for cand in unfiltered:
             tri = cand.placement.vertices
-            assert tile_fits_in_region(region, tri) == _ref_fits(region, tri)
+            assert (cand.remainder is not None) == _ref_fits(region, tri)
+            if cand.remainder is not None:
+                got = [[p.lex_key() for p in poly.vertices] for poly in cand.remainder]
+                want = [[p.lex_key() for p in poly.vertices] for poly in _ref_subtract(region, tri)]
+                assert got == want
+        assert [c for c in unfiltered if c.remainder is not None] == cands
+
+
+def test_place_rejects_a_crossing_no_midpoint_sees():
+    # a notch whose apex pokes into the tile through its bottom edge: no
+    # vertex of either boundary lies on the other and every sub-edge midpoint
+    # is on the right side, so only the proper crossings reject the tile
+    region = Polygon.from_points([pt(0, 0), pt(3, 0), pt(4, 3), pt(5, 0), pt(20, 0), pt(20, 20), pt(0, 20)])
+    for tri in [(pt(2, 2), pt(18, 2), pt(10, 18)), (pt(18, 2), pt(10, 18), pt(2, 2))]:
+        assert not _ref_fits(region, tri) and place(region, tri) is None
+    clear = (pt(6, 0), pt(18, 0), pt(12, 10))
+    assert _ref_fits(region, clear)
+    assert place(region, clear) == _ref_subtract(region, clear)
+
+
+def test_fit_and_subtract_are_views_of_place():
+    region = sq(0, 0, 4, 4)
+    inside, poking = (pt(0, 0), pt(4, 0), pt(2, 4)), (pt(0, 0), pt(5, 0), pt(0, 2))
+    assert tile_fits_in_region(region, inside) and place(region, inside) == subtract_triangle(region, inside)
+    assert place(region, poking) is None and not tile_fits_in_region(region, poking)
+    with pytest.raises(GeometryError):
+        subtract_triangle(region, poking)
+
+
+def test_face_walk_slit_at_single_exit_raises():
+    # u -> v, then the only way on from v runs back towards u: a slit
+    u, v, w = pt(0, 0), pt(2, 0), pt(1, 0)
+    edges = _cancel([(u, v), (v, w), (w, u)])
+    with pytest.raises(GeometryError, match="slit"):
+        _extract_faces(edges)

@@ -102,6 +102,26 @@ def test_periodic_checkpoint_interval(tmp_path):
     assert resumed.stats.nodes == TilingSearch(T357, tri, SearchConfig()).run().stats.nodes
 
 
+def test_checkpoint_survives_a_failed_write(tmp_path, monkeypatch):
+    tri = tri_eq(T357, QRoot3(15))
+    ck = tmp_path / "ck.json"
+    TilingSearch(T357, tri, SearchConfig(node_budget=120, checkpoint_path=str(ck))).run()
+    saved = ck.read_bytes()
+
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write('{"schema": "v1", "indi')
+        raise OSError("no space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(json, "dump", dump_then_fail)
+        with pytest.raises(OSError):
+            resume_from_checkpoint(str(ck), SearchConfig(node_budget=260, checkpoint_path=str(ck)))
+    # the earlier checkpoint is intact, no temporary file is left, and it resumes
+    assert ck.read_bytes() == saved and list(tmp_path.iterdir()) == [ck]
+    resumed = resume_from_checkpoint(str(ck), SearchConfig(node_budget=10**6))
+    assert (resumed.status, resumed.stats.nodes) == ("exhausted", 380)
+
+
 def test_split_mode_rejects_checkpoint(tmp_path):
     ck = tmp_path / "ck.json"
     cfg = SearchConfig(split_depth=2, node_budget=50, checkpoint_path=str(ck))
