@@ -7,18 +7,19 @@ and D > 0.  The predicates (orientation, segment and containment tests)
 multiply these integers into a determinant r + s*sqrt3 that positive
 denominators scale but never flip, and decide it with the shared kernel
 `_sign`: fraction-free, with no gcd and no QRoot3 built per call (exact
-geometric computation; Yap, CGTA 7, 1997).  No floating-point comparison
-participates in any decision.
+geometric computation; Yap, CGTA 7, 1997).  `sides` takes one line's
+integer coefficients once for many points, and an `AngleVec` holds its
+angle as four ints with its band fixed at construction.  No
+floating-point comparison participates in any decision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .exactnum import QRoot3, qr3_sign
+from .exactnum import QRoot3
 from .exactnum.qfield import _sign
 
 
@@ -150,6 +151,25 @@ def orientation(a: Point, b: Point, c: Point) -> int:
     return _orient(a.form, b.form, c.form)
 
 
+def sides(a: Point, b: Point, points: Sequence[Point]) -> list[int]:
+    """[orientation(a, b, p) for p in points], with the line through a and
+    b reduced once to integer coefficients, so that each point costs one
+    linear form and one `_sign` (all zero when a == b)."""
+    ax1, ax3, ay1, ay3, ad = a.form
+    bx1, bx3, by1, by3, bd = b.form
+    ux1, ux3, uy1, uy3 = bx1 * ad - ax1 * bd, bx3 * ad - ax3 * bd, by1 * ad - ay1 * bd, by3 * ad - ay3 * bd
+    # with u = (b - a)*ad*bd and the numerators p*pd, a*ad of p and a,
+    # cross(b - a, p - a) times the positive ad*bd*ad*pd is
+    # ad*(u x p*pd) - pd*(u x a*ad) = X*py - Y*px - pd*K
+    x1, x3, y1, y3 = ux1 * ad, ux3 * ad, uy1 * ad, uy3 * ad
+    k1 = ux1 * ay1 - uy1 * ax1 + 3 * (ux3 * ay3 - uy3 * ax3)
+    k3 = ux1 * ay3 + ux3 * ay1 - uy1 * ax3 - uy3 * ax1
+    tx3, ty3 = 3 * x3, 3 * y3
+    return [_sign(x1 * py1 + tx3 * py3 - y1 * px1 - ty3 * px3 - pd * k1,
+                  x1 * py3 + x3 * py1 - y1 * px3 - y3 * px1 - pd * k3)
+            for px1, px3, py1, py3, pd in [p.form for p in points]]
+
+
 def on_open_segment(p: Point, a: Point, b: Point) -> bool:
     """p lies strictly inside the segment (a, b)."""
     fp, fa, fb = p.form, a.form, b.form
@@ -253,78 +273,124 @@ def angle_at(v: Point, a: Point, b: Point) -> "AngleVec":
     bx1, bx3, by1, by3, bd = b.form
     ux1, ux3, uy1, uy3 = ax1 * vd - vx1 * ad, ax3 * vd - vx3 * ad, ay1 * vd - vy1 * ad, ay3 * vd - vy3 * ad
     wx1, wx3, wy1, wy3 = bx1 * vd - vx1 * bd, bx3 * vd - vx3 * bd, by1 * vd - vy1 * bd, by3 * vd - vy3 * bd
-    return AngleVec(
-        QRoot3._raw(ux1 * wx1 + uy1 * wy1 + 3 * (ux3 * wx3 + uy3 * wy3),
-                    ux1 * wx3 + ux3 * wx1 + uy1 * wy3 + uy3 * wy1, 1),
-        QRoot3._raw(ux1 * wy1 - uy1 * wx1 + 3 * (ux3 * wy3 - uy3 * wx3),
-                    ux1 * wy3 + ux3 * wy1 - uy1 * wx3 - uy3 * wx1, 1))
+    return AngleVec._of(ux1 * wx1 + uy1 * wy1 + 3 * (ux3 * wx3 + uy3 * wy3),
+                        ux1 * wx3 + ux3 * wx1 + uy1 * wy3 + uy3 * wy1,
+                        ux1 * wy1 - uy1 * wx1 + 3 * (ux3 * wy3 - uy3 * wx3),
+                        ux1 * wy3 + ux3 * wy1 - uy1 * wx3 - uy3 * wx1)
 
 
 # ---------------------------------------------------------------------------
 # exact angle values, represented by unnormalized (cos, sin) vectors
 
 
-@dataclass(frozen=True)
 class AngleVec:
-    """An angle in (0, 2*pi), represented by any positive multiple of
-    (cos(theta), sin(theta)).  Supports exact comparison and subtraction
-    of exactly-known rotations."""
+    """An angle in [0, 2*pi), represented by any positive multiple
+    (c1 + c3*sqrt3, s1 + s3*sqrt3) of (cos(theta), sin(theta)) on plain
+    ints.  Its rank in the order 0 < (0, pi) < pi < (pi, 2*pi) is fixed
+    once, at construction; within the two open bands the sign of one cross
+    product decides.  Supports exact comparison and subtraction of
+    exactly-known rotations."""
 
-    c: QRoot3
-    s: QRoot3
+    __slots__ = ("c1", "c3", "s1", "s3", "rank")
 
-    def __post_init__(self):
-        if self.c.is_zero() and self.s.is_zero():
-            raise GeometryError("zero angle vector")
+    def __init__(self, c: QRoot3, s: QRoot3):
+        # both scaled by the two denominators: a positive multiple
+        _init_angle(self, c.n1 * s.den, c.n3 * s.den, s.n1 * c.den, s.n3 * c.den)
+
+    @staticmethod
+    def _of(c1: int, c3: int, s1: int, s3: int) -> "AngleVec":
+        out = object.__new__(AngleVec)
+        _init_angle(out, c1, c3, s1, s3)
+        return out
+
+    def __setattr__(self, *_args):
+        raise AttributeError("AngleVec is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not the slots
+        return AngleVec, (self.c, self.s)
+
+    @property
+    def c(self) -> QRoot3:
+        """The stored multiple of cos(theta)."""
+        return QRoot3._raw(self.c1, self.c3, 1)
+
+    @property
+    def s(self) -> QRoot3:
+        """The stored multiple of sin(theta)."""
+        return QRoot3._raw(self.s1, self.s3, 1)
 
     def _band(self) -> int:
-        ss = qr3_sign(self.s)
-        if ss > 0:
-            return 0  # (0, pi)
-        if ss == 0:
-            return 1 if qr3_sign(self.c) < 0 else 3  # pi, or 0 mod 2pi
-        return 2  # (pi, 2pi)
+        """0 for (0, pi), 1 for pi, 2 for (pi, 2*pi), 3 for 0 mod 2*pi."""
+        return (3, 0, 1, 2)[self.rank]
 
     def is_zero_mod_2pi(self) -> bool:
-        return self._band() == 3
+        return self.rank == 0
 
     def is_reflex(self) -> bool:
-        return self._band() == 2
+        return self.rank == 3
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, AngleVec):
+        if other.__class__ is not AngleVec:
             return NotImplemented
-        return self._band() == other._band() and self._turn(other) == 0
+        if self.rank != other.rank:
+            return False
+        return self.rank in (0, 2) or self._turn(other) == 0
 
     def __hash__(self):
         raise TypeError("AngleVec is not hashable; use ray_key()")
 
+    def __repr__(self):
+        return f"AngleVec({self.c!r}, {self.s!r})"
+
     def less_than(self, other: "AngleVec") -> bool:
-        b1, b2 = self._band(), other._band()
-        # band 3 is angle zero (smallest); then (0,pi), pi, (pi,2pi)
-        order = {3: 0, 0: 1, 1: 2, 2: 3}
-        if order[b1] != order[b2]:
-            return order[b1] < order[b2]
-        if b1 in (1, 3):
-            return False
-        return self._turn(other) > 0
+        if self.rank != other.rank:
+            return self.rank < other.rank
+        return self.rank in (1, 3) and self._turn(other) > 0
 
     def _turn(self, other: "AngleVec") -> int:
-        """Sign of cross((c, s), (other.c, other.s)), on the integers of the
-        four values with their positive denominators multiplied through."""
-        c1, s1, c2, s2 = self.c, self.s, other.c, other.s
-        k, m = s1.den * c2.den, c1.den * s2.den
-        return _sign((c1.n1 * s2.n1 + 3 * c1.n3 * s2.n3) * k - (s1.n1 * c2.n1 + 3 * s1.n3 * c2.n3) * m,
-                     (c1.n1 * s2.n3 + c1.n3 * s2.n1) * k - (s1.n1 * c2.n3 + s1.n3 * c2.n1) * m)
+        """Sign of cross((c, s), (other.c, other.s))."""
+        c1, c3, s1, s3 = self.c1, self.c3, self.s1, self.s3
+        d1, d3, t1, t3 = other.c1, other.c3, other.s1, other.s3
+        return _sign(c1 * t1 - s1 * d1 + 3 * (c3 * t3 - s3 * d3),
+                     c1 * t3 + c3 * t1 - s1 * d3 - s3 * d1)
 
     def minus_rotation(self, cos_phi: QRoot3, sin_phi: QRoot3) -> "AngleVec":
-        """Angle value minus phi, where (cos_phi, sin_phi) is exact."""
-        return AngleVec(self.c * cos_phi + self.s * sin_phi,
-                        self.s * cos_phi - self.c * sin_phi)
+        """Angle value minus phi, where (cos_phi, sin_phi) is exact: the
+        vector rotated by -phi, with (cos_phi, sin_phi) scaled by the
+        product of their denominators."""
+        p1, p3 = cos_phi.n1 * sin_phi.den, cos_phi.n3 * sin_phi.den
+        q1, q3 = sin_phi.n1 * cos_phi.den, sin_phi.n3 * cos_phi.den
+        c1, c3, s1, s3 = self.c1, self.c3, self.s1, self.s3
+        # (c, s) -> (c*cos + s*sin, s*cos - c*sin)
+        return AngleVec._of(c1 * p1 + s1 * q1 + 3 * (c3 * p3 + s3 * q3),
+                            c1 * p3 + c3 * p1 + s1 * q3 + s3 * q1,
+                            s1 * p1 - c1 * q1 + 3 * (s3 * p3 - c3 * q3),
+                            s1 * p3 + s3 * p1 - c1 * q3 - c3 * q1)
 
     def ray_key(self):
-        """Canonical hashable key for the ray of (c, s)."""
-        if not self.c.is_zero():
-            slope = self.s / self.c
-            return (qr3_sign(self.c), slope.n1, slope.n3, slope.den)
-        return (0, qr3_sign(self.s), None, None)
+        """Canonical hashable key for the ray of (c, s): the sign of c and
+        the normalised slope s/c, or the sign of s when c is zero."""
+        c1, c3, s1, s3 = self.c1, self.c3, self.s1, self.s3
+        cs = _sign(c1, c3)
+        if cs:
+            # s/c = (s1 + s3*sqrt3)(c1 - c3*sqrt3) / (c1^2 - 3*c3^2)
+            slope = QRoot3._raw(s1 * c1 - 3 * s3 * c3, s3 * c1 - s1 * c3, c1 * c1 - 3 * c3 * c3)
+            return (cs, slope.n1, slope.n3, slope.den)
+        return (0, _sign(s1, s3), None, None)
+
+
+def _init_angle(a: AngleVec, c1: int, c3: int, s1: int, s3: int) -> None:
+    ss = _sign(s1, s3)
+    if ss:
+        rank = 1 if ss > 0 else 3
+    else:
+        cs = _sign(c1, c3)
+        if cs == 0:
+            raise GeometryError("zero angle vector")
+        rank = 0 if cs > 0 else 2
+    _set(a, "c1", c1)
+    _set(a, "c3", c3)
+    _set(a, "s1", s1)
+    _set(a, "s3", s3)
+    _set(a, "rank", rank)

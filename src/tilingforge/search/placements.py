@@ -167,8 +167,8 @@ def _rotate_dir(u: Point, cos_v: QRoot3, sin_v: QRoot3) -> Point:
 
 
 def tile_fits_in_region(region: Polygon, tri: tuple[Point, Point, Point]) -> bool:
-    """Exact containment: no proper edge crossing, every tile sub-edge
-    midpoint inside or on the region, no boundary portion inside the tile
+    """Exact containment: no proper edge crossing, no boundary portion
+    inside the tile, and an interior point of the tile inside the region
     (the fit test of `place`)."""
     return place(region, tri) is not None
 

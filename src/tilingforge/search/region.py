@@ -6,22 +6,32 @@ counterclockwise boundary (interior on the left of each directed edge).
 region and, if it does, what is left of the region.
 
 It first takes the side of every region vertex against each of the three
-tile-edge lines (3E orientations), and that table decides which exact
-tests are needed.  Only a region edge whose endpoints lie strictly apart
-on a tile line can properly cross that tile edge.  Only a region vertex on
-a tile line can cut that tile edge.  Only a region edge that meets both
-lines through a tile vertex can be cut there.  And a region edge on the
-closed outer side of some tile line can neither cross the tile nor run
-inside it.  A simple polygon has no vertex inside its own edges, and
-neither has a triangle, so these cuts are all there are: the region's
+tile-edge lines (one `sides` call per line), and that table decides which
+exact tests are needed.  Only a region edge whose endpoints lie strictly
+apart on a tile line can properly cross that tile edge.  Only a region
+vertex on a tile line can cut that tile edge.  Only a region edge that
+meets both lines through a tile vertex can be cut there.  And a region
+edge on the closed outer side of some tile line can neither cross the tile
+nor run inside it.  A simple polygon has no vertex inside its own edges,
+and neither has a triangle, so these cuts are all there are: the region's
 directed edges are cut at the tile's vertices (`cut`), and the tile's
-edges, reversed, at the region's vertices.  Opposite pairs of these pieces
-cancel, and the boundary cycles are re-extracted by always leaving a
-vertex along the most-counterclockwise turn from the reversed incoming
-direction.  Pinches (a tile touching the far boundary) then fall out as
-several independent simple polygons, and a tile that exactly finishes a
-region cancels its boundary away entirely.  `subtract_triangle` is the
-remainder of `place` for a triangle known to fit.
+edges, reversed, at the region's vertices.
+
+If no region edge properly crosses a tile edge and no region piece has its
+midpoint strictly inside the tile, no point of the region's boundary lies
+in the open tile: a piece that entered it would have to cross a tile edge
+properly, or both its ends would lie on the tile's boundary and its
+midpoint inside.  The open tile is connected, so it then lies wholly inside
+or wholly outside the simple region, and one interior point of the tile
+decides which.
+
+Opposite pairs of the pieces cancel, and the boundary cycles are
+re-extracted by always leaving a vertex along the most-counterclockwise
+turn from the reversed incoming direction.  Pinches (a tile touching the
+far boundary) then fall out as several independent simple polygons, and a
+tile that exactly finishes a region cancels its boundary away entirely.
+`subtract_triangle` is the remainder of `place` for a triangle known to
+fit.
 """
 
 from __future__ import annotations
@@ -42,6 +52,7 @@ from ..geometry import (
     point_in_polygon,
     polygon_area_twice,
     segment_length,
+    sides,
     sort_along,
     strictly_inside_triangle,
 )
@@ -214,9 +225,11 @@ def _next_edge(u, v, keys, edges, unused):
 def place(region: Polygon, tri: tuple[Point, Point, Point]) -> Optional[list[Polygon]]:
     """Place a counterclockwise triangle in the region.
 
-    Returns None if the triangle does not lie in the region (a proper edge
-    crossing, a tile vertex outside, a tile sub-edge midpoint outside, or
-    a region sub-edge midpoint strictly inside the tile).  Otherwise
+    Returns None if the triangle does not lie in the region: a region edge
+    properly crosses a tile edge, a region sub-edge midpoint lies strictly
+    inside the tile, or else (the open tile then meets no boundary point,
+    so it lies wholly on one side of it) the interior point
+    midpoint(tri[0], midpoint(tri[1], tri[2])) lies outside.  Otherwise
     returns the rest of the region as zero or more simple polygons, sorted
     canonically; raises GeometryError if that rest is inconsistent, as it
     is when the triangle touches no part of the region's boundary (a hole).
@@ -224,8 +237,7 @@ def place(region: Polygon, tri: tuple[Point, Point, Point]) -> Optional[list[Pol
     verts = region.vertices
     lines = ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0]))
     # side[i][k]: side of region vertex i against tile line k, +1 inner
-    side = [(orientation(tri[0], tri[1], p), orientation(tri[1], tri[2], p),
-             orientation(tri[2], tri[0], p)) for p in verts]
+    side = list(zip(*(sides(a, b, verts) for a, b in lines)))
 
     region_pieces = []
     for i in range(len(verts)):
@@ -244,14 +256,12 @@ def place(region: Polygon, tri: tuple[Point, Point, Point]) -> Optional[list[Pol
                     return None  # proper crossing
         if any(strictly_inside_triangle(midpoint(p, q), tri) for p, q in pieces):
             return None
-    if any(region.contains(t) == "outside" for t in tri):
+    # no boundary point in the open tile: one interior point decides
+    if region.contains(midpoint(tri[0], midpoint(tri[1], tri[2]))) != "inside":
         return None
     tile_pieces = []
     for k, (a, b) in enumerate(lines):
-        pieces = cut(a, b, [p for p, s in zip(verts, side) if s[k] == 0])
-        if any(region.contains(midpoint(p, q)) == "outside" for p, q in pieces):
-            return None
-        tile_pieces += [(q, p) for p, q in pieces]
+        tile_pieces += [(q, p) for p, q in cut(a, b, [p for p, s in zip(verts, side) if s[k] == 0])]
 
     polys = [Polygon.from_points(f) for f in _extract_faces(_cancel(region_pieces + tile_pieces))]
     _check_area_conservation(region, tri, polys)

@@ -1,13 +1,14 @@
 """Differential tests of the fraction-free predicate kernel.
 
 Every predicate in `tilingforge.geometry` decides on the integer forms of
-its points.  The reference formulas below decide the same questions on
-QRoot3 field values (products, dot products, `qr3_sign`) and are kept only
-here.  Points are drawn with mixed denominators and nonzero sqrt3 parts on
-both axes, and the strategies force the degenerate cases the search
-meets: collinear triples, points at segment endpoints, shared vertices,
-points on polygon edges and vertices, and horizontal edges at the height
-of the crossing ray.
+its points, and `AngleVec` holds its angle as four ints.  The reference
+formulas below decide the same questions on QRoot3 field values
+(products, dot products, `qr3_sign`, and `RefAngle`, the QRoot3 angle
+vector) and are kept only here.  Points are drawn with mixed
+denominators and nonzero sqrt3 parts on both axes, and the strategies
+force the degenerate cases the search meets: collinear triples, points
+at segment endpoints, shared vertices, points on polygon edges and
+vertices, and horizontal edges at the height of the crossing ray.
 """
 
 from fractions import Fraction
@@ -27,6 +28,7 @@ from tilingforge.geometry import (
     point_in_polygon,
     polygon_area_twice,
     segments_properly_cross,
+    sides,
     sort_along,
     strictly_inside_triangle,
 )
@@ -87,6 +89,46 @@ def ref_area_twice(vertices) -> QRoot3:
     for i in range(len(vertices)):
         acc = acc + ref_cross(vertices[i], vertices[(i + 1) % len(vertices)])
     return acc
+
+
+class RefAngle:
+    """An angle as a positive multiple (c, s) of (cos, sin) in QRoot3, its
+    band and order recomputed by `qr3_sign` on every question."""
+
+    def __init__(self, c: QRoot3, s: QRoot3):
+        assert not (c.is_zero() and s.is_zero())
+        self.c, self.s = c, s
+
+    def band(self) -> int:
+        """0 for (0, pi), 1 for pi, 2 for (pi, 2*pi), 3 for 0 mod 2*pi."""
+        ss = qr3_sign(self.s)
+        if ss > 0:
+            return 0
+        if ss == 0:
+            return 1 if qr3_sign(self.c) < 0 else 3
+        return 2
+
+    def turn(self, other: "RefAngle") -> int:
+        return qr3_sign(self.c * other.s - self.s * other.c)
+
+    def equals(self, other: "RefAngle") -> bool:
+        return self.band() == other.band() and self.turn(other) == 0
+
+    def less_than(self, other: "RefAngle") -> bool:
+        order = {3: 0, 0: 1, 1: 2, 2: 3}
+        b1, b2 = self.band(), other.band()
+        if order[b1] != order[b2]:
+            return order[b1] < order[b2]
+        return b1 in (0, 2) and self.turn(other) > 0
+
+    def minus_rotation(self, cos_phi: QRoot3, sin_phi: QRoot3) -> "RefAngle":
+        return RefAngle(self.c * cos_phi + self.s * sin_phi, self.s * cos_phi - self.c * sin_phi)
+
+    def ray_key(self):
+        if not self.c.is_zero():
+            slope = self.s / self.c
+            return (qr3_sign(self.c), slope.n1, slope.n3, slope.den)
+        return (0, qr3_sign(self.s), None, None)
 
 
 def ref_sign(r: int, s: int) -> int:
@@ -197,6 +239,30 @@ def polygon_and_query(draw):
     return Point(draw(qr3()), v.y), verts
 
 
+@st.composite
+def angle_pairs(draw):
+    """(c, s), not both zero: free, on an axis (the band edges 0 and pi,
+    and pi/2, 3*pi/2), or one of the twelve exact directions scaled."""
+    kind = draw(st.sampled_from(["free", "axis", "direction"]))
+    if kind == "free":
+        c, s = draw(qr3()), draw(qr3())
+    elif kind == "axis":
+        v = draw(qr3())
+        c, s = draw(st.sampled_from([(v, QRoot3(0)), (QRoot3(0), v)]))
+    else:
+        c, s = draw(st.sampled_from(DIRECTIONS))
+        k = draw(st.sampled_from(POSITIVE))
+        c, s = c * k, s * k
+    if c.is_zero() and s.is_zero():
+        c = QRoot3(-1)
+    return c, s
+
+
+# positive scalars in Q(sqrt3): rationals, 2 + sqrt3, sqrt3 - 1, a small one
+POSITIVE = [QRoot3(1), QRoot3(Fraction(3, 7)), QRoot3(2, 1), QRoot3(-1, 1),
+            QRoot3(Fraction(-5, 3), 1), QRoot3(Fraction(1, 3), Fraction(5, 2))]
+
+
 # -- the integer sign kernel -----------------------------------------------------
 
 # r/s close to sqrt3 from above and below (r^2 - 3 s^2 = 1 and -2); the
@@ -293,9 +359,10 @@ def test_angle_at(v, a, b):
         return
     got = angle_at(v, a, b)
     u, w = a - v, b - v
-    want = AngleVec(ref_dot(u, w), ref_cross(u, w))
-    assert got._band() == want._band()
+    want = RefAngle(ref_dot(u, w), ref_cross(u, w))
+    assert got._band() == want.band()
     assert got.ray_key() == want.ray_key()
+    assert got == AngleVec(want.c, want.s)
 
 
 @settings(max_examples=300, deadline=None)
@@ -305,6 +372,61 @@ def test_angle_turn(p, q):
         return
     a1, a2 = AngleVec(*p), AngleVec(*q)
     assert a1._turn(a2) == qr3_sign(p[0] * q[1] - p[1] * q[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(angle_pairs(), angle_pairs(), st.sampled_from(POSITIVE))
+def test_angle_vec_matches_reference(p, q, k):
+    a, b, ra, rb = AngleVec(*p), AngleVec(*q), RefAngle(*p), RefAngle(*q)
+    assert a._band() == ra.band()
+    assert a.is_zero_mod_2pi() == (ra.band() == 3) and a.is_reflex() == (ra.band() == 2)
+    assert a.less_than(b) == ra.less_than(rb)
+    assert b.less_than(a) == rb.less_than(ra)
+    assert (a == b) == ra.equals(rb)
+    assert a.ray_key() == ra.ray_key()
+    assert a._turn(b) == ra.turn(rb)
+    # the same angle from a positive multiple of the same vector
+    scaled = AngleVec(p[0] * k, p[1] * k)
+    assert scaled == a and scaled.ray_key() == a.ray_key() and scaled._band() == a._band()
+    assert not scaled.less_than(a) and not a.less_than(scaled)
+    assert RefAngle(scaled.c, scaled.s).equals(ra)
+
+
+@settings(max_examples=300, deadline=None)
+@given(angle_pairs(), angle_pairs(), st.sampled_from(POSITIVE))
+def test_minus_rotation_matches_reference(p, q, k):
+    # (cos_phi, sin_phi) may be any positive multiple of a rotation
+    got = AngleVec(*p).minus_rotation(*q)
+    want = RefAngle(*p).minus_rotation(*q)
+    assert got._band() == want.band()
+    assert got.ray_key() == want.ray_key()
+    assert got == AngleVec(want.c, want.s)
+    assert AngleVec(p[0] * k, p[1] * k).minus_rotation(q[0] * k, q[1] * k) == got
+
+
+def test_minus_rotation_band_edges():
+    # direction i minus direction j is direction i - j: exactly 0 for i == j
+    # (s = 0, c > 0) and exactly pi for i - j = 6 (s = 0, c < 0)
+    for i, p in enumerate(DIRECTIONS):
+        for j, q in enumerate(DIRECTIONS):
+            for k in POSITIVE[:3]:
+                got = AngleVec(p[0] * k, p[1] * k).minus_rotation(*q)
+                want = DIRECTIONS[(i - j) % 12]
+                assert got == AngleVec(*want)
+                assert got.ray_key() == RefAngle(*want).ray_key()
+                assert got._band() == RefAngle(*want).band()
+                assert got.is_zero_mod_2pi() == (i == j)
+                assert (got._band() == 1) == ((i - j) % 12 == 6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(points(), st.data())
+def test_sides(a, data):
+    b = data.draw(st.one_of(points(), st.just(a)))
+    pts = data.draw(st.lists(related_point(a, b), max_size=8))
+    got = sides(a, b, pts)
+    assert got == [orientation(a, b, p) for p in pts]
+    assert got == [ref_orientation(a, b, p) for p in pts]
 
 
 @settings(max_examples=200, deadline=None)
@@ -334,29 +456,14 @@ def test_point_form_is_not_part_of_identity():
 # -- exact representable-angle rays -------------------------------------------------
 
 
-def _ref_band(c: QRoot3, s: QRoot3) -> int:
-    """Order class of an angle in [0, 2*pi): 0, (0, pi), pi, (pi, 2*pi)."""
-    ss = qr3_sign(s)
-    if ss == 0:
-        return 0 if qr3_sign(c) > 0 else 2
-    return 1 if ss > 0 else 3
-
-
-def _ref_less(p, q) -> bool:
-    bp, bq = _ref_band(*p), _ref_band(*q)
-    if bp != bq:
-        return bp < bq
-    return bp in (1, 3) and qr3_sign(p[0] * q[1] - p[1] * q[0]) > 0
-
-
 def _ref_sum_below_2pi(steps):
-    """(c, s) of the sum of the given angles, each in (0, pi), or None if
+    """The sum of the given angles, each in (0, pi) as (c, s), or None if
     the sum reaches 2*pi: adding such an angle to a sum below 2*pi wraps
     exactly when the result is not larger."""
-    cur = (QRoot3(1), QRoot3(0))
+    cur = RefAngle(QRoot3(1), QRoot3(0))
     for c, s in steps:
-        nxt = (cur[0] * c - cur[1] * s, cur[0] * s + cur[1] * c)
-        if _ref_band(*nxt) == 0 or not _ref_less(cur, nxt):
+        nxt = RefAngle(cur.c * c - cur.s * s, cur.c * s + cur.s * c)
+        if nxt.band() == 3 or not cur.less_than(nxt):
             return None
         cur = nxt
     return cur
@@ -380,7 +487,7 @@ def _naive_rays(geom: TileGeometry) -> set:
                     continue
                 total = _ref_sum_below_2pi([vecs[0]] * i + [vecs[1]] * j + [vecs[2]] * k)
                 if total is not None:
-                    rays.add(AngleVec(*total).ray_key())
+                    rays.add(total.ray_key())
     return rays
 
 

@@ -276,3 +276,87 @@ def test_face_walk_slit_at_single_exit_raises():
     edges = _cancel([(u, v), (v, w), (w, u)])
     with pytest.raises(GeometryError, match="slit"):
         _extract_faces(edges)
+
+
+# -- the containment probe: triangles that the region loop lets through ---------
+
+def _place_verdict(region, tri):
+    """True or False for fit, or "error" when place raises."""
+    try:
+        return place(region, tri) is not None
+    except GeometryError:
+        return "error"
+
+
+def _assert_verdict_matches_reference(region, tri):
+    """Check place's verdict against _ref_fits, and return it."""
+    tri = triangle_ccw(*tri)
+    want, got = _ref_fits(region, tri), _place_verdict(region, tri)
+    if got == "error":
+        # a tile strictly inside the region (a hole): both sides raise
+        assert want
+        with pytest.raises(GeometryError):
+            _ref_subtract(region, tri)
+    else:
+        assert got == want
+    return got
+
+
+CONVEX = Polygon.from_points([pt(0, 0), pt(4, 0), pt(5, 2), pt(4, 4), pt(0, 4)])
+# a U: the notch (2..3) x (2..5) is outside, between two arms
+NON_CONVEX = Polygon.from_points([pt(0, 0), pt(5, 0), pt(5, 5), pt(3, 5), pt(3, 2), pt(2, 2),
+                                  pt(2, 5), pt(0, 5)])
+
+
+@pytest.mark.parametrize("tri", [
+    (pt(6, 0), pt(8, 0), pt(7, 2)),  # disjoint, beside the region
+    (pt(-3, -3), pt(-1, -3), pt(-2, -1)),  # disjoint, below and left
+    (pt(4, 0), pt(6, 0), pt(5, 2)),  # along the slanted edge, outside it
+    (pt(0, 4), pt(4, 4), pt(2, 6)),  # along the whole top edge, outside it
+    (pt(1, 4), pt(3, 4), pt(2, 5)),  # along part of the top edge, outside it
+    (pt(4, 4), pt(6, 4), pt(5, 6)),  # at a vertex from outside
+    (pt(5, 2), pt(7, 1), pt(7, 3)),  # at the apex vertex from outside
+    (pt(-2, 1), pt(0, 2), pt(-2, 3)),  # its apex on the left edge, outside
+])
+def test_probe_rejects_a_triangle_outside(tri):
+    # no region edge crosses these tiles and no region piece runs inside
+    # them, so only the interior probe can reject them
+    assert not _ref_fits(CONVEX, tri)
+    assert place(CONVEX, tri) is None
+    assert not tile_fits_in_region(CONVEX, tri)
+
+
+def test_probe_rejects_a_triangle_in_the_notch():
+    # inside the notch of the U: the region's boundary surrounds it on
+    # three sides, touching it along the notch's walls and floor
+    for tri in [(pt(2, 2), pt(3, 2), pt(2, 5)), (pt(2, 2), pt(3, 2), pt(3, 5)),
+                (pt(2, 3), pt(3, 3), pt(2, 4))]:
+        assert not _ref_fits(NON_CONVEX, tri) and place(NON_CONVEX, tri) is None
+
+
+def test_hole_raises_on_both_sides():
+    tri = (pt(1, 1), pt(2, 1), pt(1, 2))
+    assert _ref_fits(CONVEX, tri)
+    with pytest.raises(GeometryError):
+        place(CONVEX, tri)
+    with pytest.raises(GeometryError):
+        _ref_subtract(CONVEX, tri)
+
+
+# small triangles: legs of 1 and 2 in the four axis orientations, and two
+# slanted ones
+SHAPES = [(pt(0, 0), pt(a, 0), pt(0, b)) for a in (1, -1, 2, -2) for b in (1, -1, 2, -2)] + [
+    (pt(0, 0), pt(2, 1), pt(1, 2)), (pt(0, 0), pt(1, -1), pt(2, 1))]
+
+
+@pytest.mark.parametrize("region", [CONVEX, NON_CONVEX], ids=["convex", "non-convex"])
+def test_probe_lattice_sweep(region):
+    # every shape at every lattice offset around the region: disjoint,
+    # touching, crossing, inside, and strictly inside (holes)
+    seen = set()
+    for dx in range(-2, 7):
+        for dy in range(-2, 7):
+            for shape in SHAPES:
+                tri = tuple(pt(p.x + dx, p.y + dy) for p in shape)
+                seen.add(_assert_verdict_matches_reference(region, tri))
+    assert seen == {True, False, "error"}
