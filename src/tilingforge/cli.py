@@ -344,7 +344,11 @@ def render(cert_path, out_path):
     except (ValueError, KeyError, TypeError, ConstraintError, TileError) as exc:
         click.echo(f"cannot parse certificate: {exc}", err=True)
         sys.exit(2)
-    render_svg(cert, out_path)
+    try:
+        render_svg(cert, out_path)
+    except ConstraintError as exc:  # the target's outline cannot be drawn
+        click.echo(f"cannot render certificate: {exc}", err=True)
+        sys.exit(2)
     click.echo(f"wrote {out_path}")
 
 

@@ -151,12 +151,17 @@ class TriangleSpec:
 
     @staticmethod
     def from_json(obj) -> "TriangleSpec":
-        return TriangleSpec(
-            tuple(tuple(a) for a in obj["angles"]),  # type: ignore[arg-type]
-            QRoot3.from_json(obj["X"]),
-            QRoot3.from_json(obj["Y"]),
-            QRoot3.from_json(obj["Z"]),
-        )
+        """The spec written by to_json; raises ValueError unless it has
+        three corners of nonnegative integer counts and sides
+        X >= Y >= Z > 0 with X < Y + Z."""
+        angles = tuple(tuple(a) for a in obj["angles"])
+        if len(angles) != 3 or not all(
+                len(a) == 3 and all(isinstance(k, int) and k >= 0 for k in a) for a in angles):
+            raise ValueError("target angles must be three triples of nonnegative integers")
+        X, Y, Z = (QRoot3.from_json(obj[k]) for k in "XYZ")
+        if not (qr3_sign(Z) > 0 and X >= Y >= Z and X < Y + Z):
+            raise ValueError("target sides must satisfy X >= Y >= Z > 0 and X < Y + Z")
+        return TriangleSpec(angles, X, Y, Z)  # type: ignore[arg-type]
 
 
 def triangle_spec(tile: TileShape, sides: Sequence[QRoot3]) -> TriangleSpec:

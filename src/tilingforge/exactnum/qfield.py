@@ -164,17 +164,23 @@ class QRoot3:
     def sign(self) -> int:
         return _sign(self.n1, self.n3)
 
+    def _order(self, other) -> int:
+        """Sign of self - other, on the cross-multiplied integers; the
+        positive denominators cannot change it, so no value is built."""
+        o = _coerce(other)
+        return _sign(self.n1 * o.den - o.n1 * self.den, self.n3 * o.den - o.n3 * self.den)
+
     def __lt__(self, other) -> bool:
-        return (self - _coerce(other)).sign() < 0
+        return self._order(other) < 0
 
     def __le__(self, other) -> bool:
-        return (self - _coerce(other)).sign() <= 0
+        return self._order(other) <= 0
 
     def __gt__(self, other) -> bool:
-        return (self - _coerce(other)).sign() > 0
+        return self._order(other) > 0
 
     def __ge__(self, other) -> bool:
-        return (self - _coerce(other)).sign() >= 0
+        return self._order(other) >= 0
 
     def is_zero(self) -> bool:
         return self.n1 == 0 and self.n3 == 0
@@ -236,9 +242,12 @@ class QRoot3:
 
     @staticmethod
     def from_json(obj) -> "QRoot3":
-        if isinstance(obj, str):
-            return QRoot3(Fraction(obj), 0)
-        return QRoot3(Fraction(obj["r"]), Fraction(obj["s"]))
+        try:
+            if isinstance(obj, str):
+                return QRoot3(Fraction(obj), 0)
+            return QRoot3(Fraction(obj["r"]), Fraction(obj["s"]))
+        except ArithmeticError as exc:  # a zero denominator, an infinity
+            raise ValueError(f"not an exact number: {obj!r}") from exc
 
 
 def _coerce(v) -> QRoot3:

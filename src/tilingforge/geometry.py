@@ -80,6 +80,8 @@ class Point:
 
     @staticmethod
     def from_json(obj) -> "Point":
+        if not isinstance(obj, list) or len(obj) != 2:
+            raise ValueError(f"a point is a list of two coordinates, not {obj!r}")
         return Point(QRoot3.from_json(obj[0]), QRoot3.from_json(obj[1]))
 
     def __repr__(self):

@@ -70,6 +70,8 @@ class Certificate:
 
     @staticmethod
     def from_json(obj: dict) -> "Certificate":
+        if not isinstance(obj, dict):
+            raise ValueError("a certificate is a JSON object")
         if obj.get("schema") != SCHEMA:
             raise ValueError(f"unsupported certificate schema {obj.get('schema')!r}")
         return Certificate(

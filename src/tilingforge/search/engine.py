@@ -161,6 +161,8 @@ class TilingSearch:
             if next(self._walk(stack, placements)) is not None:
                 raise InvalidInstance("checkpoint replay ended in a completed tiling")
         if indices:
+            if not (-1 <= indices[-1] < len(stack[-1].cands)):
+                raise InvalidInstance("checkpoint does not match this instance")
             stack[-1].idx = indices[-1]
         return stack, placements
 
@@ -267,18 +269,35 @@ class TilingSearch:
 
 
 def resume_from_checkpoint(path: str, config: Optional[SearchConfig] = None) -> Outcome:
-    with open(path) as fh:
-        data = json.load(fh)
-    if data.get("schema") != CHECKPOINT_SCHEMA:
-        raise InvalidInstance(f"unsupported checkpoint schema {data.get('schema')!r}")
-    tile = TileShape.from_json(data["tile"])
-    target = TriangleSpec.from_json(data["target"])
+    """Continue a search from a checkpoint file; raises InvalidInstance if
+    the file is not a well-formed checkpoint of a valid instance."""
     cfg = config or SearchConfig()
-    saved = data["config"]
-    cfg.allow_mirror = saved["allow_mirror"]
-    cfg.paper_pruning = saved["paper_pruning"]
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("a checkpoint is a JSON object")
+        if data.get("schema") != CHECKPOINT_SCHEMA:
+            raise ValueError(f"unsupported checkpoint schema {data.get('schema')!r}")
+        tile = TileShape.from_json(data["tile"])
+        target = TriangleSpec.from_json(data["target"])
+        saved, indices, nodes = data["config"], data["indices"], data["nodes"]
+        flags = (saved["allow_mirror"], saved["paper_pruning"])
+        if not all(isinstance(f, bool) for f in flags):
+            raise ValueError("config flags must be booleans")
+        if not isinstance(indices, list) or not all(_is_int(i) for i in indices):
+            raise ValueError("indices must be a list of integers")
+        if not _is_int(nodes) or nodes < 0:
+            raise ValueError("nodes must be a nonnegative integer")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InvalidInstance(f"malformed checkpoint: {exc}") from None
+    cfg.allow_mirror, cfg.paper_pruning = flags
     search = TilingSearch(tile, target, cfg)
-    return search.run(resume_indices=data["indices"], start_nodes=data["nodes"])
+    return search.run(resume_indices=indices, start_nodes=nodes)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 # ---------------------------------------------------------------------------

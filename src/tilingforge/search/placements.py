@@ -140,7 +140,7 @@ def placement_chirality(tile: TileShape, p: Placement) -> Optional[bool]:
         return None
     sq = tuple(squared_distance(v[i], v[(i + 1) % 3]) for i in range(3))
     rotations = (sq, sq[1:] + sq[:1], sq[2:] + sq[:2])
-    a2, b2, c2 = tile.a * tile.a, tile.b * tile.b, tile.c * tile.c
+    a2, b2, c2 = tile.side_squares
     if (c2, a2, b2) in rotations:
         return False
     if (b2, a2, c2) in rotations:
@@ -153,8 +153,7 @@ def select_corner(region: Polygon) -> int:
     lexicographic vertex order."""
     best = None
     best_idx = -1
-    for i in range(len(region)):
-        ang = region.interior_angle(i)
+    for i, ang in enumerate(region.angles):
         if best is None or ang.less_than(best) or (
             ang == best and region.vertices[i].lex_less(region.vertices[best_idx])
         ):

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Union
 
 from .exactnum import QRoot3, SQRT3, niven_classify, qr3_sign, rational_sqrt
@@ -59,6 +60,11 @@ class TileShape:
         if which == "gamma":
             return (QRoot3(Fraction(-1, 2)), QRoot3(0, Fraction(1, 2)))
         raise ValueError(which)
+
+    @cached_property
+    def side_squares(self) -> tuple[QRoot3, QRoot3, QRoot3]:
+        """(a^2, b^2, c^2), squared once per tile."""
+        return (self.a * self.a, self.b * self.b, self.c * self.c)
 
     def is_isosceles(self) -> bool:
         return self.a == self.b

@@ -1,9 +1,12 @@
+import copy
 import json
 import subprocess
 import sys
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tilingforge.cli import main, parse_exact, parse_sides
 from tilingforge.exactnum import QRoot3
@@ -214,3 +217,105 @@ def test_search_rejects_checkpoint_with_split_depth(runner, tmp_path):
     assert res.stderr == "--checkpoint cannot be combined with --split-depth > 0\n"
     assert not ck.exists()
     assert not (tmp_path / "s.json").exists()
+
+
+# -- malformed certificates and checkpoints: a verdict or exit 2, never a traceback --
+
+def _clean_exit(res):
+    return res.exception is None or isinstance(res.exception, SystemExit)
+
+
+def test_check_and_render_reject_a_non_object(runner, tmp_path):
+    bad = tmp_path / "list.json"
+    bad.write_text("[]")
+    for args in (["check", str(bad)], ["render", str(bad), str(tmp_path / "out.svg")]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2 and _clean_exit(res), res.output
+        assert "cannot parse certificate" in res.stderr
+
+
+@pytest.mark.parametrize("text", ["{not json", "[]", '{"schema": "v1"}', '{"schema": "v0"}'])
+def test_resume_rejects_a_malformed_checkpoint(runner, tmp_path, text):
+    ck = tmp_path / "ck.json"
+    ck.write_text(text)
+    res = runner.invoke(main, ["search", "--resume", str(ck), "--stats-out", str(tmp_path / "s.json")])
+    assert res.exit_code == 2 and _clean_exit(res), res.output
+    assert "invalid instance" in res.stderr
+
+
+# replacement values for one node of a JSON document
+JUNK = [None, True, 0, -1, 7, 1.5, "", "x", "1/0", "-3", [], {}, [0], [-1, 0], {"r": "1", "s": "0"},
+        float("inf")]
+
+
+def _paths(doc, here=()):
+    """Every path to a node of a JSON document."""
+    yield here
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, here + (key,))
+
+
+@st.composite
+def _mutated(draw, doc):
+    """The JSON text of doc with one node replaced or deleted, or cut short."""
+    if draw(st.integers(0, 9)) == 0:
+        text = json.dumps(doc)
+        return text[:draw(st.integers(0, len(text) - 1))]
+    doc = copy.deepcopy(doc)
+    path = draw(st.sampled_from(list(_paths(doc))))
+    if not path:
+        return json.dumps(draw(st.sampled_from(JUNK)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(st.sampled_from(JUNK))
+    return json.dumps(doc)
+
+
+def _search_files(tmp_path_factory):
+    """An N=4 certificate and a checkpoint of (3,5,7) / side 15 at 10 nodes."""
+    base = tmp_path_factory.mktemp("fuzz")
+    runner = CliRunner()
+    res = runner.invoke(main, ["search", "--sides", "3,5,7", "--target", "triangle:6,10,14",
+                               "--cert-out", str(base / "c.json"), "--stats-out", str(base / "s.json")])
+    assert res.exit_code == 0
+    res = runner.invoke(main, ["search", "--sides", "3,5,7", "--target", "equilateral:15",
+                               "--node-budget", "10", "--checkpoint", str(base / "ck.json"),
+                               "--stats-out", str(base / "s.json")])
+    assert res.exit_code == 3
+    return json.loads((base / "c.json").read_text()), json.loads((base / "ck.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def search_files(tmp_path_factory):
+    return _search_files(tmp_path_factory)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_certificate_gives_a_verdict_or_exit_2(search_files, tmp_path, data):
+    text = data.draw(_mutated(search_files[0]))
+    cert = tmp_path / "cert.json"
+    cert.write_text(text)
+    runner = CliRunner()
+    res = runner.invoke(main, ["check", str(cert)])
+    assert _clean_exit(res) and res.exit_code in (0, 1, 2), (text, res.output)
+    res = runner.invoke(main, ["render", str(cert), str(tmp_path / "out.svg")])
+    assert _clean_exit(res) and res.exit_code in (0, 2), (text, res.output)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_checkpoint_resumes_or_exits_2(search_files, tmp_path, data):
+    text = data.draw(_mutated(search_files[1]))
+    ck = tmp_path / "ck.json"
+    ck.write_text(text)
+    res = CliRunner().invoke(main, ["search", "--resume", str(ck), "--node-budget", "12",
+                                    "--cert-out", str(tmp_path / "c.json"),
+                                    "--stats-out", str(tmp_path / "s.json")])
+    # found, budget, exhausted, or an invalid instance
+    assert _clean_exit(res) and res.exit_code in (0, 2, 3, 4), (text, res.output)

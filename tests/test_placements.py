@@ -10,7 +10,7 @@ from tilingforge.search.placements import (
     select_corner,
 )
 from tilingforge.search.region import Polygon
-from tilingforge.tilealgebra import tile_from_sides
+from tilingforge.tilealgebra import TileShape, tile_from_sides
 
 T357 = tile_from_sides(3, 5, 7)
 ISO = tile_from_sides(1, 1, SQRT3)
@@ -99,6 +99,18 @@ def test_chirality_from_any_start_vertex():
         assert placement_chirality(T357, Placement(direct[shift:] + direct[:shift], False)) is False
         assert placement_chirality(T357, Placement(mirrored[shift:] + mirrored[:shift], True)) is True
     assert placement_chirality(T357, Placement(direct[::-1], False)) is None
+
+
+def test_side_squares_are_kept_on_the_tile():
+    assert T357.side_squares == (QRoot3(9), QRoot3(25), QRoot3(49))
+    assert ISO.side_squares == (QRoot3(1), QRoot3(1), QRoot3(3))
+    assert T357.side_squares is T357.side_squares  # squared once
+    # a tile read back from JSON squares afresh and gives the same verdicts
+    fresh = TileShape.from_json(T357.to_json())
+    cos_a, sin_a = T357.angle_vec("alpha")
+    for p in [Placement((pt(0, 0), pt(7, 0), Point(cos_a * 5, sin_a * 5)), False),
+              Placement((pt(0, 0), pt(5, 0), Point(cos_a * 7, sin_a * 7)), True)]:
+        assert placement_chirality(fresh, p) is placement_chirality(T357, p) is p.mirrored
 
 
 def test_select_corner_smallest_angle():

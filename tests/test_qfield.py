@@ -42,6 +42,26 @@ def test_sign_agrees_with_float(x):
         assert qr3_sign(x) == (1 if f > 0 else -1)
 
 
+@settings(max_examples=300)
+@given(qroot3s(), st.one_of(qroot3s(), rationals, st.integers(-50, 50), st.just(None)))
+def test_order_matches_sign_of_difference(a, b):
+    # b is None: compare a with itself, the tie
+    b = a if b is None else b
+    s = (a - b).sign()
+    assert (a < b, a <= b, a > b, a >= b) == (s < 0, s <= 0, s > 0, s >= 0)
+    if not isinstance(b, QRoot3):
+        assert (b < a, b > a) == (s > 0, s < 0)  # the reflected comparisons
+
+
+def test_order_near_ties():
+    # 7/4 against sqrt3 and a point of Q(sqrt3) against its neighbours
+    for a, b in [(QRoot3(Fraction(7, 4)), SQRT3), (QRoot3(97, -56), QRoot3(0)),
+                 (QRoot3(Fraction(1, 3), 2), QRoot3(Fraction(2, 6), 2))]:
+        s = (a - b).sign()
+        assert (a < b, a <= b, a > b, a >= b) == (s < 0, s <= 0, s > 0, s >= 0)
+        assert (b < a, b >= a) == (s > 0, s <= 0)
+
+
 @settings(max_examples=100)
 @given(qroot3s(), qroot3s(), qroot3s())
 def test_qroot3_field_axioms(x, y, z):

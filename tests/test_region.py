@@ -10,6 +10,7 @@ from tilingforge.geometry import (
     angle_at,
     midpoint,
     on_open_segment,
+    orientation,
     pt,
     segments_properly_cross,
     sort_along,
@@ -246,7 +247,56 @@ def test_cut_matches_all_pairs_reference(monkeypatch, tile, sides, expected):
                 got = [[p.lex_key() for p in poly.vertices] for poly in cand.remainder]
                 want = [[p.lex_key() for p in poly.vertices] for poly in _ref_subtract(region, tri)]
                 assert got == want
+                # carried or measured, every angle is the one its vertices give
+                assert all(list(poly.angles) == _fresh_angles(poly) for poly in cand.remainder)
         assert [c for c in unfiltered if c.remainder is not None] == cands
+
+
+def _fresh_angles(poly):
+    vs = poly.vertices
+    return [angle_at(vs[i], vs[(i + 1) % len(vs)], vs[i - 1]) for i in range(len(vs))]
+
+
+def _far_edges(region, tri):
+    """Indices i of the edges (vertex i - 1, vertex i) with both ends
+    strictly outside one tile line."""
+    lines = [(tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])]
+    vs = region.vertices
+    return [i for i in range(len(vs))
+            if any(orientation(a, b, vs[i - 1]) < 0 and orientation(a, b, vs[i]) < 0 for a, b in lines)]
+
+
+SQUARE = sq(0, 0, 10, 10)
+
+
+@pytest.mark.parametrize("corner, far", [
+    ((10, 10), [0, 1]),  # the far run (0,10) -> (0,0) -> (10,0) wraps past vertex 0
+    ((0, 10), [1, 2]),  # the far run starts at vertex 0
+    ((0, 0), [2, 3]),
+    ((10, 0), [3, 0]),  # the far run ends at vertex 0
+])
+def test_far_run_around_vertex_zero(corner, far):
+    # a tile in each corner of the square: the far edges are the two that
+    # do not touch that corner, and their run enters the walk as one strand
+    x, y = corner
+    dx, dy = (-2 if x else 2), (-2 if y else 2)
+    tri = triangle_ccw(pt(x, y), pt(x + dx, y), pt(x, y + dy))
+    assert sorted(_far_edges(SQUARE, tri)) == sorted(far)
+    rest = place(SQUARE, tri)
+    assert rest == _ref_subtract(SQUARE, tri)
+    assert len(rest) == 1 and list(rest[0].angles) == _fresh_angles(rest[0])
+
+
+def test_all_far_region_is_a_hole():
+    # every edge of the square is far from a tile strictly inside it: one
+    # closed strand, and the tile is a hole
+    tri = (pt(4, 4), pt(5, 4), pt(4, 5))
+    assert _far_edges(SQUARE, tri) == [0, 1, 2, 3]
+    assert _ref_fits(SQUARE, tri)
+    with pytest.raises(GeometryError):
+        place(SQUARE, tri)
+    with pytest.raises(GeometryError):
+        _ref_subtract(SQUARE, tri)
 
 
 def test_place_rejects_a_crossing_no_midpoint_sees():
