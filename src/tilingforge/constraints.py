@@ -271,23 +271,16 @@ class DMatrix:
 def side_compositions(tile: TileShape, side: QRoot3) -> list[tuple[int, int, int]]:
     """Nonnegative integer (u1, u2, u3) with u1 a + u2 b + u3 c = side."""
     out = []
-    u3 = 0
-    while True:
-        rest3 = side - u3 * tile.c
-        if qr3_sign(rest3) < 0:
-            break
-        u2 = 0
-        while True:
-            rest2 = rest3 - u2 * tile.b
-            if qr3_sign(rest2) < 0:
-                break
-            q = rest2 / tile.a
-            if q.is_rational():
-                u1 = q.as_rational()
-                if u1.denominator == 1 and u1 >= 0:
-                    out.append((int(u1), u2, u3))
-            u2 += 1
-        u3 += 1
+    inv_a = tile.a.inverse()
+    rest3, u3 = side, 0
+    while qr3_sign(rest3) >= 0:
+        rest2, u2 = rest3, 0
+        while qr3_sign(rest2) >= 0:
+            u1 = rest2 * inv_a  # nonnegative, as rest2 and a are
+            if u1.n3 == 0 and u1.den == 1:
+                out.append((u1.n1, u2, u3))
+            rest2, u2 = rest2 - tile.b, u2 + 1
+        rest3, u3 = rest3 - tile.c, u3 + 1
     return sorted(out)
 
 

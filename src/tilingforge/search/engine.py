@@ -20,10 +20,11 @@ from __future__ import annotations
 import json
 import multiprocessing
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from ..constraints import TriangleSpec, area_count, enumerate_dmatrices
+from ..constraints import TriangleSpec, area_count, enumerate_dmatrices, triangle_spec
 from ..tilealgebra import TileShape
 from .certificate import Certificate, canonical_target_vertices, check_certificate, write_json
 from .placements import Candidate, TileGeometry, candidate_placements, select_corner
@@ -84,7 +85,6 @@ class InvalidInstance(ValueError):
 class _Frame:
     regions: tuple[Polygon, ...]
     cands: list[Candidate]
-    corner_counts: tuple[int, int, int]  # alpha, beta, gamma used at target corners
     idx: int = -1
 
 
@@ -111,40 +111,25 @@ class TilingSearch:
 
     # -- candidate generation ---------------------------------------------------
 
-    def _expand(self, regions: tuple[Polygon, ...], counts) -> list[Candidate]:
+    def _expand(self, regions: tuple[Polygon, ...], placements: list[Candidate]) -> list[Candidate]:
+        """The candidates at the active corner of `regions`, the region left
+        by `placements`.  Under the vertex-splitting cap the target corners
+        take at most three alphas and three betas in all, and no gamma."""
         region = regions[0]
-        corner = select_corner(region)
-        cands = candidate_placements(
-            region, corner, self.geom, allow_mirror=self.config.allow_mirror
-        )
+        cands = candidate_placements(region, select_corner(region), self.geom,
+                                     allow_mirror=self.config.allow_mirror)
         if self._pruning_active:
-            cands = [c for c in cands if self._splitting_allows(c, counts)]
+            keys = self._corner_keys
+            used = Counter(p.angle_name for p in placements if p.corner.lex_key() in keys)
+            cands = [c for c in cands if c.corner.lex_key() not in keys
+                     or (c.angle_name != "gamma" and used[c.angle_name] < 3)]
         return cands
 
-    def _splitting_allows(self, cand: Candidate, counts) -> bool:
-        if cand.corner.lex_key() not in self._corner_keys:
-            return True
-        a, b, g = counts
-        if cand.angle_name == "alpha":
-            return a < 3
-        if cand.angle_name == "beta":
-            return b < 3
-        return False  # no gamma at target corners under the splitting cap
-
-    def _apply(self, frame: _Frame, cand: Candidate) -> tuple[Polygon, ...]:
-        merged = cand.remainder + list(frame.regions[1:])
+    @staticmethod
+    def _apply(regions: tuple[Polygon, ...], cand: Candidate) -> tuple[Polygon, ...]:
+        merged = cand.remainder + list(regions[1:])
         merged.sort(key=lambda p: p.vertices[0].lex_key())
         return tuple(merged)
-
-    def _bump_counts(self, counts, cand: Candidate):
-        if cand.corner.lex_key() not in self._corner_keys:
-            return counts
-        a, b, g = counts
-        if cand.angle_name == "alpha":
-            return (a + 1, b, g)
-        if cand.angle_name == "beta":
-            return (a, b + 1, g)
-        return (a, b, g + 1)
 
     # -- the depth-first cursor ----------------------------------------------------
 
@@ -153,7 +138,7 @@ class TilingSearch:
         candidate-index path: each frame's idx is set from the path, and every
         frame but the last is descended into."""
         regions = (self.initial,)
-        stack, placements = [_Frame(regions, self._expand(regions, (0, 0, 0)), (0, 0, 0))], []
+        stack, placements = [_Frame(regions, self._expand(regions, []))], []
         for idx in indices[:-1]:
             if not (0 <= idx < len(stack[-1].cands)):
                 raise InvalidInstance("checkpoint does not match this instance")
@@ -166,14 +151,12 @@ class TilingSearch:
             stack[-1].idx = indices[-1]
         return stack, placements
 
-    def _walk(self, stack: list[_Frame], placements: list[Candidate], floor: int = 0):
-        """Advance the search one node at a time until the stack shrinks to
-        `floor` frames.  After each node, yield `placements` if the node
-        completed a tiling, else None with the node's child frame pushed, so
-        every frame's idx is the index of its last explored candidate.  Both
-        lists are updated in place; a driver may close the top frame by
-        emptying its candidates."""
-        while len(stack) > floor:
+    def _walk(self, stack: list[_Frame], placements: list[Candidate]):
+        """Advance one node at a time until the stack is empty, yielding after each
+        node `placements` if it completed a tiling, else None with its child frame
+        pushed (every frame's idx names its last explored candidate).  Both lists
+        change in place; a driver closes the top frame by putting an empty one there."""
+        while stack:
             frame = stack[-1]
             frame.idx += 1
             if frame.idx >= len(frame.cands):
@@ -182,14 +165,13 @@ class TilingSearch:
                     placements.pop()
                 continue
             cand = frame.cands[frame.idx]
-            new_regions = self._apply(frame, cand)
+            new_regions = self._apply(frame.regions, cand)
             placements.append(cand)
             if not new_regions:
                 yield placements
                 placements.pop()
                 continue
-            counts = self._bump_counts(frame.corner_counts, cand)
-            stack.append(_Frame(new_regions, self._expand(new_regions, counts), counts))
+            stack.append(_Frame(new_regions, self._expand(new_regions, placements)))
             yield None
 
     # -- sequential search --------------------------------------------------------
@@ -211,24 +193,24 @@ class TilingSearch:
             # the root is expanded a second time here, as the replay always
             # has; perfbench's traced candidate_placements count expects it
             stack, placements = self._stack_at(resume_indices)
-        return self._drive(stack, placements, start_nodes)
+        return self._drive(stack, placements, start_nodes, self.config.node_budget)
 
-    def _drive(self, stack, placements, nodes: int, floor: int = 0) -> Outcome:
-        """Walk on from a stack state to a tiling, the node budget or the end
-        of the frames above `floor`, checkpointing between nodes."""
+    def _drive(self, stack, placements, nodes: int, budget: int) -> Outcome:
+        """Walk on from a stack state to a tiling, `budget` nodes or the end
+        of the stack, checkpointing between nodes."""
         t0 = time.monotonic()
         stats = SearchStats(conditional_on_paper_lemmas=self._pruning_active)
         cfg = self.config
-        steps = self._walk(stack, placements, floor)
+        steps = self._walk(stack, placements)
         status, cert, path = "exhausted", None, None
         while True:
             # checkpoints are only written between nodes, where every frame's
             # idx is the index of its last explored candidate
-            if nodes >= cfg.node_budget:
-                status, path = "budget", self._maybe_checkpoint(stack, nodes, force=True)
+            if nodes >= budget:
+                status, path = "budget", self._maybe_checkpoint(stack, nodes)
                 break
             if cfg.checkpoint_path and nodes % cfg.checkpoint_interval == 0:
-                self._maybe_checkpoint(stack, nodes, force=False)
+                self._maybe_checkpoint(stack, nodes)
             tiling = next(steps, False)  # False: the walk is over
             if tiling is False:
                 break
@@ -242,9 +224,8 @@ class TilingSearch:
         return Outcome(status, stats, certificate=cert, checkpoint_path=path)
 
     def _certificate(self, placements: list[Candidate]) -> Certificate:
-        cert = Certificate(
-            self.tile, self.target, tuple(c.placement for c in placements), self.config.allow_mirror
-        )
+        cert = Certificate(self.tile, self.target, tuple(c.placement for c in placements),
+                           self.config.allow_mirror)
         violations = check_certificate(cert)
         if violations:
             raise AssertionError(f"search produced an invalid certificate: {violations}")
@@ -252,7 +233,7 @@ class TilingSearch:
 
     # -- checkpointing -------------------------------------------------------------
 
-    def _maybe_checkpoint(self, stack, nodes, force: bool) -> Optional[str]:
+    def _maybe_checkpoint(self, stack, nodes) -> Optional[str]:
         path = self.config.checkpoint_path
         if not path:
             return None
@@ -270,8 +251,8 @@ class TilingSearch:
 
 def resume_from_checkpoint(path: str, config: Optional[SearchConfig] = None) -> Outcome:
     """Continue a search from a checkpoint file; raises InvalidInstance if
-    the file is not a well-formed checkpoint of a valid instance."""
-    cfg = config or SearchConfig()
+    the file is not a well-formed checkpoint of a valid instance, or if its
+    target's corner angles are not the ones its sides give."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -281,6 +262,8 @@ def resume_from_checkpoint(path: str, config: Optional[SearchConfig] = None) -> 
             raise ValueError(f"unsupported checkpoint schema {data.get('schema')!r}")
         tile = TileShape.from_json(data["tile"])
         target = TriangleSpec.from_json(data["target"])
+        if triangle_spec(tile, target.sides()) != target:
+            raise ValueError("target angles do not match its sides")
         saved, indices, nodes = data["config"], data["indices"], data["nodes"]
         flags = (saved["allow_mirror"], saved["paper_pruning"])
         if not all(isinstance(f, bool) for f in flags):
@@ -291,7 +274,7 @@ def resume_from_checkpoint(path: str, config: Optional[SearchConfig] = None) -> 
             raise ValueError("nodes must be a nonnegative integer")
     except (ValueError, KeyError, TypeError) as exc:
         raise InvalidInstance(f"malformed checkpoint: {exc}") from None
-    cfg.allow_mirror, cfg.paper_pruning = flags
+    cfg = replace(config or SearchConfig(), allow_mirror=flags[0], paper_pruning=flags[1])
     search = TilingSearch(tile, target, cfg)
     return search.run(resume_indices=indices, start_nodes=nodes)
 
@@ -307,55 +290,46 @@ def _is_int(v) -> bool:
 def _subtree_prefixes(search: TilingSearch, depth: int):
     """Walk the tree down to `depth` placements, closing every frame there.
 
-    Returns the frontier (the index paths of the nodes at `depth` that have
-    a child frame, in canonical order, each with the number of other nodes
-    before it in preorder), the number of other nodes walked, their maximum
-    depth and the first tiling met.  A tiling takes N placements, so one is
-    met only when depth >= N, and then there is no frontier."""
+    Returns the frontier (for each node at `depth` with a child frame, in
+    canonical order: that frame, the placements leading to it and the number
+    of other nodes before it in preorder), the number of other nodes walked,
+    their maximum depth and the first tiling met.  A tiling takes N
+    placements, so one is met only when depth >= N, with no frontier."""
     stack, placements = search._stack_at([])
-    frontier: list[tuple[list[int], int]] = []
+    frontier: list[tuple[_Frame, list[Candidate], int]] = []
     nodes = max_depth = 0
     for tiling in search._walk(stack, placements):
         max_depth = max(max_depth, len(placements))
         if tiling is not None:
             return frontier, nodes + 1, max_depth, search._certificate(tiling)
         if len(placements) == depth:
-            frontier.append(([f.idx for f in stack[:-1]], nodes))
-            stack[-1].cands = []
+            # the frontier keeps the child frame; the walk pops the empty one
+            frontier.append((stack[-1], list(placements), nodes))
+            stack[-1] = _Frame((), [])
         else:
             nodes += 1
     return frontier, nodes, max_depth, None
 
 
-def _run_subtree(args) -> dict:
-    """Search the subtree of one frontier node, counting the node itself."""
-    tile_json, target_json, config_json, prefix, budget = args
-    cfg = SearchConfig(node_budget=budget, allow_mirror=config_json["allow_mirror"],
-                       paper_pruning=config_json["paper_pruning"])
-    search = TilingSearch(TileShape.from_json(tile_json), TriangleSpec.from_json(target_json), cfg)
-    stack, placements = search._stack_at(prefix + [-1])
-    outcome = search._drive(stack, placements, 1, floor=len(prefix))
-    return {
-        "status": outcome.status,
-        "nodes": outcome.stats.nodes,
-        "max_depth": outcome.stats.max_depth,
-        "certificate": outcome.certificate.to_json() if outcome.certificate else None,
-    }
+def _run_subtree(job) -> Outcome:
+    """Search the subtree below one frontier node, counting the node itself."""
+    search, frame, placements, budget = job
+    return search._drive([frame], placements, 1, budget)
 
 
-def _merge(frontier, results, stats: SearchStats) -> Outcome:
-    """Add the subtree results, in frontier order, to the prefix walk's
+def _merge(frontier, outcomes, stats: SearchStats) -> Outcome:
+    """Add the subtree outcomes, in frontier order, to the prefix walk's
     `stats`, up to the first tiling."""
     status, walked = "exhausted", stats.nodes
-    for (_, before), res in zip(frontier, results):
-        stats.nodes += res["nodes"]
-        stats.max_depth = max(stats.max_depth, res["max_depth"])
-        if res["status"] == "found":
+    for (_, _, before), out in zip(frontier, outcomes):
+        stats.nodes += out.stats.nodes
+        stats.max_depth = max(stats.max_depth, out.stats.max_depth)
+        if out.status == "found":
             # the preorder count: the other nodes before this subtree and
             # every subtree up to the tiling
             stats.nodes -= walked - before
-            return Outcome("found", stats, certificate=Certificate.from_json(res["certificate"]))
-        if res["status"] == "budget":
+            return Outcome("found", stats, certificate=out.certificate)
+        if out.status == "budget":
             status = "budget"
     return Outcome(status, stats)
 
@@ -385,7 +359,7 @@ def run_search(tile: TileShape, target: TriangleSpec, config: Optional[SearchCon
         stats.elapsed = time.monotonic() - t0
         return Outcome("found" if cert else "exhausted", stats, certificate=cert)
     per_budget = max(1, cfg.node_budget // len(frontier))
-    jobs = [(tile.to_json(), target.to_json(), cfg.to_json(), prefix, per_budget) for prefix, _ in frontier]
+    jobs = [(search, frame, placements, per_budget) for frame, placements, _ in frontier]
     if cfg.workers <= 1:
         outcome = _merge(frontier, map(_run_subtree, jobs), stats)
     else:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..constraints import side_compositions
 from ..exactnum import QRoot3
 from ..geometry import AngleVec, Point, orientation, squared_distance
 from ..tilealgebra import TileShape
@@ -60,7 +61,6 @@ class TileGeometry:
                                ("gamma", (tile.a, tile.b))):
             cos_v, sin_v = tile.angle_vec(name)
             self.angles.append((name, cos_v, sin_v, e1, e2))
-        self.side_lengths = (tile.a, tile.b, tile.c)
         self._angle_rays = self._representable_angle_rays()
         self._length_cache: dict[tuple, bool] = {}
 
@@ -98,24 +98,9 @@ class TileGeometry:
         """length = p*a + q*b + r*c with nonnegative integers, exactly."""
         key = (length.n1, length.n3, length.den)
         hit = self._length_cache.get(key)
-        if hit is not None:
-            return hit
-        a, b, c = self.side_lengths
-        result = False
-        rc = QRoot3(0)
-        while rc <= length and not result:
-            qb = rc
-            while qb <= length and not result:
-                rest = length - qb
-                ratio = rest / a
-                if ratio.is_rational():
-                    f = ratio.as_rational()
-                    if f >= 0 and f.denominator == 1:
-                        result = True
-                qb = qb + b
-            rc = rc + c
-        self._length_cache[key] = result
-        return result
+        if hit is None:
+            hit = self._length_cache[key] = bool(side_compositions(self.tile, length))
+        return hit
 
 
 def _add_below_2pi(ang: AngleVec, cos_v: QRoot3, sin_v: QRoot3) -> Optional[AngleVec]:

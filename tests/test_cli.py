@@ -243,6 +243,27 @@ def test_resume_rejects_a_malformed_checkpoint(runner, tmp_path, text):
     assert "invalid instance" in res.stderr
 
 
+@pytest.mark.parametrize("angles", [[[1, 1, 0]] * 3, [[0, 0, 1], [0, 1, 0], [1, 0, 0]]])
+def test_resume_rejects_target_angles_its_sides_do_not_give(runner, tmp_path, angles):
+    # the sides 24, 21, 15 give the corners 2a+b, a+b and b; a checkpoint
+    # that claims other corners, or the tile's own (which would turn the
+    # splitting cap off), is not resumed
+    ck = tmp_path / "ck.json"
+    res = runner.invoke(main, ["search", "--sides", "3,5,7", "--target", "triangle:24,21,15",
+                               "--node-budget", "10", "--checkpoint", str(ck), "--paper-pruning",
+                               "--stats-out", str(tmp_path / "s.json")])
+    assert res.exit_code == 3
+    saved = json.loads(ck.read_text())
+    assert saved["target"]["angles"] == [[2, 1, 0], [1, 1, 0], [0, 1, 0]]
+    resume = ["search", "--resume", str(ck), "--node-budget", "12", "--stats-out", str(tmp_path / "s.json")]
+    assert runner.invoke(main, resume).exit_code == 3
+    saved["target"]["angles"] = angles
+    ck.write_text(json.dumps(saved))
+    res = runner.invoke(main, resume)
+    assert res.exit_code == 2 and _clean_exit(res), res.output
+    assert "target angles do not match its sides" in res.stderr
+
+
 # replacement values for one node of a JSON document
 JUNK = [None, True, 0, -1, 7, 1.5, "", "x", "1/0", "-3", [], {}, [0], [-1, 0], {"r": "1", "s": "0"},
         float("inf")]

@@ -4,6 +4,8 @@ import pytest
 
 from tilingforge.constraints import triangle_spec
 from tilingforge.exactnum import QRoot3, SQRT3
+from tilingforge.geometry import Point
+from tilingforge.search import engine
 from tilingforge.search.certificate import check_certificate
 from tilingforge.search.engine import (
     InvalidInstance,
@@ -12,6 +14,7 @@ from tilingforge.search.engine import (
     resume_from_checkpoint,
     run_search,
 )
+from tilingforge.search.placements import Candidate
 from tilingforge.tilealgebra import tile_from_sides
 
 ISO = tile_from_sides(1, 1, SQRT3)
@@ -167,25 +170,67 @@ def test_invalid_instances_rejected():
 def test_area_conservation_along_a_branch():
     # walk the canonical leftmost branch; region area must always equal
     # (N - placed) * tile area
-    from tilingforge.search.engine import _Frame
-
     tri = tri_eq(T357, QRoot3(15))
     s = TilingSearch(T357, tri, SearchConfig())
     regions = (s.initial,)
-    placed = 0
-    counts = (0, 0, 0)
+    placements = []
     while regions:
         total = QRoot3(0)
         for r in regions:
             total = total + r.area()
-        assert total == (s.n - placed) * T357.area
-        cands = s._expand(regions, counts)
+        assert total == (s.n - len(placements)) * T357.area
+        cands = s._expand(regions, placements)
         if not cands:
             break
-        frame = _Frame(regions, cands, counts, 0)
-        regions = s._apply(frame, cands[0])
-        counts = s._bump_counts(counts, cands[0])
-        placed += 1
+        regions = s._apply(regions, cands[0])
+        placements.append(cands[0])
+
+
+def test_splitting_cap_counts_the_placements(monkeypatch):
+    # the cap reads how many alphas and betas the path already put at target
+    # corners from the placements alone; gamma never goes at a target corner
+    s = TilingSearch(T357, tri_eq(T357, QRoot3(15)), SearchConfig(paper_pruning=True))
+    assert s._pruning_active
+    corner, inner = s.target_vertices[0], Point(QRoot3(1), QRoot3(1))
+    synthetic = [Candidate(None, p, name, []) for p in (corner, inner) for name in ("alpha", "beta", "gamma")]
+    monkeypatch.setattr(engine, "candidate_placements", lambda *args, **kwargs: synthetic)
+
+    def allowed(placed):
+        return {(c.corner == corner, c.angle_name) for c in s._expand((s.initial,), placed)}
+
+    at = {name: Candidate(None, corner, name, []) for name in ("alpha", "beta", "gamma")}
+    off = Candidate(None, inner, "alpha", [])
+    anywhere = {(False, "alpha"), (False, "beta"), (False, "gamma")}
+    assert allowed([]) == anywhere | {(True, "alpha"), (True, "beta")}
+    assert allowed([at["alpha"]] * 2 + [off] * 5) == anywhere | {(True, "alpha"), (True, "beta")}
+    assert allowed([at["alpha"]] * 3) == anywhere | {(True, "beta")}
+    assert allowed([at["beta"]] * 3 + [at["gamma"]]) == anywhere | {(True, "alpha")}
+    assert allowed([at["alpha"]] * 3 + [at["beta"]] * 4) == anywhere
+    # with the cap off every candidate is kept
+    s._pruning_active = False
+    assert len(s._expand((s.initial,), [at["alpha"]] * 3)) == len(synthetic)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_split_expands_each_node_once(monkeypatch, depth):
+    # the workers continue from the frontier frames: one set-up, and one
+    # expansion for the root and per node, as in the sequential search
+    calls = {"expand": 0, "setup": 0}
+    expand, setup = engine.candidate_placements, TilingSearch.__init__
+
+    def counted_expand(*args, **kwargs):
+        calls["expand"] += 1
+        return expand(*args, **kwargs)
+
+    def counted_setup(self, *args, **kwargs):
+        calls["setup"] += 1
+        setup(self, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "candidate_placements", counted_expand)
+    monkeypatch.setattr(TilingSearch, "__init__", counted_setup)
+    out = run_search(T357, tri_eq(T357, QRoot3(15)), SearchConfig(split_depth=depth, workers=1))
+    assert (out.status, out.stats.nodes) == ("exhausted", 380)
+    assert calls == {"expand": 381, "setup": 1}
 
 
 def test_mirror_flag_respected():
