@@ -4,7 +4,10 @@ exact checker, and extraction of edge relations from valid certificates.
 Certificate coordinates are canonical: the target triangle has its longest
 side X on the x-axis from (0, 0) to (X, 0) and its apex above the axis.
 The checker shares only this convention and the exact geometric predicates
-with the search engine; it never looks at search state.
+with the search engine; it never looks at search state.  Interior
+disjointness is decided exactly on the placement pairs whose bounding boxes
+overlap, found by a sweep over exact x; every other pair is separated by an
+axis-parallel line, which rules out an overlap on its own.
 """
 
 from __future__ import annotations
@@ -144,10 +147,9 @@ def check_certificate(cert: Certificate) -> list[Violation]:
 
     tris = [p.vertices for p in cert.placements]
     centroids = [_centroid(t) for t in tris]
-    for i in range(len(tris)):
-        for j in range(i + 1, len(tris)):
-            if _triangles_overlap(tris[i], tris[j], centroids[i], centroids[j]):
-                violations.append(Violation("Overlap", (i, j)))
+    for i, j in _box_pairs(tris):
+        if _triangles_overlap(tris[i], tris[j], centroids[i], centroids[j]):
+            violations.append(Violation("Overlap", (i, j)))
 
     total2 = QRoot3(0)
     for t in tris:
@@ -156,6 +158,32 @@ def check_certificate(cert: Certificate) -> list[Violation]:
     if total2 != target2 or cert.n * cert.tile.area * 2 != target2:
         violations.append(Violation("AreaMismatch"))
     return violations
+
+
+def _box_pairs(tris) -> list[tuple[int, int]]:
+    """The pairs i < j, sorted, whose bounding boxes overlap as open
+    intervals on both axes (min_i < max_j and min_j < max_i).  Any other
+    pair lies on the two sides of a line x = m or y = m, so no point of
+    one is strictly inside the other and two edges can only cross on that
+    line, not properly.  The sweep scans in order of exact min x and stops
+    at the first min x >= the current max x."""
+    boxes = []
+    for t in tris:
+        xs = sorted(v.x for v in t)
+        ys = sorted(v.y for v in t)
+        boxes.append((xs[0], xs[-1], ys[0], ys[-1]))
+    order = sorted(range(len(boxes)), key=lambda i: boxes[i][0])
+    pairs = []
+    for k, i in enumerate(order):
+        x0, x1, y0, y1 = boxes[i]
+        for j in order[k + 1:]:
+            u0, u1, v0, v1 = boxes[j]
+            if u0 >= x1:
+                break
+            if x0 < u1 and y0 < v1 and v0 < y1:
+                pairs.append((i, j) if i < j else (j, i))
+    pairs.sort()
+    return pairs
 
 
 def _triangles_overlap(t1, t2, c1: Point, c2: Point) -> bool:
@@ -251,7 +279,7 @@ def analyze_maximal_segments(cert: Certificate):
         d = line.direction()
         events = []
         for a, b, opp in edges:
-            ta, tb = dot(a - Point(QRoot3(0), QRoot3(0)), d), dot(b - Point(QRoot3(0), QRoot3(0)), d)
+            ta, tb = dot(a, d), dot(b, d)
             lo, hi = (ta, tb) if ta < tb else (tb, ta)
             side = orientation(a, b, opp)  # +1 tile on the left of a->b
             left_of_line = side if ta < tb else -side

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from ..constraints import TriangleSpec, area_count, enumerate_dmatrices, triangle_spec
+from ..constraints import TriangleSpec, area_count, triangle_spec
 from ..tilealgebra import TileShape
 from .certificate import Certificate, canonical_target_vertices, check_certificate, write_json
 from .placements import Candidate, TileGeometry, candidate_placements, select_corner
@@ -98,7 +98,7 @@ class TilingSearch:
         if n.denominator != 1 or n <= 0:
             raise InvalidInstance(f"area quotient {n} is not a positive integer")
         self.n = int(n)
-        if not enumerate_dmatrices(tile, target):
+        if not all(self.geom.length_representable(s) for s in target.sides()):
             raise InvalidInstance("no boundary composition exists for this instance")
         self.target_vertices = canonical_target_vertices(target)
         self.initial = Polygon.from_points(list(self.target_vertices))

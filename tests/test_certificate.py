@@ -1,16 +1,23 @@
 import copy
+import functools
 import pickle
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilingforge.constraints import triangle_spec
 from tilingforge.exactnum import QRoot3, SQRT3
 from tilingforge.geometry import AngleVec, Point, pt
+import tilingforge.search.certificate as cmod
 from tilingforge.search.certificate import (
     Certificate,
+    _box_pairs,
     canonical_target_vertices,
     certificate_warnings,
+    Violation,
     check_certificate,
     extract_edge_relations,
     _relation_from_counts,
@@ -146,8 +153,6 @@ def test_warning_when_no_relation(monkeypatch):
     cert = midpoint_n4_certificate()
     tri15 = triangle_spec(T357, [QRoot3(15)] * 3)
     fake = Certificate(T357, tri15, cert.placements, True)
-    import tilingforge.search.certificate as cmod
-
     monkeypatch.setattr(cmod, "extract_edge_relations", lambda c: [])
     assert certificate_warnings(fake)
 
@@ -174,3 +179,118 @@ def test_exact_values_pickle_and_deepcopy():
     assert copied.to_json() == cert.to_json()
     assert check_certificate(copied) == []
     assert copied.placements[0].vertices[0].form == cert.placements[0].vertices[0].form
+
+
+# ---------------------------------------------------------------------------
+# the bounding-box sweep against the all-pairs loop
+
+
+def _all_pairs(tris):
+    return [(i, j) for i in range(len(tris)) for j in range(i + 1, len(tris))]
+
+
+def all_pairs_check(cert: Certificate):
+    """check_certificate testing every pair i < j for overlap, as it did
+    before the sweep: the reference the sweep must agree with."""
+    with mock.patch.object(cmod, "_box_pairs", _all_pairs):
+        return check_certificate(cert)
+
+
+@functools.lru_cache(maxsize=None)
+def found_certificate(tile_name: str, sides: tuple) -> Certificate:
+    tile = {"iso": ISO, "357": T357}[tile_name]
+    out = run_search(tile, triangle_spec(tile, list(sides)), SearchConfig())
+    assert out.status == "found"
+    return out.certificate
+
+
+FOUND = [
+    ("iso", (3 * SQRT3,) * 3),  # N = 27
+    ("iso", (4 * SQRT3,) * 3),  # N = 48
+    ("357", (QRoot3(15), QRoot3(25), QRoot3(35))),
+]
+
+
+@pytest.mark.parametrize("tile_name, sides", FOUND, ids=["iso-27", "iso-48", "357-15-25-35"])
+def test_sweep_matches_all_pairs_on_found_certificates(tile_name, sides):
+    cert = found_certificate(tile_name, sides)
+    assert check_certificate(cert) == all_pairs_check(cert) == []
+
+
+SMALL = [QRoot3(0), QRoot3(Fraction(1, 100)), QRoot3(Fraction(-1, 7)), QRoot3(0, Fraction(1, 50)),
+         QRoot3(Fraction(1, 2), Fraction(-1, 3))]
+
+
+@st.composite
+def mutated_certificates(draw):
+    cert = found_certificate(*draw(st.sampled_from(FOUND)))
+    placements = list(cert.placements)
+    for _ in range(draw(st.integers(1, 3))):
+        n = len(placements)
+        i = draw(st.integers(0, n - 1))
+        verts = list(placements[i].vertices)
+        kind = draw(st.sampled_from(["duplicate", "shift-by-difference", "shift-small", "swap", "replace"]))
+        if kind == "duplicate":
+            placements.insert(draw(st.integers(0, n)), placements[i])
+            continue
+        if kind == "shift-by-difference":
+            a, b = (placements[draw(st.integers(0, n - 1))].vertices[draw(st.integers(0, 2))] for _ in "ab")
+            verts = [v + (a - b) for v in verts]
+        elif kind == "shift-small":
+            shift = Point(draw(st.sampled_from(SMALL)), draw(st.sampled_from(SMALL)))
+            verts = [v + shift for v in verts]
+        elif kind == "swap":
+            k, l = draw(st.sampled_from([(0, 1), (1, 2), (0, 2)]))
+            verts[k], verts[l] = verts[l], verts[k]
+        else:
+            donor = placements[draw(st.integers(0, n - 1))].vertices[draw(st.integers(0, 2))]
+            verts[draw(st.integers(0, 2))] = donor
+        placements[i] = Placement(tuple(verts), placements[i].mirrored)
+    return Certificate(cert.tile, cert.target, tuple(placements), cert.allow_mirror)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_certificates())
+def test_sweep_matches_all_pairs_on_mutated_certificates(cert):
+    assert check_certificate(cert) == all_pairs_check(cert)
+
+
+# the isosceles tile with its long side on the x-axis: box [0, sqrt3] x [0, 1/2]
+ISO_TRI = (pt(0, 0), pt(SQRT3, 0), pt(SQRT3 / 2, Fraction(1, 2)))
+
+
+def _shifted(tri, dx, dy):
+    return Placement(tuple(v + pt(dx, dy) for v in tri), False)
+
+
+@pytest.mark.parametrize("dx, dy, nudge", [(SQRT3, 0, (Fraction(-1, 100), 0)),
+                                            (SQRT3 / 2, Fraction(1, 2), (0, Fraction(-1, 100)))],
+                         ids=["touch-along-x", "touch-along-y"])
+def test_boxes_that_only_touch_are_not_tested(dx, dy, nudge):
+    target = triangle_spec(ISO, [2 * SQRT3] * 3)
+    cert = Certificate(ISO, target, (_shifted(ISO_TRI, 0, 0), _shifted(ISO_TRI, dx, dy)), True)
+    assert _box_pairs([p.vertices for p in cert.placements]) == []
+    assert check_certificate(cert) == all_pairs_check(cert)
+    assert "Overlap" not in {v.kind for v in check_certificate(cert)}
+    # pushed a little across the line they overlap, and both loops say so
+    pushed = Certificate(ISO, target, (cert.placements[0], _shifted(ISO_TRI, dx + nudge[0], dy + nudge[1])), True)
+    assert _box_pairs([p.vertices for p in pushed.placements]) == [(0, 1)]
+    assert Violation("Overlap", (0, 1)) in check_certificate(pushed) == all_pairs_check(pushed)
+
+
+def test_zero_width_box_still_meets_what_it_crosses():
+    # a degenerate placement on the line x = 1 cuts through the tile
+    cut = Placement((pt(1, -1), pt(1, 1), pt(1, 0)), False)
+    cert = Certificate(ISO, triangle_spec(ISO, [2 * SQRT3] * 3), (_shifted(ISO_TRI, 0, 0), cut), True)
+    assert _box_pairs([p.vertices for p in cert.placements]) == [(0, 1)]
+    assert Violation("Overlap", (0, 1)) in check_certificate(cert) == all_pairs_check(cert)
+
+
+def test_sweep_tests_few_pairs_on_the_n75_certificate(monkeypatch):
+    cert = found_certificate("iso", (5 * SQRT3,) * 3)
+    assert cert.n == 75
+    calls = []
+    real = cmod._triangles_overlap
+    monkeypatch.setattr(cmod, "_triangles_overlap", lambda *args: calls.append(1) or real(*args))
+    assert check_certificate(cert) == []
+    assert 0 < len(calls) < 0.1 * 75 * 74 // 2

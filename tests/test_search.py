@@ -161,7 +161,7 @@ def test_paper_pruning_labels_conditional():
 def test_invalid_instances_rejected():
     with pytest.raises(InvalidInstance):
         TilingSearch(T357, tri_eq(T357, QRoot3(10)), SearchConfig())  # N = 100/15
-    with pytest.raises(InvalidInstance):
+    with pytest.raises(InvalidInstance, match="no boundary composition"):
         # area count integral (N=75) but side 15*sqrt3/... has no composition:
         # 5*sqrt3 is not a nonnegative integer combination of 3, 5, 7
         TilingSearch(T357, tri_eq(T357, 5 * SQRT3), SearchConfig())
