@@ -38,7 +38,7 @@ from .search import (
     resume_from_checkpoint,
     run_search,
 )
-from .search.certificate import certificate_warnings
+from .search.certificate import certificate_warnings, write_json
 from .tilealgebra import (
     TileError,
     TileShape,
@@ -281,8 +281,7 @@ def search(sides, target_text, node_budget, workers, split_depth, no_mirror, pap
         stats["certificate"] = cert_out
         stats["edge_relations"] = relations
         stats["warnings"] = warnings
-    with open(stats_out, "w") as fh:
-        json.dump(stats, fh, indent=1)
+    write_json(stats_out, stats, indent=1)
 
     if outcome.status == "found":
         click.echo(f"found N={outcome.certificate.n} tiling; certificate -> {cert_out}")
@@ -299,17 +298,21 @@ def search(sides, target_text, node_budget, workers, split_depth, no_mirror, pap
     sys.exit(4)
 
 
+def _load_certificate(path) -> Certificate:
+    """The certificate at path; exits 2 if it cannot be parsed."""
+    try:
+        return Certificate.load(path)
+    except (ValueError, KeyError, TypeError, ConstraintError, TileError) as exc:
+        click.echo(f"cannot parse certificate: {exc}", err=True)
+        sys.exit(2)
+
+
 @main.command()
 @click.argument("cert_path", type=click.Path(exists=True))
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def check(cert_path, fmt):
     """Validate a certificate with the independent exact checker."""
-    try:
-        with open(cert_path) as fh:
-            cert = Certificate.from_json(json.load(fh))
-    except (ValueError, KeyError, TypeError, ConstraintError, TileError) as exc:
-        click.echo(f"cannot parse certificate: {exc}", err=True)
-        sys.exit(2)
+    cert = _load_certificate(cert_path)
     violations = check_certificate(cert)
     if violations:
         if fmt == "json":
@@ -336,13 +339,9 @@ def check(cert_path, fmt):
 @click.argument("out_path", type=click.Path())
 def render(cert_path, out_path):
     """Render a certificate to SVG."""
-    try:
-        with open(cert_path) as fh:
-            cert = Certificate.from_json(json.load(fh))
-        if cert.n < 1:
-            raise ValueError("empty certificate")
-    except (ValueError, KeyError, TypeError, ConstraintError, TileError) as exc:
-        click.echo(f"cannot parse certificate: {exc}", err=True)
+    cert = _load_certificate(cert_path)
+    if cert.n < 1:
+        click.echo("cannot parse certificate: empty certificate", err=True)
         sys.exit(2)
     try:
         render_svg(cert, out_path)

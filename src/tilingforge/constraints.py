@@ -170,7 +170,7 @@ def triangle_spec(tile: TileShape, sides: Sequence[QRoot3]) -> TriangleSpec:
     not expressible."""
     if len(sides) != 3 or any(qr3_sign(s) <= 0 for s in sides):
         raise ConstraintError("need three positive side lengths")
-    X, Y, Z = _sort_desc(sides)
+    X, Y, Z = sorted(sides, reverse=True)
     if X >= Y + Z:
         raise ConstraintError("degenerate triangle")
     combos = sorted(corner_angle_combos(tile), key=lambda cv: (sum(cv[0]), cv[0]))
@@ -191,15 +191,6 @@ def triangle_spec(tile: TileShape, sides: Sequence[QRoot3]) -> TriangleSpec:
     spec = TriangleSpec((match(cos_A), match(cos_B), match(cos_C)), X, Y, Z)
     _assert_angle_sum(tile, spec)
     return spec
-
-
-def _sort_desc(sides: Sequence[QRoot3]) -> tuple[QRoot3, QRoot3, QRoot3]:
-    lst = list(sides)
-    for i in range(len(lst)):
-        for j in range(i + 1, len(lst)):
-            if lst[j] > lst[i]:
-                lst[i], lst[j] = lst[j], lst[i]
-    return (lst[0], lst[1], lst[2])
 
 
 def _assert_angle_sum(tile: TileShape, spec: TriangleSpec):

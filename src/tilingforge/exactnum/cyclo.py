@@ -125,18 +125,7 @@ class CycloElem:
                 if b == 0:
                     continue
                 prod[i + j] += a * b
-        table = _reduction_table(self.n)
-        out = [Fraction(0)] * phi
-        for e, c in enumerate(prod):
-            if c == 0:
-                continue
-            if e < phi:
-                out[e] += c
-            else:
-                for k, t in enumerate(table[e]):
-                    if t:
-                        out[k] += c * t
-        return CycloElem(self.n, tuple(out))
+        return cyclo_reduce(prod, self.n)
 
     __rmul__ = __mul__
 
@@ -192,8 +181,8 @@ class CycloElem:
         for e, c in enumerate(self.coeffs):
             if c == 0:
                 continue
-            t = "" if e == 0 else ("z" if e == 1 else f"z^{e}")
-            terms.append(f"{c}{'*' if t and c != 1 else ''}{t if c != 1 or e == 0 else t}")
+            t = "z" if e == 1 else f"z^{e}"
+            terms.append(str(c) if e == 0 else t if c == 1 else f"{c}*{t}")
         return f"Cyclo(n={self.n}: {' + '.join(terms) if terms else '0'})"
 
 
@@ -238,16 +227,10 @@ def galois_apply(x: CycloElem, g: GaloisMap) -> CycloElem:
     """Substitute zeta -> zeta^j and reduce; a ring homomorphism."""
     if g.n != x.n:
         raise ValueError(f"map on Q(zeta_{g.n}) applied to element of Q(zeta_{x.n})")
-    table = _reduction_table(x.n)
-    phi = euler_phi(x.n)
-    out = [Fraction(0)] * phi
+    coeffs = [Fraction(0)] * x.n
     for e, c in enumerate(x.coeffs):
-        if c == 0:
-            continue
-        for k, t in enumerate(table[(e * g.j) % x.n]):
-            if t:
-                out[k] += c * t
-    return CycloElem(x.n, tuple(out))
+        coeffs[(e * g.j) % x.n] = c  # e -> e*j is injective mod n
+    return cyclo_reduce(coeffs, x.n)
 
 
 def norm(x: CycloElem) -> Fraction:

@@ -112,10 +112,6 @@ def sort_along(points: list[Point], a: Point, b: Point) -> None:
         points.sort(key=lambda p: p.y, reverse=b.y < a.y)
 
 
-def dot(u: Point, v: Point) -> QRoot3:
-    return u.x * v.x + u.y * v.y
-
-
 # ---------------------------------------------------------------------------
 # fraction-free kernel on integer forms
 

@@ -24,12 +24,11 @@ from ..exactnum import QRoot3, qr3_sign
 from ..geometry import (
     GeometryError,
     Point,
-    dot,
     orientation,
     point_in_polygon,
     polygon_area_twice,
-    segment_length,
     segments_properly_cross,
+    squared_distance,
     strictly_inside_triangle,
 )
 from ..tilealgebra import EdgeRelation, RelationKind, TileShape
@@ -210,32 +209,13 @@ def _centroid(t) -> Point:
 # edge relations realized by a certificate
 
 
-@dataclass(frozen=True)
-class _LineKey:
-    """Canonical exact key for an undirected line a*x + b*y = c."""
-
-    a: QRoot3
-    b: QRoot3
-    c: QRoot3
-
-    @staticmethod
-    def through(p: Point, q: Point) -> "_LineKey":
-        d = q - p
-        a, b = -d.y, d.x
-        c = a * p.x + b * p.y
-        # normalize: first nonzero of (a, b) becomes +1
-        if not a.is_zero():
-            scale = a
-        else:
-            scale = b
-        a, b, c = a / scale, b / scale, c / scale
-        return _LineKey(a, b, c)
-
-    def key(self):
-        return (self.a.r, self.a.s, self.b.r, self.b.s, self.c.r, self.c.s)
-
-    def direction(self) -> Point:
-        return Point(self.b, -self.a)
+def _line_key(p: Point, q: Point) -> tuple:
+    """(slope, y-intercept) of the line through p != q, or (None, x) if the
+    line is vertical: one exact key per undirected line."""
+    if p.x == q.x:
+        return (None, p.x)
+    slope = (q.y - p.y) / (q.x - p.x)
+    return (slope, p.y - slope * p.x)
 
 
 def extract_edge_relations(cert: Certificate) -> list[EdgeRelation]:
@@ -255,35 +235,41 @@ def extract_edge_relations(cert: Certificate) -> list[EdgeRelation]:
 
 
 def analyze_maximal_segments(cert: Certificate):
-    """Per maximal internal segment: ({side: count} left, {side: count} right)."""
+    """Per maximal internal segment: ({side: count} left, {side: count} right).
+
+    Segments come line by line, in the order each line's first edge appears
+    in the certificate, and along a line by position.  Left and right face
+    increasing x, or increasing y on a vertical line.  An isosceles tile
+    names its equal legs "a".
+    """
     corners = canonical_target_vertices(cert.target)
-    target_lines = {_LineKey.through(corners[i], corners[(i + 1) % 3]).key() for i in range(3)}
+    target_lines = {_line_key(corners[i], corners[(i + 1) % 3]) for i in range(3)}
+    a2, b2, c2 = cert.tile.side_squares
+    names = {c2: "c", b2: "b", a2: "a"}  # on a == b the later "a" stays
 
     by_line: dict[tuple, list] = {}
-    line_obj: dict[tuple, _LineKey] = {}
     for p in cert.placements:
         v = p.vertices
-        opposite = {0: v[2], 1: v[0], 2: v[1]}
         for e in range(3):
             a, b = v[e], v[(e + 1) % 3]
-            line = _LineKey.through(a, b)
-            k = line.key()
-            if k in target_lines:
+            key = _line_key(a, b)
+            if key in target_lines:
                 continue  # boundary, not internal
-            line_obj.setdefault(k, line)
-            by_line.setdefault(k, []).append((a, b, opposite[e]))
+            by_line.setdefault(key, []).append((a, b, v[(e + 2) % 3]))
 
     out = []
-    for k, edges in sorted(by_line.items()):
-        line = line_obj[k]
-        d = line.direction()
+    for (slope, _), edges in by_line.items():
         events = []
         for a, b, opp in edges:
-            ta, tb = dot(a, d), dot(b, d)
-            lo, hi = (ta, tb) if ta < tb else (tb, ta)
+            # position along the line, as in geometry.sort_along
+            lo, hi = (a.y, b.y) if slope is None else (a.x, b.x)
             side = orientation(a, b, opp)  # +1 tile on the left of a->b
-            left_of_line = side if ta < tb else -side
-            events.append((lo, hi, left_of_line, segment_length(a, b)))
+            if hi < lo:
+                lo, hi, side = hi, lo, -side
+            sq = squared_distance(a, b)
+            if sq not in names:
+                raise GeometryError(f"tile edge of unexpected squared length {sq}")
+            events.append((lo, hi, side, names[sq]))
         # walk runs of contiguous coverage; QRoot3 sorts by exact value
         events.sort(key=lambda e: (e[0], e[1]))
         runs = []
@@ -301,22 +287,11 @@ def analyze_maximal_segments(cert: Certificate):
         for run in runs:
             left: dict[str, int] = {}
             right: dict[str, int] = {}
-            for lo, hi, side, length in run:
-                name = _classify_side(cert.tile, length)
+            for lo, hi, side, name in run:
                 bucket = left if side > 0 else right
                 bucket[name] = bucket.get(name, 0) + 1
             out.append((left, right))
     return out
-
-
-def _classify_side(tile: TileShape, length: QRoot3) -> str:
-    if length == tile.a:
-        return "a"
-    if length == tile.b:
-        return "b"
-    if length == tile.c:
-        return "c"
-    raise GeometryError(f"tile edge of unexpected length {length}")
 
 
 def _relation_from_counts(tile: TileShape, left: dict, right: dict) -> Optional[EdgeRelation]:

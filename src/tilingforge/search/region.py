@@ -132,13 +132,6 @@ class Polygon:
     def contains(self, p: Point) -> str:
         return point_in_polygon(p, self.vertices)
 
-    def to_json(self):
-        return [v.to_json() for v in self.vertices]
-
-    @staticmethod
-    def from_json(obj) -> "Polygon":
-        return Polygon.from_points([Point.from_json(v) for v in obj])
-
 
 def _merge_collinear(pts: list[Point],
                      angles: list[Optional[AngleVec]]) -> tuple[list[Point], list[AngleVec]]:

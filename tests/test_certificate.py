@@ -1,6 +1,7 @@
 import copy
 import functools
 import pickle
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -10,11 +11,12 @@ from hypothesis import strategies as st
 
 from tilingforge.constraints import triangle_spec
 from tilingforge.exactnum import QRoot3, SQRT3
-from tilingforge.geometry import AngleVec, Point, pt
+from tilingforge.geometry import AngleVec, GeometryError, Point, orientation, pt
 import tilingforge.search.certificate as cmod
 from tilingforge.search.certificate import (
     Certificate,
     _box_pairs,
+    analyze_maximal_segments,
     canonical_target_vertices,
     certificate_warnings,
     Violation,
@@ -23,7 +25,7 @@ from tilingforge.search.certificate import (
     _relation_from_counts,
 )
 from tilingforge.search.engine import SearchConfig, run_search
-from tilingforge.search.placements import Placement
+from tilingforge.search.placements import Placement, placement_chirality
 from tilingforge.search.region import Polygon
 from tilingforge.tilealgebra import EdgeRelation, RelationKind, tile_from_sides
 
@@ -66,6 +68,8 @@ def test_handmade_n3_certificate_valid():
     cert = iso_n3_certificate()
     assert check_certificate(cert) == []
     assert extract_edge_relations(cert) == []
+    # each leg to the centre has a tile on both sides; equal legs are "a"
+    assert analyze_maximal_segments(cert) == [({"a": 1}, {"a": 1})] * 3
 
 
 def test_handmade_n4_certificate_valid():
@@ -100,6 +104,8 @@ def test_noncongruent_placement():
     bad = Certificate(cert.tile, cert.target, (bogus,) + cert.placements[1:], True)
     kinds = {v.kind for v in check_certificate(bad)}
     assert "Noncongruent" in kinds
+    with pytest.raises(GeometryError, match="unexpected"):  # its hypotenuse is no tile side
+        analyze_maximal_segments(bad)
 
 
 def test_chirality_mismatch_flagged():
@@ -128,6 +134,39 @@ def test_relation_from_counts_synthetic():
     # common edges cancel first
     rel = _relation_from_counts(T357, {"b": 6, "a": 1}, {"a": 4, "c": 2, "b": 1})
     assert rel == EdgeRelation(RelationKind.B_SIDE, 5, 3, 2)
+
+
+def _sorted_pair(left: dict, right: dict) -> tuple:
+    return tuple(sorted((tuple(sorted(left.items())), tuple(sorted(right.items())))))
+
+
+def test_shared_line_groups_its_edges_into_one_run():
+    # four (3,5,7) copies on the line y = sqrt3 (edges to group, not a
+    # tiling): two b-edges on [0, 5] and [5, 10] above it, an a-edge on
+    # [0, 3] and a c-edge on [3, 10] below it
+    tri = triangle_spec(T357, [QRoot3(30)] * 3)
+
+    def xy(x, y):  # the point (x, y * sqrt3)
+        return Point(QRoot3(Fraction(x)), QRoot3(0, Fraction(y)))
+
+    def tile_at(*v):
+        assert orientation(*v) > 0
+        return Placement(v, placement_chirality(T357, Placement(v, False)))
+
+    placements = (
+        tile_at(xy(0, 1), xy(5, 1), xy(Fraction(-3, 2), Fraction(5, 2))),
+        tile_at(xy(5, 1), xy(10, 1), xy(Fraction(7, 2), Fraction(5, 2))),
+        tile_at(xy(0, 1), xy(Fraction(-5, 2), Fraction(-3, 2)), xy(3, 1)),
+        tile_at(xy(3, 1), xy(Fraction(107, 14), Fraction(-1, 14)), xy(10, 1)),
+    )
+    assert all(p.mirrored is not None for p in placements)
+    cert = Certificate(T357, tri, placements, True)
+    got = Counter(_sorted_pair(left, right) for left, right in analyze_maximal_segments(cert))
+    shared = _sorted_pair({"a": 1, "c": 1}, {"b": 2})
+    # every other edge is alone on its line
+    alone = Counter({_sorted_pair({name: 1}, {}): k for name, k in (("a", 3), ("b", 2), ("c", 3))})
+    assert got == alone + Counter({shared: 1})
+    assert str(_relation_from_counts(T357, {"a": 1, "c": 1}, {"b": 2})) == "2b = 1a + 1c"
 
 
 def test_certificate_json_roundtrip(tmp_path):

@@ -146,3 +146,21 @@ def test_float_evaluation_of_random_products():
             lhs = (x * y).to_complex()
             rhs = x.to_complex() * y.to_complex()
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_products_reduce_exponents_past_n(n):
+    # for these n, 2*phi(n) - 2 >= n, so a product of two elements has
+    # exponents that wrap around zeta^n = 1
+    for k in range(n):
+        for m in range(n):
+            assert CycloElem.zeta_pow(n, k) * CycloElem.zeta_pow(n, m) == CycloElem.zeta_pow(n, k + m)
+    assert CycloElem.zeta_pow(n, n - 1) ** 2 == CycloElem.zeta_pow(n, n - 2)
+    assert norm(CycloElem.zeta_pow(n, n - 1)) == 1
+    x = CycloElem(n, tuple(Fraction(e + 1) for e in range(euler_phi(n))))
+    assert float_crosscheck(x * x, x.to_complex() ** 2)
+
+
+def test_repr_omits_unit_coefficients():
+    assert repr(CycloElem.zeta_pow(12, 3)) == "Cyclo(n=12: z^3)"
+    assert repr(CycloElem.zeta_pow(12, 1) * 2 + 1) == "Cyclo(n=12: 1 + 2*z)"
