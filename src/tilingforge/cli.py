@@ -340,9 +340,6 @@ def check(cert_path, fmt):
 def render(cert_path, out_path):
     """Render a certificate to SVG."""
     cert = _load_certificate(cert_path)
-    if cert.n < 1:
-        click.echo("cannot parse certificate: empty certificate", err=True)
-        sys.exit(2)
     try:
         render_svg(cert, out_path)
     except ConstraintError as exc:  # the target's outline cannot be drawn

@@ -76,12 +76,11 @@ class Certificate:
             raise ValueError("a certificate is a JSON object")
         if obj.get("schema") != SCHEMA:
             raise ValueError(f"unsupported certificate schema {obj.get('schema')!r}")
-        return Certificate(
-            TileShape.from_json(obj["tile"]),
-            TriangleSpec.from_json(obj["target"]),
-            tuple(Placement.from_json(p) for p in obj["placements"]),
-            bool(obj.get("allow_mirror", True)),
-        )
+        tile, target = TileShape.from_json(obj["tile"]), TriangleSpec.from_json(obj["target"])
+        placements = tuple(Placement.from_json(p) for p in obj["placements"])
+        if not placements:
+            raise ValueError("empty certificate")
+        return Certificate(tile, target, placements, bool(obj.get("allow_mirror", True)))
 
     def save(self, path):
         write_json(path, self.to_json(), indent=1)

@@ -8,6 +8,14 @@ restricted to a corner, lists its tiles in ccw order from the outgoing
 edge, and each becomes the flush candidate once its predecessors are
 placed.  Two candidates per angle arise from the two ways to assign the
 angle's adjacent edges; they are mirror images of each other.
+
+A boundary edge's direction fixes the candidates' shapes, and the search
+meets few directions, so `TileGeometry.frame` builds them once per
+direction as offsets from the corner, with their chirality; a node adds
+them to its corner.  That is exact: a translate has the same sides and
+orientation, so it is congruent with the same chirality, and an edge d
+on the ray of the unit vector u has |d| = d.x / u.x.  No square root,
+division, rotation or chirality test is made per node.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from typing import Optional
 
 from ..constraints import side_compositions
 from ..exactnum import QRoot3
-from ..geometry import AngleVec, Point, orientation, squared_distance
+from ..geometry import AngleVec, Point, orientation, segment_length, squared_distance
 from ..tilealgebra import TileShape
 from .region import Polygon, place
 
@@ -51,7 +59,8 @@ class Candidate:
 
 class TileGeometry:
     """Derived exact data for one tile: angle vectors, adjacent edge
-    lengths, representable corner angles and representable edge lengths."""
+    lengths, representable corner angles and edge lengths, and one
+    candidate frame per boundary direction, built on first use (`frame`)."""
 
     def __init__(self, tile: TileShape):
         self.tile = tile
@@ -63,6 +72,7 @@ class TileGeometry:
             self.angles.append((name, cos_v, sin_v, e1, e2))
         self._angle_rays = self._representable_angle_rays()
         self._length_cache: dict[tuple, bool] = {}
+        self._frames: dict[tuple, tuple] = {}
 
     # -- representable corner angles -----------------------------------------
 
@@ -101,6 +111,37 @@ class TileGeometry:
         if hit is None:
             hit = self._length_cache[key] = bool(side_compositions(self.tile, length))
         return hit
+
+    # -- candidate frames per boundary direction ------------------------------
+
+    def frame(self, d: Point) -> tuple:
+        """The frame of boundary edge d = next - corner, built on first use
+        of its ray: the edge is d.x * per_unit long (d.y if on_y), and each
+        tile angle gives (name, phi, cos, sin, options), each edge order an
+        option (flush_len, f_off, g_off, mirrored) for the candidate
+        (v, v + f_off, v + g_off) at corner v; repeats are dropped."""
+        key = AngleVec._of(*d.form[:4]).ray_key()
+        if key in self._frames:
+            return self._frames[key]
+        origin = Point(QRoot3(0), QRoot3(0))
+        length = segment_length(origin, d)
+        u = Point(d.x / length, d.y / length)
+        on_y = u.x.is_zero()
+        angles, seen = [], set()
+        for name, cos_v, sin_v, e1, e2 in self.angles:
+            ray = Point(u.x * cos_v - u.y * sin_v, u.x * sin_v + u.y * cos_v)
+            options = []
+            for flush_len, other_len in ((e1, e2), (e2, e1)):
+                offs = (u.scale(flush_len), ray.scale(other_len))
+                if offs not in seen:
+                    seen.add(offs)
+                    mirrored = placement_chirality(self.tile, Placement((origin,) + offs, False))
+                    assert mirrored is not None, "constructed placement must be congruent"
+                    options.append((flush_len, *offs, mirrored))
+            if options:
+                angles.append((name, AngleVec(cos_v, sin_v), cos_v, sin_v, options))
+        fr = self._frames[key] = ((u.y if on_y else u.x).inverse(), on_y, angles)
+        return fr
 
 
 def _add_below_2pi(ang: AngleVec, cos_v: QRoot3, sin_v: QRoot3) -> Optional[AngleVec]:
@@ -146,10 +187,6 @@ def select_corner(region: Polygon) -> int:
     return best_idx
 
 
-def _rotate_dir(u: Point, cos_v: QRoot3, sin_v: QRoot3) -> Point:
-    return Point(u.x * cos_v - u.y * sin_v, u.x * sin_v + u.y * cos_v)
-
-
 def tile_fits_in_region(region: Polygon, tri: tuple[Point, Point, Point]) -> bool:
     """Exact containment: no proper edge crossing, no boundary portion
     inside the tile, and an interior point of the tile inside the region
@@ -173,45 +210,34 @@ def candidate_placements(
     overhangs it, which the exact containment check then vets), and the
     tile lies inside the region.  Each candidate carries the remainder that
     `place` leaves; with check_fit=False the candidates that do not fit
-    are kept too, with remainder None.
+    are kept too, with remainder None.  Shapes, chirality and the edge's
+    length come from the edge's frame: a candidate costs two point sums.
     """
     v = region.vertices[corner]
-    nxt = region.vertices[(corner + 1) % len(region)]
+    j = (corner + 1) % len(region)
+    d = region.vertices[j] - v
+    per_unit, on_y, angles = geom.frame(d)
+    boundary_len = (d.y if on_y else d.x) * per_unit
     theta = region.interior_angle(corner)
-    boundary_len = region.edge_length(corner)
-    d = nxt - v
-    u_hat = Point(d.x / boundary_len, d.y / boundary_len)
-    next_angle_reflex = region.interior_angle((corner + 1) % len(region)).is_reflex()
+    next_angle_reflex = region.interior_angle(j).is_reflex()
 
     out: list[Candidate] = []
-    seen = set()
-    for name, cos_v, sin_v, e1, e2 in geom.angles:
-        phi = AngleVec(cos_v, sin_v)
+    for name, phi, cos_v, sin_v, options in angles:
         if theta.less_than(phi):
             continue
         rest = theta.minus_rotation(cos_v, sin_v)
         if not rest.is_zero_mod_2pi() and not geom.angle_representable(rest):
             continue
-        ray_dir = _rotate_dir(u_hat, cos_v, sin_v)
-        for flush_len, other_len in ((e1, e2), (e2, e1)):
+        for flush_len, f_off, g_off, mirrored in options:
             if flush_len > boundary_len and not next_angle_reflex:
                 continue
-            if flush_len < boundary_len:
-                if not geom.length_representable(boundary_len - flush_len):
-                    continue
-            f = v + u_hat.scale(flush_len)
-            g = v + ray_dir.scale(other_len)
-            placement_vertices = (v, f, g)
-            key = tuple(sorted(p.lex_key() for p in placement_vertices))
-            if key in seen:
+            if flush_len < boundary_len and not geom.length_representable(boundary_len - flush_len):
                 continue
-            mirrored = placement_chirality(geom.tile, Placement(placement_vertices, False))
-            assert mirrored is not None, "constructed placement must be congruent"
             if mirrored and not allow_mirror:
                 continue
+            placement_vertices = (v, v + f_off, v + g_off)
             remainder = place(region, placement_vertices)
             if check_fit and remainder is None:
                 continue
-            seen.add(key)
             out.append(Candidate(Placement(placement_vertices, mirrored), v, name, remainder))
     return out

@@ -61,7 +61,6 @@ from ..geometry import (
     orientation,
     point_in_polygon,
     polygon_area_twice,
-    segment_length,
     sides,
     sort_along,
     strictly_inside_triangle,
@@ -105,10 +104,6 @@ class Polygon:
     def edges(self):
         for i in range(len(self.vertices)):
             yield self.edge(i)
-
-    def edge_length(self, i: int) -> QRoot3:
-        a, b = self.edge(i)
-        return segment_length(a, b)
 
     def area_twice(self) -> QRoot3:
         return self.area2 if self.area2 is not None else polygon_area_twice(self.vertices)

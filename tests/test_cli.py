@@ -234,6 +234,18 @@ def test_check_and_render_reject_a_non_object(runner, tmp_path):
         assert "cannot parse certificate" in res.stderr
 
 
+def test_check_and_render_reject_an_empty_certificate(runner, search_files, tmp_path):
+    # no placements is a parse error for both commands, not an area mismatch
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps(dict(search_files[0], placements=[])))
+    svg = tmp_path / "out.svg"
+    for args in (["check", str(empty)], ["render", str(empty), str(svg)]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2 and _clean_exit(res), res.output
+        assert res.stderr == "cannot parse certificate: empty certificate\n"
+    assert not svg.exists()
+
+
 @pytest.mark.parametrize("text", ["{not json", "[]", '{"schema": "v1"}', '{"schema": "v0"}'])
 def test_resume_rejects_a_malformed_checkpoint(runner, tmp_path, text):
     ck = tmp_path / "ck.json"

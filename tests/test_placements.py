@@ -1,15 +1,23 @@
+import pickle
 from fractions import Fraction
 
+import pytest
+
+from tilingforge import geometry
+from tilingforge.constraints import triangle_spec
 from tilingforge.exactnum import QRoot3, SQRT3
-from tilingforge.geometry import Point, pt
+from tilingforge.geometry import Point, pt, segment_length
+from tilingforge.search import engine, placements
+from tilingforge.search.engine import SearchConfig, TilingSearch
 from tilingforge.search.placements import (
+    Candidate,
     Placement,
     TileGeometry,
     candidate_placements,
     placement_chirality,
     select_corner,
 )
-from tilingforge.search.region import Polygon
+from tilingforge.search.region import Polygon, place
 from tilingforge.tilealgebra import TileShape, tile_from_sides
 
 T357 = tile_from_sides(3, 5, 7)
@@ -125,3 +133,104 @@ def test_select_corner_smallest_angle():
 def test_select_corner_tie_lexicographic():
     sq = Polygon.from_points([pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)])
     assert sq.vertices[select_corner(sq)] == pt(0, 0)
+
+
+# -- per-direction frames against the per-node construction they replace -------
+
+def _reference_candidates(region, corner, geom, allow_mirror, check_fit):
+    """The candidates built node by node: the edge's exact length, the unit
+    direction by division, one rotation per tile angle, a chirality test per
+    candidate and a set of vertex sets against duplicates."""
+    v = region.vertices[corner]
+    nxt = region.vertices[(corner + 1) % len(region)]
+    theta = region.interior_angle(corner)
+    boundary_len = segment_length(v, nxt)
+    d = nxt - v
+    u_hat = Point(d.x / boundary_len, d.y / boundary_len)
+    next_angle_reflex = region.interior_angle((corner + 1) % len(region)).is_reflex()
+    out, seen = [], set()
+    for name, cos_v, sin_v, e1, e2 in geom.angles:
+        if theta.less_than(geometry.AngleVec(cos_v, sin_v)):
+            continue
+        rest = theta.minus_rotation(cos_v, sin_v)
+        if not rest.is_zero_mod_2pi() and not geom.angle_representable(rest):
+            continue
+        ray_dir = Point(u_hat.x * cos_v - u_hat.y * sin_v, u_hat.x * sin_v + u_hat.y * cos_v)
+        for flush_len, other_len in ((e1, e2), (e2, e1)):
+            if flush_len > boundary_len and not next_angle_reflex:
+                continue
+            if flush_len < boundary_len and not geom.length_representable(boundary_len - flush_len):
+                continue
+            tri = (v, v + u_hat.scale(flush_len), v + ray_dir.scale(other_len))
+            key = tuple(sorted(p.lex_key() for p in tri))
+            if key in seen:
+                continue
+            mirrored = placement_chirality(geom.tile, Placement(tri, False))
+            assert mirrored is not None
+            if mirrored and not allow_mirror:
+                continue
+            remainder = place(region, tri)
+            if check_fit and remainder is None:
+                continue
+            seen.add(key)
+            out.append(Candidate(Placement(tri, mirrored), v, name, remainder))
+    return out
+
+
+def _summary(cands):
+    return [(c.placement.vertices, c.placement.mirrored, c.corner, c.angle_name,
+             None if c.remainder is None else [r.vertices for r in c.remainder]) for c in cands]
+
+
+@pytest.mark.parametrize("tile, sides, allow_mirror, nodes", [
+    (T357, [QRoot3(15)] * 3, True, 380),
+    (T357, [QRoot3(15)] * 3, False, 9),
+    (T357, [QRoot3(15), QRoot3(25), QRoot3(35)], True, 814),
+    (ISO, [4 * SQRT3] * 3, True, 48),
+], ids=["357-eq15", "357-eq15-direct", "357-15,25,35", "iso-eq4sqrt3"])
+def test_frames_match_the_per_node_construction(monkeypatch, tile, sides, allow_mirror, nodes):
+    # every region the search expands, under both fit and mirror settings
+    expanded = []
+    expand = engine.candidate_placements
+
+    def recorded(region, corner, geom, **kwargs):
+        expanded.append((region, corner))
+        return expand(region, corner, geom, **kwargs)
+
+    monkeypatch.setattr(engine, "candidate_placements", recorded)
+    s = TilingSearch(tile, triangle_spec(tile, sides), SearchConfig(allow_mirror=allow_mirror))
+    assert s.run().stats.nodes == nodes
+    geom = TileGeometry(tile)
+    for region, corner in expanded:
+        for check_fit in (True, False):
+            for mirror in (True, False):
+                got = candidate_placements(region, corner, geom, allow_mirror=mirror, check_fit=check_fit)
+                want = _reference_candidates(region, corner, geom, mirror, check_fit)
+                assert _summary(got) == _summary(want), (region, corner, check_fit, mirror)
+    if tile is ISO:  # directions at multiples of 30 degrees: vertical edges too
+        assert any(on_y for _, on_y, _ in geom._frames.values())
+
+
+def test_one_square_root_per_frame(monkeypatch):
+    calls = []
+    real = geometry.segment_length
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(geometry, "segment_length", counted)
+    monkeypatch.setattr(placements, "segment_length", counted)
+    assert TileGeometry(T357)._frames == {}  # filled on first use only
+    s = TilingSearch(T357, triangle_spec(T357, [QRoot3(15)] * 3), SearchConfig())
+    assert s.geom._frames == {}
+    out = s.run()
+    assert (out.status, out.stats.nodes) == ("exhausted", 380)
+    assert 0 < len(calls) == len(s.geom._frames) < 20
+    # split mode ships the search, frames included, to spawned workers
+    copy = pickle.loads(pickle.dumps(s))
+    assert copy.geom._frames.keys() == s.geom._frames.keys()
+    calls.clear()
+    again = copy.run()
+    assert (again.status, again.stats.nodes) == ("exhausted", 380)
+    assert calls == []
