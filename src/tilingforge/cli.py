@@ -11,7 +11,6 @@ lemmas verify 0=all pass, 1=failures, 2=unknown id.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -228,7 +227,8 @@ def lemmas_verify(ids, fmt):
 @click.option("--sides", default=None, help="tile sides (required unless --resume)")
 @click.option("--target", "target_text", default=None, help="target triangle (required unless --resume)")
 @click.option("--node-budget", default=10**8, show_default=True)
-@click.option("--workers", default=None, type=int, help="worker processes (default 1, or TILING_FORGE_WORKERS)")
+@click.option("--workers", default=1, type=int, envvar="TILING_FORGE_WORKERS", show_default=True,
+              help="worker processes (or TILING_FORGE_WORKERS)")
 @click.option("--split-depth", default=0, show_default=True, help="partition depth for the worker pool")
 @click.option("--no-mirror", is_flag=True, help="disallow mirrored copies of the tile")
 @click.option("--paper-pruning", is_flag=True, help="opt-in vertex-splitting cap (exhaustion becomes conditional)")
@@ -239,8 +239,6 @@ def lemmas_verify(ids, fmt):
 def search(sides, target_text, node_budget, workers, split_depth, no_mirror, paper_pruning,
            checkpoint_path, resume_path, cert_out, stats_out):
     """Exhaustive search for a tiling of TARGET by the tile SIDES."""
-    if workers is None:
-        workers = int(os.environ.get("TILING_FORGE_WORKERS", "1"))
     config = SearchConfig(
         node_budget=node_budget,
         workers=workers,

@@ -14,6 +14,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .exactnum import QRoot3, qr3_sign
+from .geometry import AngleVec
 from .tilealgebra import TileShape
 
 
@@ -84,31 +85,22 @@ def solve_alpha_from_split(P: int, Q: int, R: int) -> Fraction:
 # target triangle specification
 
 
-def _rotvec_mul(u: tuple[QRoot3, QRoot3], v: tuple[QRoot3, QRoot3]) -> tuple[QRoot3, QRoot3]:
-    return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
-
-
-def combo_angle_vec(tile: TileShape, combo: tuple[int, int, int]) -> tuple[QRoot3, QRoot3]:
-    """Exact (cos, sin) of i*alpha + j*beta + k*gamma."""
-    acc = (QRoot3(1), QRoot3(0))
-    for count, name in zip(combo, ("alpha", "beta", "gamma")):
-        vec = tile.angle_vec(name)
-        for _ in range(count):
-            acc = _rotvec_mul(acc, vec)
-    return acc
-
-
-def corner_angle_combos(tile: TileShape) -> list[tuple[tuple[int, int, int], tuple[QRoot3, QRoot3]]]:
-    """All combinations i*alpha + j*beta + k*gamma strictly between 0 and pi,
-    with their exact (cos, sin), ordered by (k, i, j).
+def tile_angle_sums(tile: TileShape) -> list[tuple[tuple[int, int, int], AngleVec]]:
+    """Every sum i*alpha + j*beta + k*gamma in (0, 2*pi) with its exact
+    AngleVec, ordered by (k, i, j); rank 1 marks the sums below pi.
 
     Each loop adds one tile angle as an exact rotation and stops when the
-    sine is no longer positive: every tile angle is below pi, so a sum
-    leaves (0, pi) only by reaching pi or more, and stays out after that.
+    sum no longer compares larger: every tile angle lies in (0, pi) and
+    below 2*pi a sum only grows, so a sum that reached or passed 2*pi does
+    not compare larger than the one before it.
     """
+    def add(ang: AngleVec, step: tuple[QRoot3, QRoot3]) -> Optional[AngleVec]:
+        nxt = ang.minus_rotation(step[0], -step[1])
+        return nxt if ang.less_than(nxt) else None
+
     alpha, beta, gamma = (tile.angle_vec(name) for name in ("alpha", "beta", "gamma"))
     out = []
-    by_k, k = (QRoot3(1), QRoot3(0)), 0
+    by_k, k = AngleVec(QRoot3(1), QRoot3(0)), 0
     while by_k is not None:
         by_i, i = by_k, 0
         while by_i is not None:
@@ -116,16 +108,10 @@ def corner_angle_combos(tile: TileShape) -> list[tuple[tuple[int, int, int], tup
             while by_j is not None:
                 if i or j or k:
                     out.append(((i, j, k), by_j))
-                by_j, j = _add_below_pi(by_j, beta), j + 1
-            by_i, i = _add_below_pi(by_i, alpha), i + 1
-        by_k, k = _add_below_pi(by_k, gamma), k + 1
+                by_j, j = add(by_j, beta), j + 1
+            by_i, i = add(by_i, alpha), i + 1
+        by_k, k = add(by_k, gamma), k + 1
     return out
-
-
-def _add_below_pi(u: tuple[QRoot3, QRoot3], step: tuple[QRoot3, QRoot3]):
-    """u rotated by step, or None if the sum is not below pi."""
-    total = _rotvec_mul(u, step)
-    return total if qr3_sign(total[1]) > 0 else None
 
 
 @dataclass(frozen=True)
@@ -140,6 +126,10 @@ class TriangleSpec:
 
     def sides(self) -> tuple[QRoot3, QRoot3, QRoot3]:
         return (self.X, self.Y, self.Z)
+
+    def similar_to_tile(self) -> bool:
+        """Each corner is a single tile angle, one of each."""
+        return sorted(self.angles) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
     def to_json(self) -> dict:
         return {
@@ -173,14 +163,18 @@ def triangle_spec(tile: TileShape, sides: Sequence[QRoot3]) -> TriangleSpec:
     X, Y, Z = sorted(sides, reverse=True)
     if X >= Y + Z:
         raise ConstraintError("degenerate triangle")
-    combos = sorted(corner_angle_combos(tile), key=lambda cv: (sum(cv[0]), cv[0]))
+    sums = tile_angle_sums(tile)
+    # several combinations can share a value (e.g. 2a+2b = gamma); sorted
+    # so that a corner is given the one with the fewest angles
+    combos = sorted(((c, a) for c, a in sums if a.rank == 1), key=lambda ca: (sum(ca[0]), ca[0]))
 
     def match(cos_val: QRoot3) -> tuple[int, int, int]:
-        # several combinations can share a value (e.g. 2a+2b = gamma);
-        # report the one with the fewest angles
-        for combo, (c, _s) in combos:
-            if c == cos_val:
-                return combo
+        sin_val = (1 - cos_val * cos_val).sqrt()
+        if sin_val is not None:
+            corner = AngleVec(cos_val, sin_val)
+            for combo, ang in combos:
+                if ang == corner:
+                    return combo
         raise ConstraintError(
             f"target corner with cos = {cos_val} is not a combination of tile angles"
         )
@@ -188,17 +182,11 @@ def triangle_spec(tile: TileShape, sides: Sequence[QRoot3]) -> TriangleSpec:
     cos_A = (Y * Y + Z * Z - X * X) / (2 * Y * Z)
     cos_B = (X * X + Z * Z - Y * Y) / (2 * X * Z)
     cos_C = (X * X + Y * Y - Z * Z) / (2 * X * Y)
-    spec = TriangleSpec((match(cos_A), match(cos_B), match(cos_C)), X, Y, Z)
-    _assert_angle_sum(tile, spec)
-    return spec
-
-
-def _assert_angle_sum(tile: TileShape, spec: TriangleSpec):
-    acc = (QRoot3(1), QRoot3(0))
-    for combo in spec.angles:
-        acc = _rotvec_mul(acc, combo_angle_vec(tile, combo))
-    if not (acc[0] == QRoot3(-1) and acc[1].is_zero()):
+    angles = (match(cos_A), match(cos_B), match(cos_C))
+    total = tuple(map(sum, zip(*angles)))
+    if not any(c == total and a.rank == 2 for c, a in sums):
         raise ConstraintError("corner angles do not sum to pi")
+    return TriangleSpec(angles, X, Y, Z)
 
 
 def triangle_area(X: QRoot3, Y: QRoot3, Z: QRoot3) -> QRoot3:

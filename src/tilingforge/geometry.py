@@ -331,9 +331,7 @@ class AngleVec:
     def __eq__(self, other) -> bool:
         if other.__class__ is not AngleVec:
             return NotImplemented
-        if self.rank != other.rank:
-            return False
-        return self.rank in (0, 2) or self._turn(other) == 0
+        return self.compare(other) == 0
 
     def __hash__(self):
         raise TypeError("AngleVec is not hashable; use ray_key()")
@@ -345,6 +343,13 @@ class AngleVec:
         if self.rank != other.rank:
             return self.rank < other.rank
         return self.rank in (1, 3) and self._turn(other) > 0
+
+    def compare(self, other: "AngleVec") -> int:
+        """-1, 0 or +1 as this angle is smaller than, equal to or larger
+        than other: one rank test and at most one cross product."""
+        if self.rank != other.rank:
+            return -1 if self.rank < other.rank else 1
+        return 0 if self.rank in (0, 2) else other._turn(self)
 
     def _turn(self, other: "AngleVec") -> int:
         """Sign of cross((c, s), (other.c, other.s))."""

@@ -80,7 +80,10 @@ class Certificate:
         placements = tuple(Placement.from_json(p) for p in obj["placements"])
         if not placements:
             raise ValueError("empty certificate")
-        return Certificate(tile, target, placements, bool(obj.get("allow_mirror", True)))
+        allow_mirror = obj.get("allow_mirror", True)
+        if not isinstance(allow_mirror, bool):
+            raise ValueError(f"allow_mirror must be a JSON boolean, not {allow_mirror!r}")
+        return Certificate(tile, target, placements, allow_mirror)
 
     def save(self, path):
         write_json(path, self.to_json(), indent=1)
@@ -326,10 +329,8 @@ def certificate_warnings(cert: Certificate) -> list[str]:
     j*a = u*b + v*c along some maximal internal segment; its absence is
     reported as a warning, not a violation.
     """
-    if cert.tile.is_isosceles():
+    if cert.tile.is_isosceles() or cert.target.similar_to_tile():
         return []
-    if sorted(cert.target.angles) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]:
-        return []  # target similar to the tile
     rels = [
         r for r in extract_edge_relations(cert)
         if r.kind in (RelationKind.B_SIDE, RelationKind.A_SIDE) and r.u > 0 and r.v >= 0

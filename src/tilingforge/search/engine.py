@@ -106,7 +106,7 @@ class TilingSearch:
         self._pruning_active = (
             self.config.paper_pruning
             and not tile.is_isosceles()
-            and sorted(target.angles) != [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+            and not target.similar_to_tile()
         )
 
     # -- candidate generation ---------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..constraints import side_compositions
+from ..constraints import side_compositions, tile_angle_sums
 from ..exactnum import QRoot3
 from ..geometry import AngleVec, Point, orientation, segment_length, squared_distance
 from ..tilealgebra import TileShape
@@ -45,7 +45,10 @@ class Placement:
         verts = tuple(Point.from_json(v) for v in obj["v"])
         if len(verts) != 3:
             raise ValueError("placement needs exactly three vertices")
-        return Placement(verts, bool(obj["mirrored"]))
+        mirrored = obj["mirrored"]
+        if not isinstance(mirrored, bool):
+            raise ValueError(f"mirrored must be a JSON boolean, not {mirrored!r}")
+        return Placement(verts, mirrored)
 
 
 @dataclass(frozen=True)
@@ -59,8 +62,10 @@ class Candidate:
 
 class TileGeometry:
     """Derived exact data for one tile: angle vectors, adjacent edge
-    lengths, representable corner angles and edge lengths, and one
-    candidate frame per boundary direction, built on first use (`frame`)."""
+    lengths, the rays of the tile-angle sums in (0, 2*pi) (from
+    `tile_angle_sums`, for the rest of a corner), representable edge
+    lengths, and one candidate frame per boundary direction, built on
+    first use (`frame`)."""
 
     def __init__(self, tile: TileShape):
         self.tile = tile
@@ -70,39 +75,14 @@ class TileGeometry:
                                ("gamma", (tile.a, tile.b))):
             cos_v, sin_v = tile.angle_vec(name)
             self.angles.append((name, cos_v, sin_v, e1, e2))
-        self._angle_rays = self._representable_angle_rays()
+        self._angle_rays = frozenset(a.ray_key() for _, a in tile_angle_sums(tile))
         self._length_cache: dict[tuple, bool] = {}
         self._frames: dict[tuple, tuple] = {}
 
-    # -- representable corner angles -----------------------------------------
-
-    def _representable_angle_rays(self) -> frozenset:
-        """Ray keys of every angle i*alpha + j*beta + k*gamma in (0, 2*pi).
-
-        Each loop adds one tile angle as an exact rotation and stops before
-        the sum reaches or passes 2*pi.  The AngleVec order on [0, 2*pi)
-        decides that: below 2*pi a sum only grows, so a sum that wrapped
-        does not compare larger than the one before it.
-        """
-        (_, ca, sa, _, _), (_, cb, sb, _, _), (_, cg, sg, _, _) = self.angles
-        rays = set()
-        by_gamma = AngleVec(QRoot3(1), QRoot3(0))
-        while by_gamma is not None:
-            by_alpha = by_gamma
-            while by_alpha is not None:
-                by_beta = by_alpha
-                while by_beta is not None:
-                    if not by_beta.is_zero_mod_2pi():
-                        rays.add(by_beta.ray_key())
-                    by_beta = _add_below_2pi(by_beta, cb, sb)
-                by_alpha = _add_below_2pi(by_alpha, ca, sa)
-            by_gamma = _add_below_2pi(by_gamma, cg, sg)
-        return frozenset(rays)
+    # -- representable corner angles and edge lengths ---------------------------
 
     def angle_representable(self, ang: AngleVec) -> bool:
         return ang.ray_key() in self._angle_rays
-
-    # -- representable edge lengths -------------------------------------------
 
     def length_representable(self, length: QRoot3) -> bool:
         """length = p*a + q*b + r*c with nonnegative integers, exactly."""
@@ -144,13 +124,6 @@ class TileGeometry:
         return fr
 
 
-def _add_below_2pi(ang: AngleVec, cos_v: QRoot3, sin_v: QRoot3) -> Optional[AngleVec]:
-    """ang + phi for an angle phi in (0, pi) given by (cos_v, sin_v), or None
-    if the sum reaches or passes 2*pi (then it is not larger than ang)."""
-    nxt = ang.minus_rotation(cos_v, -sin_v)
-    return nxt if ang.less_than(nxt) else None
-
-
 def placement_chirality(tile: TileShape, p: Placement) -> Optional[bool]:
     """False for a direct copy, True for a mirrored one, None if the
     placement is not congruent to the tile.
@@ -177,14 +150,13 @@ def placement_chirality(tile: TileShape, p: Placement) -> Optional[bool]:
 def select_corner(region: Polygon) -> int:
     """Index of the corner with the smallest interior angle; ties broken by
     lexicographic vertex order."""
-    best = None
-    best_idx = -1
-    for i, ang in enumerate(region.angles):
-        if best is None or ang.less_than(best) or (
-            ang == best and region.vertices[i].lex_less(region.vertices[best_idx])
-        ):
-            best, best_idx = ang, i
-    return best_idx
+    angles, verts = region.angles, region.vertices
+    best = 0
+    for i in range(1, len(angles)):
+        order = angles[i].compare(angles[best])
+        if order < 0 or (order == 0 and verts[i].lex_less(verts[best])):
+            best = i
+    return best
 
 
 def tile_fits_in_region(region: Polygon, tri: tuple[Point, Point, Point]) -> bool:

@@ -1,5 +1,6 @@
 import copy
 import json
+from dataclasses import replace
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tilingforge import cli, search
 from tilingforge.cli import main, parse_exact, parse_sides
 from tilingforge.exactnum import QRoot3
 from fractions import Fraction
@@ -175,12 +177,24 @@ def test_check_tampered_and_truncated(runner, tmp_path):
 
 
 def test_env_var_workers(runner, tmp_path, monkeypatch):
+    seen = []
+
+    def run_search(tile, tri, config):
+        seen.append(config.workers)
+        return search.run_search(tile, tri, replace(config, workers=1))
+
+    monkeypatch.setattr(cli, "run_search", run_search)
+    args = ["search", "--sides", "1,1,sqrt3", "--target", "equilateral:sqrt3",
+            "--cert-out", str(tmp_path / "c.json"), "--stats-out", str(tmp_path / "s.json")]
     monkeypatch.setenv("TILING_FORGE_WORKERS", "2")
-    res = runner.invoke(main, ["search", "--sides", "1,1,sqrt3", "--target", "equilateral:sqrt3",
-                               "--split-depth", "1",
-                               "--cert-out", str(tmp_path / "c.json"),
-                               "--stats-out", str(tmp_path / "s.json")])
-    assert res.exit_code == 0
+    assert runner.invoke(main, args).exit_code == 0
+    assert runner.invoke(main, args + ["--workers", "3"]).exit_code == 0
+    monkeypatch.delenv("TILING_FORGE_WORKERS")
+    assert runner.invoke(main, args).exit_code == 0
+    monkeypatch.setenv("TILING_FORGE_WORKERS", "abc")
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2 and _clean_exit(res), res.output
+    assert seen == [2, 3, 1]
 
 
 def test_console_entrypoint():
@@ -244,6 +258,31 @@ def test_check_and_render_reject_an_empty_certificate(runner, search_files, tmp_
         assert res.exit_code == 2 and _clean_exit(res), res.output
         assert res.stderr == "cannot parse certificate: empty certificate\n"
     assert not svg.exists()
+
+
+def test_check_and_render_reject_non_boolean_flags(runner, search_files, tmp_path):
+    # "false" is a string, which bool() would read as true
+    mirrored = copy.deepcopy(search_files[0])
+    mirrored["placements"][0]["mirrored"] = "false"
+    allow = dict(search_files[0], allow_mirror="false")
+    for doc, flag in ((mirrored, "mirrored"), (allow, "allow_mirror")):
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(doc))
+        for args in (["check", str(cert)], ["render", str(cert), str(tmp_path / "out.svg")]):
+            res = runner.invoke(main, args)
+            assert res.exit_code == 2 and _clean_exit(res), res.output
+            assert res.stderr == f"cannot parse certificate: {flag} must be a JSON boolean, not 'false'\n"
+
+
+def test_check_reads_a_missing_allow_mirror_as_true(runner, search_files, tmp_path):
+    doc = copy.deepcopy(search_files[0])
+    doc["placements"][0]["mirrored"] = True
+    del doc["allow_mirror"]
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["check", str(cert)])
+    # mirrored copies stay allowed, so the only fault is the flipped flag
+    assert res.exit_code == 1 and res.output == "ChiralityMismatch(0)\n", res.output
 
 
 @pytest.mark.parametrize("text", ["{not json", "[]", '{"schema": "v1"}', '{"schema": "v0"}'])

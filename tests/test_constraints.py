@@ -12,12 +12,11 @@ from tilingforge.constraints import (
     area_count,
     area_equation_nab_holds,
     area_equation_nac_holds,
-    combo_angle_vec,
-    corner_angle_combos,
     enumerate_dmatrices,
     enumerate_vertex_splits,
     side_compositions,
     solve_alpha_from_split,
+    tile_angle_sums,
     triangle_area,
     triangle_spec,
     xz_coefficients,
@@ -163,8 +162,13 @@ def test_xz_rejects_negative():
         xz_coefficients((1, 1, 1), (1, 1, 1), Fraction(-1), Fraction(0))
 
 
+def _corner_combos(tile):
+    """The sums of tile_angle_sums below pi: the candidate corner angles."""
+    return [(c, a) for c, a in tile_angle_sums(tile) if a.rank == 1]
+
+
 def test_corner_angle_combos_iso():
-    combos = {c for c, _ in corner_angle_combos(ISO)}
+    combos = {c for c, _ in _corner_combos(ISO)}
     assert (1, 1, 0) in combos  # pi/3
     assert (0, 0, 1) in combos  # 2 pi/3
     assert (5, 0, 0) in combos  # 5 pi/6
@@ -197,16 +201,81 @@ def _naive_combos(tile):
     for k in range(limits[2]):
         for i in range(limits[0]):
             for j in range(limits[1]):
-                if (i or j or k) and _sum_below_pi([vecs[0]] * i + [vecs[1]] * j + [vecs[2]] * k):
-                    out.append(((i, j, k), combo_angle_vec(tile, (i, j, k))))
+                total = _sum_below_pi([vecs[0]] * i + [vecs[1]] * j + [vecs[2]] * k)
+                if (i or j or k) and total is not None:
+                    out.append(((i, j, k), total))
     return out
 
 
+TILES = [T357, ISO] + [tile_from_sides(*eisenstein_triple(m, n))
+                       for m in range(2, 9) for n in range(1, m) if math.gcd(m, n) == 1]
+
+
 def test_corner_angle_combos_exact():
-    tiles = [T357, ISO] + [tile_from_sides(*eisenstein_triple(m, n))
-                           for m in range(2, 9) for n in range(1, m) if math.gcd(m, n) == 1]
-    assert len(tiles) == 23
-    for tile in tiles:
-        assert corner_angle_combos(tile) == _naive_combos(tile)
-    assert len(corner_angle_combos(T357)) == 29
-    assert len(corner_angle_combos(ISO)) == 23
+    assert len(TILES) == 23
+    for tile in TILES:
+        got, want = _corner_combos(tile), _naive_combos(tile)
+        assert [c for c, _ in got] == [c for c, _ in want]
+        assert all(a == b for (_, a), (_, b) in zip(got, want))
+    assert len(_corner_combos(T357)) == 29
+    assert len(_corner_combos(ISO)) == 23
+
+
+def _rotate(u, v):
+    return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+
+def _reference_triangle_spec(tile, sides):
+    """triangle_spec by (cos, sin) pairs in QRoot3: every combination below
+    pi composed by rotations, each corner matched on its cosine (fewest
+    angles first), and the three corners composed to exactly pi."""
+    def vec(combo):
+        acc = (QRoot3(1), QRoot3(0))
+        for count, name in zip(combo, ("alpha", "beta", "gamma")):
+            for _ in range(count):
+                acc = _rotate(acc, tile.angle_vec(name))
+        return acc
+
+    combos = sorted((c for c, _ in _naive_combos(tile)), key=lambda c: (sum(c), c))
+    X, Y, Z = sorted(sides, reverse=True)
+
+    def match(cos_val):
+        for combo in combos:
+            if vec(combo)[0] == cos_val:
+                return combo
+        raise ConstraintError(
+            f"target corner with cos = {cos_val} is not a combination of tile angles")
+
+    angles = tuple(match((q * q + r * r - p * p) / (2 * q * r))
+                   for p, q, r in ((X, Y, Z), (Y, X, Z), (Z, X, Y)))
+    acc = (QRoot3(1), QRoot3(0))
+    for combo in angles:
+        acc = _rotate(acc, vec(combo))
+    assert acc == (QRoot3(-1), QRoot3(0))
+    return angles
+
+
+@pytest.mark.parametrize("tile, sides", [
+    (T357, (15, 15, 15)),
+    (T357, (6, 10, 14)),  # similar to the tile
+    (T357, (24, 21, 15)),  # split corners 2a+b, a+b, b
+    (T357, (3, 4, 5)),  # right angle, rational sines: not a tile-angle sum
+    (T357, (2, 3, 4)),  # sine sqrt(15)/4 outside Q(sqrt3)
+    (T357, (1, 1, SQRT3)),  # corners pi/6
+    (ISO, (2 * SQRT3,) * 3),
+    (ISO, (1, 1, SQRT3)),
+    (ISO, (1, SQRT3, 2)),  # 30-60-90: the right angle is 3 alphas
+    (ISO, (3, 4, 5)),
+    (ISO, (2, 3, 4)),
+], ids=["357-eq15", "357-similar", "357-24,21,15", "357-3,4,5", "357-2,3,4", "357-pi/6",
+        "iso-eq", "iso-similar", "iso-30,60,90", "iso-3,4,5", "iso-2,3,4"])
+def test_triangle_spec_matches_cosine_reference(tile, sides):
+    sides = [s if isinstance(s, QRoot3) else QRoot3(s) for s in sides]
+    try:
+        want = _reference_triangle_spec(tile, sides)
+    except ConstraintError as exc:
+        with pytest.raises(ConstraintError) as got:
+            triangle_spec(tile, sides)
+        assert str(got.value) == str(exc)
+        return
+    assert triangle_spec(tile, sides).angles == want

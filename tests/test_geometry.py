@@ -394,6 +394,17 @@ def test_angle_vec_matches_reference(p, q, k):
 
 @settings(max_examples=300, deadline=None)
 @given(angle_pairs(), angle_pairs(), st.sampled_from(POSITIVE))
+def test_angle_compare_matches_reference(p, q, k):
+    a, b, ra, rb = AngleVec(*p), AngleVec(*q), RefAngle(*p), RefAngle(*q)
+    want = -1 if ra.less_than(rb) else 1 if rb.less_than(ra) else 0
+    assert (want == 0) == ra.equals(rb)
+    assert a.compare(b) == want and b.compare(a) == -want
+    assert a.compare(b) == (-1 if a.less_than(b) else 0 if a == b else 1)
+    assert a.compare(AngleVec(p[0] * k, p[1] * k)) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(angle_pairs(), angle_pairs(), st.sampled_from(POSITIVE))
 def test_minus_rotation_matches_reference(p, q, k):
     # (cos_phi, sin_phi) may be any positive multiple of a rotation
     got = AngleVec(*p).minus_rotation(*q)
