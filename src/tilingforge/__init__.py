@@ -2,7 +2,7 @@
 
 Subpackages and modules:
 
-- ``exactnum``: rationals, Q(sqrt3), Q(sqrt2, sqrt3), cyclotomic rings.
+- ``exactnum``: rationals, Q(sqrt3), cyclotomic rings.
 - ``tilealgebra``: the tile's exact trigonometry and edge relations.
 - ``constraints``: vertex splittings, boundary compositions, area counts.
 - ``lemmalab``: a named, runnable suite of exact identity checks.

@@ -227,9 +227,10 @@ def lemmas_verify(ids, fmt):
 @click.option("--sides", default=None, help="tile sides (required unless --resume)")
 @click.option("--target", "target_text", default=None, help="target triangle (required unless --resume)")
 @click.option("--node-budget", default=10**8, show_default=True)
-@click.option("--workers", default=1, type=int, envvar="TILING_FORGE_WORKERS", show_default=True,
-              help="worker processes (or TILING_FORGE_WORKERS)")
-@click.option("--split-depth", default=0, show_default=True, help="partition depth for the worker pool")
+@click.option("--workers", default=1, type=click.IntRange(min=1), envvar="TILING_FORGE_WORKERS",
+              show_default=True, help="worker processes (or TILING_FORGE_WORKERS)")
+@click.option("--split-depth", default=0, type=click.IntRange(min=0), show_default=True,
+              help="partition depth for the worker pool")
 @click.option("--no-mirror", is_flag=True, help="disallow mirrored copies of the tile")
 @click.option("--paper-pruning", is_flag=True, help="opt-in vertex-splitting cap (exhaustion becomes conditional)")
 @click.option("--checkpoint", "checkpoint_path", default=None, type=click.Path())

@@ -8,6 +8,7 @@ of the side product XZ after eliminating a^2 through the law of cosines.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -85,9 +86,12 @@ def solve_alpha_from_split(P: int, Q: int, R: int) -> Fraction:
 # target triangle specification
 
 
-def tile_angle_sums(tile: TileShape) -> list[tuple[tuple[int, int, int], AngleVec]]:
+@functools.cache
+def tile_angle_sums(tile: TileShape) -> tuple[tuple[tuple[int, int, int], AngleVec], ...]:
     """Every sum i*alpha + j*beta + k*gamma in (0, 2*pi) with its exact
     AngleVec, ordered by (k, i, j); rank 1 marks the sums below pi.
+    Enumerated once per tile: the target's corners, the search's candidate
+    filter and the resume check all read the same tuple.
 
     Each loop adds one tile angle as an exact rotation and stops when the
     sum no longer compares larger: every tile angle lies in (0, pi) and
@@ -96,7 +100,7 @@ def tile_angle_sums(tile: TileShape) -> list[tuple[tuple[int, int, int], AngleVe
     """
     def add(ang: AngleVec, step: tuple[QRoot3, QRoot3]) -> Optional[AngleVec]:
         nxt = ang.minus_rotation(step[0], -step[1])
-        return nxt if ang.less_than(nxt) else None
+        return nxt if ang.compare(nxt) < 0 else None
 
     alpha, beta, gamma = (tile.angle_vec(name) for name in ("alpha", "beta", "gamma"))
     out = []
@@ -111,7 +115,7 @@ def tile_angle_sums(tile: TileShape) -> list[tuple[tuple[int, int, int], AngleVe
                 by_j, j = add(by_j, beta), j + 1
             by_i, i = add(by_i, alpha), i + 1
         by_k, k = add(by_k, gamma), k + 1
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)

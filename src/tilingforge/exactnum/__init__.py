@@ -1,4 +1,4 @@
-"""Exact number arithmetic: rationals, Q(sqrt3), Q(sqrt2, sqrt3), cyclotomics."""
+"""Exact number arithmetic: rationals, Q(sqrt3), cyclotomics."""
 
 from fractions import Fraction
 
@@ -6,12 +6,7 @@ from .qfield import (
     QR3_ONE,
     QR3_ZERO,
     SQRT3,
-    COS_PI_12,
-    SIN_2PI_3,
-    SIN_PI_4,
-    SIN_PI_12,
     QRoot3,
-    QTower,
     qr3_sign,
     rat_from_str,
     rat_to_str,
@@ -26,6 +21,7 @@ from .cyclo import (
     galois_apply,
     norm,
     sin_as_cyclo,
+    sin_value,
 )
 from .numth import euler_phi, is_prime, multiplicative_order, niven_classify, prime_splitting
 
@@ -34,14 +30,9 @@ Rational = Fraction
 __all__ = [
     "Rational",
     "QRoot3",
-    "QTower",
     "QR3_ZERO",
     "QR3_ONE",
     "SQRT3",
-    "SIN_PI_12",
-    "COS_PI_12",
-    "SIN_PI_4",
-    "SIN_2PI_3",
     "qr3_sign",
     "rational_sqrt",
     "rat_to_str",
@@ -51,6 +42,7 @@ __all__ = [
     "cyclotomic_poly",
     "cyclo_reduce",
     "sin_as_cyclo",
+    "sin_value",
     "galois_apply",
     "norm",
     "float_crosscheck",

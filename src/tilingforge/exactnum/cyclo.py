@@ -223,6 +223,14 @@ def sin_as_cyclo(m: int, n: int) -> CycloElem:
     return CycloElem.zeta_pow(n, m) - CycloElem.zeta_pow(n, -m)
 
 
+def sin_value(m: int, n: int) -> CycloElem:
+    """The real number sin(2*pi*m/n) in Q[zeta_n], for 4 | n: the element
+    (zeta^m - zeta^-m) / 2i, with 1/i = zeta^(-n/4)."""
+    if n % 4:
+        raise ValueError(f"Q(zeta_{n}) does not contain i; sin_value needs 4 | n")
+    return sin_as_cyclo(m, n) * CycloElem.zeta_pow(n, -n // 4) * Fraction(1, 2)
+
+
 def galois_apply(x: CycloElem, g: GaloisMap) -> CycloElem:
     """Substitute zeta -> zeta^j and reduce; a ring homomorphism."""
     if g.n != x.n:

@@ -1,17 +1,16 @@
-"""Exact arithmetic in Q(sqrt3) and Q(sqrt2, sqrt3).
+"""Exact arithmetic in Q(sqrt3).
 
 QRoot3 is the coordinate field of everything geometric in this package:
 tile sides, placement vertices, direction cosines.  All comparisons are
 decided by exact sign case analysis, never by floating point.
 
-QTower covers the handful of identity checks that genuinely need sqrt2
-(sines and cosines of pi/12 and pi/4).
+The identity checks that need sqrt2 (sines of pi/12 and pi/4) run in
+Q(zeta_24), which contains Q(sqrt2, sqrt3); see ``cyclo.sin_value``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -284,121 +283,3 @@ def qr3_sign(x: QRoot3) -> int:
     """Sign of r + s*sqrt3 in {-1, 0, +1}; the shared positive denominator
     cannot change it."""
     return _sign(x.n1, x.n3)
-
-
-_T_MUL = {
-    # multiplication table for the basis (1, sqrt2, sqrt3, sqrt6)
-    (0, 0): (0, Fraction(1)), (0, 1): (1, Fraction(1)), (0, 2): (2, Fraction(1)), (0, 3): (3, Fraction(1)),
-    (1, 1): (0, Fraction(2)), (1, 2): (3, Fraction(1)), (1, 3): (2, Fraction(2)),
-    (2, 2): (0, Fraction(3)), (2, 3): (1, Fraction(3)),
-    (3, 3): (0, Fraction(6)),
-}
-
-
-@dataclass(frozen=True)
-class QTower:
-    """Element of Q(sqrt2, sqrt3) in the basis {1, sqrt2, sqrt3, sqrt6}."""
-
-    a: Fraction  # coefficient of 1
-    b: Fraction  # sqrt2
-    c: Fraction  # sqrt3
-    d: Fraction  # sqrt6
-
-    def __init__(self, a: Rat = 0, b: Rat = 0, c: Rat = 0, d: Rat = 0):
-        object.__setattr__(self, "a", _frac(a))
-        object.__setattr__(self, "b", _frac(b))
-        object.__setattr__(self, "c", _frac(c))
-        object.__setattr__(self, "d", _frac(d))
-
-    def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.a, self.b, self.c, self.d)
-
-    def __add__(self, other) -> "QTower":
-        o = _coerce_tower(other)
-        return QTower(*(x + y for x, y in zip(self.coeffs(), o.coeffs())))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "QTower":
-        o = _coerce_tower(other)
-        return QTower(*(x - y for x, y in zip(self.coeffs(), o.coeffs())))
-
-    def __rsub__(self, other) -> "QTower":
-        return _coerce_tower(other) - self
-
-    def __neg__(self) -> "QTower":
-        return QTower(*(-x for x in self.coeffs()))
-
-    def __mul__(self, other) -> "QTower":
-        o = _coerce_tower(other)
-        out = [Fraction(0)] * 4
-        sc, oc = self.coeffs(), o.coeffs()
-        for i in range(4):
-            if sc[i] == 0:
-                continue
-            for j in range(4):
-                if oc[j] == 0:
-                    continue
-                k, f = _T_MUL[(i, j) if i <= j else (j, i)]
-                out[k] += sc[i] * oc[j] * f
-        return QTower(*out)
-
-    __rmul__ = __mul__
-
-    def conjugates(self) -> tuple["QTower", ...]:
-        """Images under the four sign choices on (sqrt2, sqrt3)."""
-        a, b, c, d = self.coeffs()
-        return (
-            QTower(a, b, c, d),
-            QTower(a, -b, c, -d),
-            QTower(a, b, -c, -d),
-            QTower(a, -b, -c, d),
-        )
-
-    def inverse(self) -> "QTower":
-        _, c1, c2, c3 = self.conjugates()
-        num = c1 * c2 * c3
-        den = self * num
-        if den.b != 0 or den.c != 0 or den.d != 0 or den.a == 0:
-            raise ZeroDivisionError("inverse failed; element is zero")
-        return QTower(*(x / den.a for x in num.coeffs()))
-
-    def __truediv__(self, other) -> "QTower":
-        return self * _coerce_tower(other).inverse()
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coeffs())
-
-    def __float__(self) -> float:
-        return (
-            float(self.a)
-            + float(self.b) * math.sqrt(2.0)
-            + float(self.c) * math.sqrt(3.0)
-            + float(self.d) * math.sqrt(6.0)
-        )
-
-    def __repr__(self) -> str:
-        names = ("", "*sqrt2", "*sqrt3", "*sqrt6")
-        parts = [f"{rat_to_str(x)}{n}" for x, n in zip(self.coeffs(), names) if x != 0]
-        return " + ".join(parts) if parts else "0"
-
-    @staticmethod
-    def from_qroot3(x: QRoot3) -> "QTower":
-        return QTower(x.r, 0, x.s, 0)
-
-
-def _coerce_tower(v) -> QTower:
-    if isinstance(v, QTower):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return QTower(v)
-    if isinstance(v, QRoot3):
-        return QTower.from_qroot3(v)
-    raise TypeError(f"cannot coerce {type(v).__name__} into Q(sqrt2, sqrt3)")
-
-
-# sin/cos of pi/12 and friends, used by the identity checks.
-SIN_PI_12 = QTower(0, Fraction(-1, 4), 0, Fraction(1, 4))   # (sqrt6 - sqrt2)/4
-COS_PI_12 = QTower(0, Fraction(1, 4), 0, Fraction(1, 4))    # (sqrt6 + sqrt2)/4
-SIN_PI_4 = QTower(0, Fraction(1, 2), 0, 0)                  # sqrt2/2
-SIN_2PI_3 = QTower(0, 0, Fraction(1, 2), 0)                 # sqrt3/2

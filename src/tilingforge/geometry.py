@@ -339,11 +339,6 @@ class AngleVec:
     def __repr__(self):
         return f"AngleVec({self.c!r}, {self.s!r})"
 
-    def less_than(self, other: "AngleVec") -> bool:
-        if self.rank != other.rank:
-            return self.rank < other.rank
-        return self.rank in (1, 3) and self._turn(other) > 0
-
     def compare(self, other: "AngleVec") -> int:
         """-1, 0 or +1 as this angle is smaller than, equal to or larger
         than other: one rank test and at most one cross product."""

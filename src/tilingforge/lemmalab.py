@@ -19,17 +19,14 @@ from typing import Callable, Optional
 
 from . import _poly
 from .exactnum import (
-    COS_PI_12,
-    SIN_2PI_3,
-    SIN_PI_4,
-    SIN_PI_12,
     CycloElem,
     GaloisMap,
-    QTower,
     euler_phi,
     galois_apply,
     prime_splitting,
+    rat_to_str,
     sin_as_cyclo,
+    sin_value,
 )
 
 
@@ -165,7 +162,7 @@ def _fmt_poly(p: _poly.Poly) -> str:
 
 def verify_minpoly_pi12() -> LemmaCheck:
     """sqrt3 = 2 - 4a^2, b = 3a - 4a^3, c = 1 - 2a^2 in Q[a]/(16a^4-16a^2+1),
-    cross-checked against the tower field with a = (sqrt6 - sqrt2)/4."""
+    cross-checked in Q(zeta_24) with a = sin(pi/12)."""
     a = _poly.make([0, 1])
     sqrt3 = _qring([2, 0, -4])
     b = _qring([0, 3, 0, -4])
@@ -177,16 +174,16 @@ def verify_minpoly_pi12() -> LemmaCheck:
         _entry("(1 - 2a^2)^2 = 3/4", "0",
                _fmt_poly(_poly.sub(_qring_mul(c, c), _poly.make([Fraction(3, 4)])))),
     ]
-    # second route: the same identities in Q(sqrt2, sqrt3)
-    at = SIN_PI_12
+    # second route: the same identities in Q(zeta_24), which holds Q(sqrt2, sqrt3)
+    at = sin_value(1, 24)
     a2 = at * at
-    quartic_val = 16 * (a2 * a2) - 16 * a2 + QTower(1)
+    quartic_val = 16 * (a2 * a2) - 16 * a2 + 1
     entries.append(_entry("16a^4 - 16a^2 + 1 at a = (sqrt6-sqrt2)/4", "0",
-                          "0" if quartic_val.is_zero() else repr(quartic_val)))
+                          "0" if quartic_val.is_zero() else _tower_repr(quartic_val)))
     entries.append(_entry("3a - 4a^3 equals sqrt2/2 in the tower", "0",
-                          "0" if (3 * at - 4 * (at * a2) - SIN_PI_4).is_zero() else "nonzero"))
+                          "0" if (3 * at - 4 * (at * a2) - sin_value(3, 24)).is_zero() else "nonzero"))
     entries.append(_entry("1 - 2a^2 equals sqrt3/2 in the tower", "0",
-                          "0" if (QTower(1) - 2 * a2 - SIN_2PI_3).is_zero() else "nonzero"))
+                          "0" if (1 - 2 * a2 - sin_value(8, 24)).is_zero() else "nonzero"))
     return _finish("minpoly-pi12", entries)
 
 
@@ -211,16 +208,36 @@ def verify_minpoly_pi12_area() -> LemmaCheck:
     return _finish("minpoly-pi12-area", entries)
 
 
+def _tower_repr(x: CycloElem) -> str:
+    """x in Q(sqrt2, sqrt3), the real subfield of Q(zeta_24), written in the
+    basis 1, sqrt2, sqrt3, sqrt6.
+
+    The maps zeta -> zeta^j for j = 1, 5, 7, 11 make the four sign choices
+    on (sqrt2, sqrt3), so the coefficient of e is the sum of the images of
+    x*e over them, divided by 4 e^2.  Q(zeta_24) is Q(sqrt2, sqrt3) plus i
+    times it, and an x with a nonzero i-part gives some e a sum in
+    i*sqrt6*Q, which is not rational: rational_value raises ValueError.
+    """
+    def trace(y: CycloElem) -> Fraction:
+        images = (galois_apply(y, GaloisMap(24, j)) for j in (1, 5, 7, 11))
+        return sum(images, CycloElem.zero(24)).rational_value()
+
+    sqrt2 = CycloElem.zeta_pow(24, 3) + CycloElem.zeta_pow(24, -3)  # 2 cos(pi/4)
+    sqrt3 = CycloElem.zeta_pow(24, 2) + CycloElem.zeta_pow(24, -2)  # 2 cos(pi/6)
+    basis = (("", CycloElem.one(24)), ("*sqrt2", sqrt2), ("*sqrt3", sqrt3), ("*sqrt6", sqrt2 * sqrt3))
+    coeffs = (trace(x * e) / trace(e * e) for _, e in basis)
+    parts = [f"{rat_to_str(c)}{name}" for c, (name, _) in zip(coeffs, basis) if c != 0]
+    return " + ".join(parts) if parts else "0"
+
+
 def verify_area_pi12() -> LemmaCheck:
-    """sin(pi/12) sin(pi/4) sin(2pi/3) = 3/8 - sqrt3/8 in Q(sqrt2, sqrt3)."""
-    product = SIN_PI_12 * SIN_PI_4 * SIN_2PI_3
-    expected = QTower(Fraction(3, 8), 0, Fraction(-1, 8), 0)
+    """sin(pi/12) sin(pi/4) sin(2pi/3) = 3/8 - sqrt3/8, computed in Q(zeta_24)."""
+    sin_pi_12 = sin_value(1, 24)
+    product = sin_pi_12 * sin_value(3, 24) * sin_value(8, 24)
     entries = [
-        _entry("sin(pi/12) = (sqrt6 - sqrt2)/4", repr(QTower(0, Fraction(-1, 4), 0, Fraction(1, 4))),
-               repr(SIN_PI_12)),
-        _entry("cos(pi/12) = (sqrt6 + sqrt2)/4", repr(QTower(0, Fraction(1, 4), 0, Fraction(1, 4))),
-               repr(COS_PI_12)),
-        _entry("sin(pi/12) sin(pi/4) sin(2pi/3)", repr(expected), repr(product)),
+        _entry("sin(pi/12) = (sqrt6 - sqrt2)/4", "-1/4*sqrt2 + 1/4*sqrt6", _tower_repr(sin_pi_12)),
+        _entry("cos(pi/12) = (sqrt6 + sqrt2)/4", "1/4*sqrt2 + 1/4*sqrt6", _tower_repr(sin_value(5, 24))),
+        _entry("sin(pi/12) sin(pi/4) sin(2pi/3)", "3/8 + -1/8*sqrt3", _tower_repr(product)),
     ]
     return _finish("area-pi12", entries)
 
@@ -389,18 +406,12 @@ def verify_reduction_second_system() -> LemmaCheck:
 # sigma actions in Q(zeta_24)
 
 
-def _sine24(m: int) -> CycloElem:
-    """The field element equal to the real number sin(m*pi/12) in Q(zeta_24)."""
-    two_i = 2 * CycloElem.zeta_pow(24, 6)
-    return sin_as_cyclo(m, 24) * two_i.inverse()
-
-
 def verify_sigma_actions() -> LemmaCheck:
     n = 24
     i = CycloElem.zeta_pow(n, 6)
-    sin_a, sin_b, sin_g = _sine24(1), _sine24(3), _sine24(8)
+    sin_a, sin_b, sin_g = sin_value(1, n), sin_value(3, n), sin_value(8, n)
     cos_a = (CycloElem.zeta_pow(n, 1) + CycloElem.zeta_pow(n, -1)) * Fraction(1, 2)
-    sqrt3 = 2 * _sine24(4)  # 2 sin(pi/3)
+    sqrt3 = 2 * sin_value(4, n)  # 2 sin(pi/3)
     s5, s7, s13 = (GaloisMap(n, j) for j in (5, 7, 13))
 
     def img(x, g):
@@ -413,7 +424,7 @@ def verify_sigma_actions() -> LemmaCheck:
         _entry("sigma5: sin(gamma) -> -sin(gamma)", "negated",
                "negated" if img(sin_g, s5) == -sin_g else "other"),
         _entry("sigma5: sin(alpha) -> sin(5 alpha) = cos(alpha)", "equal",
-               "equal" if img(sin_a, s5) == _sine24(5) == cos_a else "other"),
+               "equal" if img(sin_a, s5) == sin_value(5, n) == cos_a else "other"),
         _entry("sigma5 fixes sin(beta) sin(gamma)", "fixed",
                "fixed" if img(sin_b * sin_g, s5) == sin_b * sin_g else "moved"),
         _entry("sigma5: sqrt3 -> -sqrt3", "negated",
@@ -435,7 +446,7 @@ def verify_sigma_actions() -> LemmaCheck:
         _entry("sigma7: 2i sin(alpha) -> 2i sin(7 alpha) (element form)", "equal",
                "equal" if img(sin_as_cyclo(1, n), s7) == sin_as_cyclo(7, n) else "other"),
         _entry("sigma7: sin(alpha) -> -sin(7 alpha) = -cos(alpha)", "equal",
-               "equal" if img(sin_a, s7) == -_sine24(7) == -cos_a else "other"),
+               "equal" if img(sin_a, s7) == -sin_value(7, n) == -cos_a else "other"),
     ]
     return _finish("sigma-actions-24", entries)
 

@@ -195,7 +195,7 @@ def candidate_placements(
 
     out: list[Candidate] = []
     for name, phi, cos_v, sin_v, options in angles:
-        if theta.less_than(phi):
+        if theta.compare(phi) < 0:
             continue
         rest = theta.minus_rotation(cos_v, sin_v)
         if not rest.is_zero_mod_2pi() and not geom.angle_representable(rest):

@@ -226,7 +226,7 @@ def _next_edge(u, v, keys, strands, unused):
         ang = angle_at(v, u, strands[key][1])
         if ang.is_zero_mod_2pi():
             raise GeometryError("slit edge encountered during face walk")
-        if best_angle is None or best_angle.less_than(ang):
+        if best_angle is None or best_angle.compare(ang) < 0:
             best, best_angle = key, ang
     if best is None:
         raise GeometryError("open boundary during face walk")

@@ -25,13 +25,12 @@ from tilingforge.exactnum import (
     CycloElem,
     GaloisMap,
     QRoot3,
-    SIN_PI_4,
-    SIN_PI_12,
     SQRT3,
     euler_phi,
     galois_apply,
     norm,
     prime_splitting,
+    sin_value,
 )
 from tilingforge.lemmalab import (
     PRINTED_SYSTEM_1,
@@ -103,9 +102,9 @@ def test_criterion_3_lemma5_area_constant_as_recorded():
     chain, reference = check.details
     exact = "1/8 + -1/2*a^2"
     # Independent route: evaluate at a = sin(pi/12), b = sin(pi/4) in
-    # Q(sqrt2, sqrt3).  The quartic is the minimal polynomial of a, so a
+    # Q(zeta_24).  The quartic is the minimal polynomial of a, so a
     # reduced polynomial of degree < 4 is fixed by its value there.
-    a, b = SIN_PI_12, SIN_PI_4
+    a, b = sin_value(1, 24), sin_value(3, 24)
     half_ab = a * b * Fraction(1, 2)
     ok = (
         check.status == "fail"
@@ -117,7 +116,7 @@ def test_criterion_3_lemma5_area_constant_as_recorded():
         and half_ab != Fraction(1, 8) - a * a * Fraction(3, 2)
     )
     report(3, ok, "recorded 1/8 - 3/2 a^2 reported as a mismatch with the exact reduction "
-                  "1/8 - 1/2 a^2 of a*b/2, confirmed in Q(sqrt2, sqrt3)")
+                  "1/8 - 1/2 a^2 of a*b/2, confirmed in Q(zeta_24)")
 
 
 def test_criterion_4_reductions():

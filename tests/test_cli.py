@@ -3,6 +3,7 @@ import json
 from dataclasses import replace
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -91,6 +92,14 @@ def test_lemmas_verify_json(runner):
     data = json.loads(res.output)
     assert data[0]["id"] == "prime-splitting"
     assert data[0]["status"] == "pass"
+
+
+def test_lemmas_verify_json_matches_recorded_output(runner):
+    # the recorded stdout of `tiling-forge lemmas verify --format json`;
+    # the two errata checks fail, so the exit code is 1
+    res = runner.invoke(main, ["lemmas", "verify", "--format", "json"])
+    assert res.exit_code == 1
+    assert res.stdout_bytes == (Path(__file__).parent / "data" / "lemmas_verify.json").read_bytes()
 
 
 def test_search_check_render_roundtrip(runner, tmp_path):
@@ -195,6 +204,23 @@ def test_env_var_workers(runner, tmp_path, monkeypatch):
     res = runner.invoke(main, args)
     assert res.exit_code == 2 and _clean_exit(res), res.output
     assert seen == [2, 3, 1]
+
+
+@pytest.mark.parametrize("extra, env", [
+    (["--split-depth", "1", "--workers", "0"], None),
+    (["--split-depth", "1", "--workers", "-1"], None),
+    (["--split-depth", "1"], "0"),
+    (["--split-depth", "-1"], None),
+])
+def test_search_rejects_out_of_range_counts(runner, tmp_path, monkeypatch, extra, env):
+    # a usage error (exit 2) before any search, like a non-integer count
+    if env is not None:
+        monkeypatch.setenv("TILING_FORGE_WORKERS", env)
+    res = runner.invoke(main, ["search", "--sides", "1,1,sqrt3", "--target", "equilateral:sqrt3", *extra,
+                               "--cert-out", str(tmp_path / "c.json"),
+                               "--stats-out", str(tmp_path / "s.json")])
+    assert res.exit_code == 2 and _clean_exit(res), res.output
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_console_entrypoint():

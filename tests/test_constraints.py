@@ -181,7 +181,7 @@ def _sum_below_pi(steps):
     cur = AngleVec(QRoot3(1), QRoot3(0))
     for c, s in steps:
         nxt = cur.minus_rotation(c, -s)
-        if not cur.less_than(nxt):
+        if cur.compare(nxt) >= 0:
             return None
         cur = nxt
     return cur if qr3_sign(cur.s) > 0 else None

@@ -16,6 +16,7 @@ from tilingforge.exactnum import (
     galois_apply,
     norm,
     sin_as_cyclo,
+    sin_value,
 )
 
 
@@ -56,6 +57,17 @@ def test_sin_as_cyclo():
     expected = 2j * math.sin(2 * math.pi / 15)
     assert abs(got - expected) < 1e-9
     assert float_crosscheck(sin_as_cyclo(2, 30), expected)
+
+
+def test_sin_value_is_the_real_sine():
+    for m in range(24):
+        got = sin_value(m, 24).to_complex()
+        assert abs(got - math.sin(2 * math.pi * m / 24)) < 1e-12, m
+
+
+def test_sin_value_needs_i_in_the_field():
+    with pytest.raises(ValueError):
+        sin_value(1, 18)
 
 
 def test_galois_examples():

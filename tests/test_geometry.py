@@ -380,15 +380,15 @@ def test_angle_vec_matches_reference(p, q, k):
     a, b, ra, rb = AngleVec(*p), AngleVec(*q), RefAngle(*p), RefAngle(*q)
     assert a._band() == ra.band()
     assert a.is_zero_mod_2pi() == (ra.band() == 3) and a.is_reflex() == (ra.band() == 2)
-    assert a.less_than(b) == ra.less_than(rb)
-    assert b.less_than(a) == rb.less_than(ra)
+    assert (a.compare(b) < 0) == ra.less_than(rb)
+    assert (b.compare(a) < 0) == rb.less_than(ra)
     assert (a == b) == ra.equals(rb)
     assert a.ray_key() == ra.ray_key()
     assert a._turn(b) == ra.turn(rb)
     # the same angle from a positive multiple of the same vector
     scaled = AngleVec(p[0] * k, p[1] * k)
     assert scaled == a and scaled.ray_key() == a.ray_key() and scaled._band() == a._band()
-    assert not scaled.less_than(a) and not a.less_than(scaled)
+    assert scaled.compare(a) == 0 == a.compare(scaled)
     assert RefAngle(scaled.c, scaled.s).equals(ra)
 
 
@@ -399,7 +399,6 @@ def test_angle_compare_matches_reference(p, q, k):
     want = -1 if ra.less_than(rb) else 1 if rb.less_than(ra) else 0
     assert (want == 0) == ra.equals(rb)
     assert a.compare(b) == want and b.compare(a) == -want
-    assert a.compare(b) == (-1 if a.less_than(b) else 0 if a == b else 1)
     assert a.compare(AngleVec(p[0] * k, p[1] * k)) == 0
 
 

@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from tilingforge.exactnum import CycloElem, sin_value
 from tilingforge.lemmalab import (
     CHECKS,
+    _tower_repr,
     reduction_systems,
     run_checks,
     sine_product_value,
@@ -59,6 +61,36 @@ def test_minpoly_pi12_area_reports_reference_mismatch():
 
 def test_area_pi12_pass():
     assert verify_area_pi12().status == "pass"
+
+
+SQRT2_24, SQRT3_24 = 2 * sin_value(3, 24), 2 * sin_value(8, 24)  # 2 sin(pi/4), 2 sin(2pi/3)
+
+
+@pytest.mark.parametrize("a, b, c, d, text", [
+    (0, 0, 0, 0, "0"),
+    (1, 0, 0, 0, "1"),
+    (0, Fraction(-1, 4), 0, Fraction(1, 4), "-1/4*sqrt2 + 1/4*sqrt6"),
+    (Fraction(3, 8), 0, Fraction(-1, 8), 0, "3/8 + -1/8*sqrt3"),
+    (-2, Fraction(5, 3), Fraction(-7, 2), 1, "-2 + 5/3*sqrt2 + -7/2*sqrt3 + 1*sqrt6"),
+])
+def test_tower_repr_round_trip(a, b, c, d, text):
+    x = a + b * SQRT2_24 + c * SQRT3_24 + d * (SQRT2_24 * SQRT3_24)
+    assert _tower_repr(x) == text
+
+
+def test_tower_repr_basis_products():
+    s2, s3 = SQRT2_24, SQRT3_24
+    s6 = s2 * s3
+    assert [_tower_repr(v) for v in (s6, s2 * s2, s3 * s3, s6 * s6, s2 * s6, s3 * s6)] == [
+        "1*sqrt6", "2", "3", "6", "2*sqrt3", "3*sqrt2"]
+
+
+@pytest.mark.parametrize("x", [CycloElem.zeta_pow(24, 6), SQRT2_24 + CycloElem.zeta_pow(24, 6) * SQRT3_24,
+                               CycloElem.zeta_pow(24, 1)])
+def test_tower_repr_rejects_elements_outside_the_real_subfield(x):
+    # i, sqrt2 + i*sqrt3, zeta
+    with pytest.raises(ValueError):
+        _tower_repr(x)
 
 
 def _sympy_reduction():

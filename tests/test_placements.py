@@ -150,7 +150,7 @@ def _reference_candidates(region, corner, geom, allow_mirror, check_fit):
     next_angle_reflex = region.interior_angle((corner + 1) % len(region)).is_reflex()
     out, seen = [], set()
     for name, cos_v, sin_v, e1, e2 in geom.angles:
-        if theta.less_than(geometry.AngleVec(cos_v, sin_v)):
+        if theta.compare(geometry.AngleVec(cos_v, sin_v)) < 0:
             continue
         rest = theta.minus_rotation(cos_v, sin_v)
         if not rest.is_zero_mod_2pi() and not geom.angle_representable(rest):

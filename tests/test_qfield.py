@@ -8,7 +8,6 @@ from tilingforge.exactnum import (
     QR3_ONE,
     SQRT3,
     QRoot3,
-    QTower,
     qr3_sign,
     rat_from_str,
     rat_to_str,
@@ -20,10 +19,6 @@ rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4)
 
 def qroot3s():
     return st.builds(QRoot3, rationals, rationals)
-
-
-def qtowers():
-    return st.builds(QTower, rationals, rationals, rationals, rationals)
 
 
 def test_sign_cases():
@@ -72,27 +67,6 @@ def test_qroot3_field_axioms(x, y, z):
     assert x * y == y * x
     if not x.is_zero():
         assert x * x.inverse() == QR3_ONE
-
-
-@settings(max_examples=100)
-@given(qtowers(), qtowers(), qtowers())
-def test_qtower_field_axioms(x, y, z):
-    assert (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z
-    if not x.is_zero():
-        assert x * x.inverse() == QTower(1)
-
-
-def test_qtower_basis_products():
-    s2 = QTower(0, 1, 0, 0)
-    s3 = QTower(0, 0, 1, 0)
-    s6 = QTower(0, 0, 0, 1)
-    assert s2 * s3 == s6
-    assert s2 * s2 == QTower(2)
-    assert s3 * s3 == QTower(3)
-    assert s6 * s6 == QTower(6)
-    assert s2 * s6 == 2 * s3
-    assert s3 * s6 == 3 * s2
 
 
 def test_division():

@@ -174,7 +174,7 @@ def _ref_subtract(region, tri):
             outs = sorted((e for e in unused if e[0] == cur[1]), key=lambda e: e[1].lex_key())
             best = outs[0]
             for e in outs[1:]:
-                if angle_at(cur[1], cur[0], best[1]).less_than(angle_at(cur[1], cur[0], e[1])):
+                if angle_at(cur[1], cur[0], best[1]).compare(angle_at(cur[1], cur[0], e[1])) < 0:
                     best = e
             unused.discard(best)
             cur = best

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from tilingforge.constraints import triangle_spec
+from tilingforge.cli import parse_sides, parse_target
+from tilingforge.constraints import tile_angle_sums, triangle_spec
 from tilingforge.exactnum import QRoot3, SQRT3
 from tilingforge.geometry import Point
 from tilingforge.search import engine
@@ -77,6 +78,18 @@ def test_budget_and_checkpoint_resume(tmp_path):
     assert resumed.status == "exhausted"
     full = TilingSearch(T357, tri, SearchConfig()).run()
     assert resumed.stats.nodes == full.stats.nodes
+
+
+def test_tile_angle_sums_enumerated_once_per_tile(tmp_path):
+    # the target's corners, the candidate filter and the resume check all
+    # read the one enumeration of the tile's angle sums
+    tile_angle_sums.cache_clear()
+    tile = tile_from_sides(*parse_sides("3,5,7"))
+    tri = parse_target("equilateral:15", tile)
+    ck = str(tmp_path / "ck.json")
+    assert run_search(tile, tri, SearchConfig(node_budget=20, checkpoint_path=ck)).status == "budget"
+    assert resume_from_checkpoint(ck, SearchConfig(node_budget=40)).status == "budget"
+    assert tile_angle_sums.cache_info().misses == 1
 
 
 def test_resume_matches_direct_partial_state(tmp_path):
