@@ -21,20 +21,12 @@ def make(coeffs: Iterable) -> Poly:
     return tuple(out)
 
 
-def zero() -> Poly:
-    return ()
-
-
 def one() -> Poly:
     return (Fraction(1),)
 
 
 def x_pow(k: int) -> Poly:
     return make([0] * k + [1])
-
-
-def degree(p: Poly) -> int:
-    return len(p) - 1
 
 
 def add(p: Poly, q: Poly) -> Poly:

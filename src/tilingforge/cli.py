@@ -226,7 +226,7 @@ def lemmas_verify(ids, fmt):
 @main.command()
 @click.option("--sides", default=None, help="tile sides (required unless --resume)")
 @click.option("--target", "target_text", default=None, help="target triangle (required unless --resume)")
-@click.option("--node-budget", default=10**8, show_default=True)
+@click.option("--node-budget", default=10**8, type=click.IntRange(min=1), show_default=True)
 @click.option("--workers", default=1, type=click.IntRange(min=1), envvar="TILING_FORGE_WORKERS",
               show_default=True, help="worker processes (or TILING_FORGE_WORKERS)")
 @click.option("--split-depth", default=0, type=click.IntRange(min=0), show_default=True,

@@ -163,7 +163,6 @@ def _fmt_poly(p: _poly.Poly) -> str:
 def verify_minpoly_pi12() -> LemmaCheck:
     """sqrt3 = 2 - 4a^2, b = 3a - 4a^3, c = 1 - 2a^2 in Q[a]/(16a^4-16a^2+1),
     cross-checked in Q(zeta_24) with a = sin(pi/12)."""
-    a = _poly.make([0, 1])
     sqrt3 = _qring([2, 0, -4])
     b = _qring([0, 3, 0, -4])
     c = _qring([1, 0, -2])
@@ -246,72 +245,21 @@ def verify_area_pi12() -> LemmaCheck:
 # the two zeta-reductions at n = 18
 
 
-_VARS = ("p", "q", "r", "m", "n", "l")
-
-
-class VarPoly:
-    """Sparse polynomial in (p, q, r, m, n, l) with CycloElem coefficients."""
-
-    def __init__(self, n: int, terms: Optional[dict] = None):
-        self.n = n
-        self.terms: dict[tuple[int, ...], CycloElem] = terms or {}
-
-    @staticmethod
-    def var(n: int, name: str) -> "VarPoly":
-        expo = tuple(1 if v == name else 0 for v in _VARS)
-        return VarPoly(n, {expo: CycloElem.one(n)})
-
-    @staticmethod
-    def scalar(n: int, c: CycloElem) -> "VarPoly":
-        return VarPoly(n, {(0,) * len(_VARS): c})
-
-    def _add_term(self, expo, coeff):
-        cur = self.terms.get(expo)
-        new = coeff if cur is None else cur + coeff
-        if new.is_zero():
-            self.terms.pop(expo, None)
-        else:
-            self.terms[expo] = new
-
-    def __add__(self, other: "VarPoly") -> "VarPoly":
-        out = VarPoly(self.n, dict(self.terms))
-        for e, c in other.terms.items():
-            out._add_term(e, c)
-        return out
-
-    def __sub__(self, other: "VarPoly") -> "VarPoly":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, k) -> "VarPoly":
-        return VarPoly(self.n, {e: c * k for e, c in self.terms.items()})
-
-    def scale_elem(self, k: CycloElem) -> "VarPoly":
-        return VarPoly(self.n, {e: c * k for e, c in self.terms.items() if not (c * k).is_zero()})
-
-    def __mul__(self, other: "VarPoly") -> "VarPoly":
-        out = VarPoly(self.n)
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                out._add_term(tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return out
-
-    def zeta_coefficient_tables(self) -> list[dict[str, int]]:
-        """For each zeta-power slot, the integer polynomial in the variables,
-        keyed by monomial name like 'mp' (letters sorted to a canonical key)."""
-        phi = euler_phi(self.n)
-        tables: list[dict[str, int]] = [dict() for _ in range(phi)]
-        for expo, coeff in self.terms.items():
-            name = "".join(sorted(v * k for v, k in zip(_VARS, expo)))
-            for t, c in enumerate(coeff.coeffs):
-                if c != 0:
-                    if c.denominator != 1:
-                        raise AssertionError("non-integer reduction coefficient")
-                    tables[t][name] = tables[t].get(name, 0) + c.numerator
-        return [dict(sorted(t.items())) for t in tables]
-
-
 def _fmt_table(t: dict[str, int]) -> str:
     return " ".join(f"{'+' if v >= 0 else ''}{v}{k}" for k, v in sorted(t.items())) or "0"
+
+
+def _int_tables(n: int, coeffs: dict[str, CycloElem]) -> list[dict[str, int]]:
+    """For each zeta-power slot of Q[zeta_n], the integer coefficient of
+    each named monomial, keys in sorted order."""
+    tables: list[dict[str, int]] = [dict() for _ in range(euler_phi(n))]
+    for name, coeff in sorted(coeffs.items()):
+        for t, c in enumerate(coeff.coeffs):
+            if c != 0:
+                if c.denominator != 1:
+                    raise AssertionError("non-integer reduction coefficient")
+                tables[t][name] = c.numerator
+    return tables
 
 
 def reduction_systems() -> tuple[list[dict[str, int]], list[dict[str, int]]]:
@@ -321,22 +269,22 @@ def reduction_systems() -> tuple[list[dict[str, int]], list[dict[str, int]]]:
     U = pA + qB + rC, V = mA + nB + lC, U* = pD - qA - rC, V* = mD - nA - lC,
     the two systems are zeta^14 (A U V - B U* V*) and zeta^16 (A U* V* + D U V),
     reduced in Q[zeta_18]; each returns six integer coefficient tables.
+    Both systems are bilinear in (p, q, r) and (m, n, l), so the coefficient
+    of x*y is the system with U, U* replaced by the coefficients of x in them
+    and V, V* by those of y.  The nine monomials x*y have distinct names, so
+    no two of these coefficients add up.
     """
     n = 18
-    A = VarPoly.scalar(n, sin_as_cyclo(1, n))
-    B = VarPoly.scalar(n, sin_as_cyclo(2, n))
-    C = VarPoly.scalar(n, sin_as_cyclo(3, n))
-    D = VarPoly.scalar(n, sin_as_cyclo(4, n))
-    p, q, r, m, nn, l = (VarPoly.var(n, v) for v in _VARS)
-    U = (p * A) + (q * B) + (r * C)
-    V = (m * A) + (nn * B) + (l * C)
-    Us = (p * D) - (q * A) - (r * C)
-    Vs = (m * D) - (nn * A) - (l * C)
-    s1 = (A * U * V) - (B * Us * Vs)
-    s2 = (A * Us * Vs) + (D * U * V)
-    s1 = s1.scale_elem(CycloElem.zeta_pow(n, 14))
-    s2 = s2.scale_elem(CycloElem.zeta_pow(n, 16))
-    return (s1.zeta_coefficient_tables(), s2.zeta_coefficient_tables())
+    A, B, C, D = (sin_as_cyclo(k, n) for k in (1, 2, 3, 4))
+    u, us = (A, B, C), (D, -A, -C)  # coefficients of p, q, r in U and U*
+    s1: dict[str, CycloElem] = {}
+    s2: dict[str, CycloElem] = {}
+    for i, x in enumerate("pqr"):
+        for j, y in enumerate("mnl"):
+            name = "".join(sorted(x + y))
+            s1[name] = CycloElem.zeta_pow(n, 14) * (A * u[i] * u[j] - B * us[i] * us[j])
+            s2[name] = CycloElem.zeta_pow(n, 16) * (A * us[i] * us[j] + D * u[i] * u[j])
+    return _int_tables(n, s1), _int_tables(n, s2)
 
 
 # Recorded reference tables.  In the first system the slots for zeta^2,
@@ -362,15 +310,11 @@ PRINTED_SYSTEM_2 = [
 ]
 
 
-def _canon_table(t: dict[str, int]) -> dict[str, int]:
-    return {("".join(sorted(k))): v for k, v in t.items()}
-
-
 def _reduction_check(check_id: str, computed, printed, extra: list[CheckEntry]) -> LemmaCheck:
     entries = []
     for t, (got, ref) in enumerate(zip(computed, printed)):
         entries.append(
-            _entry(f"coefficient of zeta^{t}", _fmt_table(_canon_table(ref)), _fmt_table(got))
+            _entry(f"coefficient of zeta^{t}", _fmt_table(ref), _fmt_table(got))
         )
     entries.extend(extra)
     return _finish(check_id, entries)

@@ -120,8 +120,8 @@ class TilingSearch:
                                      allow_mirror=self.config.allow_mirror)
         if self._pruning_active:
             keys = self._corner_keys
-            used = Counter(p.angle_name for p in placements if p.corner.lex_key() in keys)
-            cands = [c for c in cands if c.corner.lex_key() not in keys
+            used = Counter(p.angle_name for p in placements if p.placement.vertices[0].lex_key() in keys)
+            cands = [c for c in cands if c.placement.vertices[0].lex_key() not in keys
                      or (c.angle_name != "gamma" and used[c.angle_name] < 3)]
         return cands
 

@@ -53,8 +53,7 @@ class Placement:
 
 @dataclass(frozen=True)
 class Candidate:
-    placement: Placement
-    corner: Point
+    placement: Placement  # its first vertex is the corner
     angle_name: str  # which tile angle sits at the corner
     # the region left once the placement is made; None if it does not fit
     remainder: Optional[list[Polygon]] = field(compare=False)
@@ -211,5 +210,5 @@ def candidate_placements(
             remainder = place(region, placement_vertices)
             if check_fit and remainder is None:
                 continue
-            out.append(Candidate(Placement(placement_vertices, mirrored), v, name, remainder))
+            out.append(Candidate(Placement(placement_vertices, mirrored), name, remainder))
     return out

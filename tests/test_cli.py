@@ -211,6 +211,8 @@ def test_env_var_workers(runner, tmp_path, monkeypatch):
     (["--split-depth", "1", "--workers", "-1"], None),
     (["--split-depth", "1"], "0"),
     (["--split-depth", "-1"], None),
+    (["--node-budget", "0"], None),
+    (["--node-budget", "-5"], None),
 ])
 def test_search_rejects_out_of_range_counts(runner, tmp_path, monkeypatch, extra, env):
     # a usage error (exit 2) before any search, like a non-integer count

@@ -6,6 +6,8 @@ import sympy
 from tilingforge.exactnum import CycloElem, sin_value
 from tilingforge.lemmalab import (
     CHECKS,
+    PRINTED_SYSTEM_1,
+    PRINTED_SYSTEM_2,
     _tower_repr,
     reduction_systems,
     run_checks,
@@ -155,6 +157,19 @@ def test_reduction_first_system_reports_garbled_lines():
     assert not by_name["coefficient of zeta^2"].ok  # recorded -1 nq, computed -2 nq
     assert by_name["zeta^0 - zeta^5 = -3(lp + mr + nq + lr)"].ok
     assert by_name["zeta^2 = -2 zeta^5"].ok
+
+
+def test_table_keys_are_sorted_products_of_two_letters():
+    # the recorded tables are compared to the computed ones as written, so a
+    # key must already be in the computed form: one of p, q, r and one of
+    # m, n, l, letters sorted
+    products = {"".join(sorted(x + y)) for x in "pqr" for y in "mnl"}
+    assert len(products) == 9
+    for table in PRINTED_SYSTEM_1 + PRINTED_SYSTEM_2:
+        for key in table:
+            assert key == "".join(sorted(key)) and key in products, key
+    for table in [t for system in reduction_systems() for t in system]:
+        assert list(table) == sorted(table) and set(table) <= products
 
 
 def test_sigma_actions_pass():

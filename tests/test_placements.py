@@ -65,7 +65,7 @@ def test_length_4_edge_has_no_candidates():
     geom = TileGeometry(T357)
     corner = [i for i in range(4) if region.vertices[i] == pt(0, 0)][0]
     cands = candidate_placements(region, corner, geom, allow_mirror=True)
-    assert [c for c in cands if c.corner == pt(0, 0)] == []
+    assert [c for c in cands if c.placement.vertices[0] == pt(0, 0)] == []
 
 
 def test_length_representability():
@@ -173,12 +173,12 @@ def _reference_candidates(region, corner, geom, allow_mirror, check_fit):
             if check_fit and remainder is None:
                 continue
             seen.add(key)
-            out.append(Candidate(Placement(tri, mirrored), v, name, remainder))
+            out.append(Candidate(Placement(tri, mirrored), name, remainder))
     return out
 
 
 def _summary(cands):
-    return [(c.placement.vertices, c.placement.mirrored, c.corner, c.angle_name,
+    return [(c.placement.vertices, c.placement.mirrored, c.angle_name,
              None if c.remainder is None else [r.vertices for r in c.remainder]) for c in cands]
 
 

@@ -15,7 +15,7 @@ from tilingforge.search.engine import (
     resume_from_checkpoint,
     run_search,
 )
-from tilingforge.search.placements import Candidate
+from tilingforge.search.placements import Candidate, Placement
 from tilingforge.tilealgebra import tile_from_sides
 
 ISO = tile_from_sides(1, 1, SQRT3)
@@ -205,14 +205,18 @@ def test_splitting_cap_counts_the_placements(monkeypatch):
     s = TilingSearch(T357, tri_eq(T357, QRoot3(15)), SearchConfig(paper_pruning=True))
     assert s._pruning_active
     corner, inner = s.target_vertices[0], Point(QRoot3(1), QRoot3(1))
-    synthetic = [Candidate(None, p, name, []) for p in (corner, inner) for name in ("alpha", "beta", "gamma")]
+
+    def cand(p, name):  # a candidate with its corner p
+        return Candidate(Placement((p, p, p), False), name, [])
+
+    synthetic = [cand(p, name) for p in (corner, inner) for name in ("alpha", "beta", "gamma")]
     monkeypatch.setattr(engine, "candidate_placements", lambda *args, **kwargs: synthetic)
 
     def allowed(placed):
-        return {(c.corner == corner, c.angle_name) for c in s._expand((s.initial,), placed)}
+        return {(c.placement.vertices[0] == corner, c.angle_name) for c in s._expand((s.initial,), placed)}
 
-    at = {name: Candidate(None, corner, name, []) for name in ("alpha", "beta", "gamma")}
-    off = Candidate(None, inner, "alpha", [])
+    at = {name: cand(corner, name) for name in ("alpha", "beta", "gamma")}
+    off = cand(inner, "alpha")
     anywhere = {(False, "alpha"), (False, "beta"), (False, "gamma")}
     assert allowed([]) == anywhere | {(True, "alpha"), (True, "beta")}
     assert allowed([at["alpha"]] * 2 + [off] * 5) == anywhere | {(True, "alpha"), (True, "beta")}
