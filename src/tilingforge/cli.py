@@ -96,7 +96,8 @@ def tile():
 
 @tile.command("analyze")
 @click.option("--sides", required=True, help="a,b,c with c opposite the 120-degree angle")
-@click.option("--max-j", default=12, show_default=True, help="edge-relation search bound")
+@click.option("--max-j", default=12, type=click.IntRange(min=1), show_default=True,
+              help="edge-relation search bound")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def tile_analyze(sides, max_j, fmt):
     """Exact shape data, classification and edge relations of a tile."""

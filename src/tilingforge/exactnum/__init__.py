@@ -17,9 +17,10 @@ from .cyclo import (
     GaloisMap,
     cyclo_reduce,
     cyclotomic_poly,
-    float_crosscheck,
     galois_apply,
     norm,
+    poly_divmod,
+    poly_mul,
     sin_as_cyclo,
     sin_value,
 )
@@ -45,7 +46,8 @@ __all__ = [
     "sin_value",
     "galois_apply",
     "norm",
-    "float_crosscheck",
+    "poly_divmod",
+    "poly_mul",
     "euler_phi",
     "is_prime",
     "multiplicative_order",

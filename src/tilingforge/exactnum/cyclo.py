@@ -16,37 +16,61 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .. import _poly
 from .numth import euler_phi
+
+
+def poly_mul(p: Sequence, q: Sequence) -> list:
+    """Product of two coefficient lists (constant term first)."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a == 0:
+            continue
+        for j, b in enumerate(q):
+            if b == 0:
+                continue
+            out[i + j] += a * b
+    return out
+
+
+def poly_divmod(num: Sequence, monic_den: Sequence) -> tuple[list, list]:
+    """Quotient and remainder of num by a monic polynomial, both constant
+    term first; the remainder has deg(den) coefficients.  Only products and
+    differences of the inputs are formed, so int and Fraction coefficients
+    stay exact and int stays int."""
+    if monic_den[-1] != 1:
+        raise ValueError("divisor must be monic")
+    d = len(monic_den) - 1
+    rem = list(num) + [0] * (d - len(num))
+    quot = [0] * max(len(num) - d, 0)
+    for k in reversed(range(len(quot))):
+        c = quot[k] = rem[k + d]
+        if c:
+            for i, t in enumerate(monic_den):
+                rem[k + i] -= c * t
+    return quot, rem[:d]
 
 
 @functools.cache
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients (constant first) of Phi_n, by exact recursive division.
-
-    Phi_n = (x^n - 1) / prod of Phi_d over proper divisors d of n.
-    """
+    """Coefficients (constant first) of Phi_n: x^n - 1 divided in turn by
+    Phi_d for each proper divisor d of n, every division exact."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    num = _poly.sub(_poly.x_pow(n), _poly.one())
-    den = _poly.one()
+    num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            den = _poly.mul(den, _poly.make(cyclotomic_poly(d)))
-    return _poly.int_coeffs(_poly.div_exact(num, den))
+            num, rem = poly_divmod(num, cyclotomic_poly(d))
+            assert not any(rem), f"Phi_{d} does not divide x^{n} - 1"
+    return tuple(num)
 
 
 @functools.cache
 def _reduction_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
     """table[e] = coefficient vector of x^e mod Phi_n, for 0 <= e < n."""
-    phi = euler_phi(n)
-    phi_poly = _poly.make(cyclotomic_poly(n))
-    table = []
-    for e in range(n):
-        _, rem = _poly.divmod_poly(_poly.x_pow(e), phi_poly)
-        row = list(rem) + [Fraction(0)] * (phi - len(rem))
-        table.append(tuple(row))
-    return tuple(table)
+    phi_poly = cyclotomic_poly(n)
+    return tuple(
+        tuple(map(Fraction, poly_divmod([0] * e + [1], phi_poly)[1])) for e in range(n)
+    )
 
 
 def _pad(coeffs: Sequence[Fraction], phi: int) -> tuple[Fraction, ...]:
@@ -116,45 +140,9 @@ class CycloElem:
         if isinstance(other, (int, Fraction)):
             return CycloElem(self.n, tuple(Fraction(other) * a for a in self.coeffs))
         self._check(other)
-        phi = euler_phi(self.n)
-        prod = [Fraction(0)] * (2 * phi - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b == 0:
-                    continue
-                prod[i + j] += a * b
-        return cyclo_reduce(prod, self.n)
+        return cyclo_reduce(poly_mul(self.coeffs, other.coeffs), self.n)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers not supported; use inverse()")
-        acc, base = CycloElem.one(self.n), self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
-
-    def inverse(self) -> "CycloElem":
-        """Inverse via the Galois product: x^-1 = (prod of conjugates) / norm."""
-        if self.is_zero():
-            raise ZeroDivisionError("zero element of Q[zeta]")
-        rest = CycloElem.one(self.n)
-        for j in range(1, self.n + 1):
-            if math.gcd(j, self.n) == 1 and j != 1:
-                rest = rest * galois_apply(self, GaloisMap(self.n, j))
-        nrm = (self * rest).rational_value()
-        return rest * (Fraction(1) / nrm)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        return self * other.inverse()
 
     # -- queries ----------------------------------------------------------------
 
@@ -196,11 +184,6 @@ class GaloisMap:
     def __post_init__(self):
         if math.gcd(self.j, self.n) != 1:
             raise ValueError(f"j={self.j} is not coprime to n={self.n}")
-
-    def compose(self, other: "GaloisMap") -> "GaloisMap":
-        if self.n != other.n:
-            raise ValueError("mixed cyclotomic orders")
-        return GaloisMap(self.n, (self.j * other.j) % self.n)
 
 
 def cyclo_reduce(coeffs: Sequence, n: int) -> CycloElem:
@@ -254,10 +237,3 @@ def norm(x: CycloElem) -> Fraction:
     if not acc.is_rational():
         raise AssertionError(f"Galois product is not rational: {acc}")
     return acc.rational_value()
-
-
-def float_crosscheck(x: CycloElem, expected: complex, rel_tol: float = 1e-9) -> bool:
-    """Compare the complex evaluation of x at zeta = e^(2*pi*i/n) to expected."""
-    got = x.to_complex()
-    scale = max(abs(expected), 1.0)
-    return abs(got - expected) <= rel_tol * scale

@@ -17,12 +17,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from . import _poly
 from .exactnum import (
     CycloElem,
     GaloisMap,
     euler_phi,
     galois_apply,
+    poly_divmod,
+    poly_mul,
     prime_splitting,
     rat_to_str,
     sin_as_cyclo,
@@ -135,29 +136,27 @@ def verify_prime_splitting_facts() -> LemmaCheck:
 # the quartic ring of a = sin(pi/12)
 
 
-_QUARTIC = _poly.make([1, 0, -16, 0, 16])  # 16 a^4 - 16 a^2 + 1
+_QUARTIC = (Fraction(1, 16), 0, -1, 0, 1)  # a^4 - a^2 + 1/16, i.e. (16 a^4 - 16 a^2 + 1) / 16
 
 
-def _qring(coeffs) -> _poly.Poly:
+def _qring(coeffs) -> list:
     """Reduce a polynomial in a modulo the quartic."""
-    _, rem = _poly.divmod_poly(_poly.make(coeffs), _QUARTIC)
-    return rem
+    return poly_divmod(coeffs, _QUARTIC)[1]
 
 
-def _qring_mul(p, q) -> _poly.Poly:
-    _, rem = _poly.divmod_poly(_poly.mul(p, q), _QUARTIC)
-    return rem
+def _qring_mul(p, q) -> list:
+    return _qring(poly_mul(p, q))
 
 
-def _fmt_poly(p: _poly.Poly) -> str:
-    if not p:
-        return "0"
+def _fmt_poly(p, minus=0) -> str:
+    """p - minus, for a rational minus, as a sum of its nonzero terms."""
+    p = [p[0] - minus, *p[1:]]
     terms = []
     for e, c in enumerate(p):
         if c == 0:
             continue
         terms.append(f"{c}" if e == 0 else (f"{c}*a" if e == 1 else f"{c}*a^{e}"))
-    return " + ".join(terms)
+    return " + ".join(terms) or "0"
 
 
 def verify_minpoly_pi12() -> LemmaCheck:
@@ -167,11 +166,11 @@ def verify_minpoly_pi12() -> LemmaCheck:
     b = _qring([0, 3, 0, -4])
     c = _qring([1, 0, -2])
     entries = [
-        _entry("(2 - 4a^2)^2 = 3", "0", _fmt_poly(_poly.sub(_qring_mul(sqrt3, sqrt3), _poly.make([3])))),
+        _entry("(2 - 4a^2)^2 = 3", "0", _fmt_poly(_qring_mul(sqrt3, sqrt3), minus=3)),
         _entry("(3a - 4a^3)^2 = 1/2", "0",
-               _fmt_poly(_poly.sub(_qring_mul(b, b), _poly.make([Fraction(1, 2)])))),
+               _fmt_poly(_qring_mul(b, b), minus=Fraction(1, 2))),
         _entry("(1 - 2a^2)^2 = 3/4", "0",
-               _fmt_poly(_poly.sub(_qring_mul(c, c), _poly.make([Fraction(3, 4)])))),
+               _fmt_poly(_qring_mul(c, c), minus=Fraction(3, 4))),
     ]
     # second route: the same identities in Q(zeta_24), which holds Q(sqrt2, sqrt3)
     at = sin_value(1, 24)
@@ -194,11 +193,10 @@ def verify_minpoly_pi12_area() -> LemmaCheck:
     reference does not match it, and this check reports the difference
     rather than adjusting either side.
     """
-    a = _poly.make([0, 1])
     b = _qring([0, 3, 0, -4])
-    half_ab = _qring_mul(_poly.mul(a, _poly.make([Fraction(1, 2)])), b)
+    half_ab = _qring_mul([0, Fraction(1, 2)], b)  # (a/2) * b
     chain = _qring([0, 0, Fraction(3, 2), 0, -2])  # 3/2 a^2 - 2 a^4, reduced
-    reference = _poly.make([Fraction(1, 8), 0, Fraction(-3, 2)])
+    reference = [Fraction(1, 8), 0, Fraction(-3, 2)]
     entries = [
         _entry("chain step: a*b/2 = 3/2 a^2 - 2 a^4", _fmt_poly(chain), _fmt_poly(half_ab)),
         _entry("reference constant 1/8 - 3/2 a^2 for a*b/2",

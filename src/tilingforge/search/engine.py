@@ -31,6 +31,7 @@ from .placements import Candidate, TileGeometry, candidate_placements, select_co
 from .region import Polygon
 
 CHECKPOINT_SCHEMA = "v1"
+CHECKPOINT_INTERVAL = 100_000  # nodes between periodic checkpoints
 
 
 @dataclass
@@ -41,7 +42,6 @@ class SearchConfig:
     allow_mirror: bool = True
     paper_pruning: bool = False
     checkpoint_path: Optional[str] = None
-    checkpoint_interval: int = 100_000
 
     def to_json(self) -> dict:
         return {
@@ -209,7 +209,7 @@ class TilingSearch:
             if nodes >= budget:
                 status, path = "budget", self._maybe_checkpoint(stack, nodes)
                 break
-            if cfg.checkpoint_path and nodes % cfg.checkpoint_interval == 0:
+            if cfg.checkpoint_path and nodes % CHECKPOINT_INTERVAL == 0:
                 self._maybe_checkpoint(stack, nodes)
             tiling = next(steps, False)  # False: the walk is over
             if tiling is False:

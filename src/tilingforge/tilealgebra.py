@@ -321,17 +321,23 @@ def classify_tile(tile: TileShape) -> TileReport:
     return TileReport(integer_similar, False, None)
 
 
-def find_eisenstein_parameters(
-    a: int, b: int, c: int, bound: int = 60
-) -> Optional[tuple[int, int, Fraction]]:
+def find_eisenstein_parameters(a: int, b: int, c: int) -> Optional[tuple[int, int, Fraction]]:
     """(m, n, k) with (a, b, c) = k * eisenstein_triple(m, n) (or with the
-    first two sides swapped), if the tile admits the parametrization."""
-    for m in range(2, bound):
-        for n in range(1, m):
-            if math.gcd(m, n) != 1:
-                continue
-            ta, tb, tc = eisenstein_triple(m, n)
-            for (pa, pb, pc) in ((ta, tb, tc), (tb, ta, tc)):
-                if pa * b == pb * a and pa * c == pc * a:
-                    return (m, n, Fraction(a, pa))
-    return None
+    first two sides swapped), if the tile admits the parametrization.
+
+    The triple has a + c = m(2m + n) and b = n(2m + n), so m : n is
+    (a + c) : b in lowest terms, or (b + c) : a for the swapped sides; the
+    smallest verified candidate by (m, n, swapped) is returned."""
+    found = []
+    for swapped, (pa, pb) in enumerate(((a, b), (b, a))):
+        g = math.gcd(pa + c, pb) or 1
+        m, n = (pa + c) // g, pb // g
+        if not m > n >= 1:
+            continue
+        ta, tb, tc = eisenstein_triple(m, n)
+        if ta * pb == tb * pa and ta * c == tc * pa:
+            found.append((m, n, swapped, Fraction(pa, ta)))
+    if not found:
+        return None
+    m, n, _, k = min(found)
+    return (m, n, k)

@@ -44,6 +44,19 @@ def test_tile_analyze(runner):
     assert data["eisenstein_parameters"] == {"m": 2, "n": 1, "scale": "1"}
 
 
+def test_tile_analyze_parametrization_past_m_60(runner):
+    res = runner.invoke(main, ["tile", "analyze", "--sides", "125,3843,3907", "--format", "json"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["eisenstein_parameters"] == {"m": 62, "n": 1, "scale": "1"}
+
+
+@pytest.mark.parametrize("max_j", ["0", "-4"])
+def test_tile_analyze_rejects_max_j_below_one(runner, max_j):
+    res = runner.invoke(main, ["tile", "analyze", "--sides", "3,5,7", "--max-j", max_j])
+    assert res.exit_code == 2 and _clean_exit(res), res.output
+    assert "edge relations" not in res.output
+
+
 def test_tile_analyze_isosceles(runner):
     res = runner.invoke(main, ["tile", "analyze", "--sides", "1,1,sqrt3"])
     assert res.exit_code == 0

@@ -5,6 +5,8 @@ from math import gcd
 
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tilingforge.exactnum import (
     CycloElem,
@@ -12,9 +14,9 @@ from tilingforge.exactnum import (
     cyclo_reduce,
     cyclotomic_poly,
     euler_phi,
-    float_crosscheck,
     galois_apply,
     norm,
+    poly_divmod,
     sin_as_cyclo,
     sin_value,
 )
@@ -26,11 +28,35 @@ def test_cyclotomic_poly_small():
     assert cyclotomic_poly(30) == (1, 1, 0, -1, -1, -1, 0, 1, 1)
 
 
-@pytest.mark.parametrize("n", list(range(1, 37)))
+# Phi_105 is the first cyclotomic polynomial with a coefficient of -2
+@pytest.mark.parametrize("n", list(range(1, 37)) + [60, 84, 105])
 def test_cyclotomic_poly_against_sympy(n):
     x = sympy.symbols("x")
     ours = sympy.Poly(list(reversed(cyclotomic_poly(n))), x)
     assert ours == sympy.Poly(sympy.cyclotomic_poly(n, x), x)
+
+
+coefficients = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-50, max_value=50, max_denominator=20),
+)
+
+
+@given(st.lists(coefficients, max_size=12), st.lists(coefficients, max_size=6))
+def test_poly_divmod_against_sympy(num, den_low):
+    den = den_low + [1]  # monic
+    quot, rem = poly_divmod(num, den)
+    assert len(rem) == len(den) - 1
+    x = sympy.symbols("x")
+
+    def as_poly(coeffs):
+        return sympy.Poly(list(reversed([sympy.Rational(c) for c in coeffs])) or [0], x, domain="QQ")
+
+    want_q, want_r = sympy.div(as_poly(num), as_poly(den))
+    assert as_poly(quot) == want_q
+    assert as_poly(rem) == want_r
+    if all(isinstance(c, int) for c in num + den):
+        assert all(isinstance(c, int) for c in quot + rem)
 
 
 def test_degree_is_phi():
@@ -56,7 +82,6 @@ def test_sin_as_cyclo():
     got = sin_as_cyclo(2, 30).to_complex()
     expected = 2j * math.sin(2 * math.pi / 15)
     assert abs(got - expected) < 1e-9
-    assert float_crosscheck(sin_as_cyclo(2, 30), expected)
 
 
 def test_sin_value_is_the_real_sine():
@@ -99,7 +124,7 @@ def test_galois_is_homomorphism_and_composes():
             g, h = GaloisMap(n, j), GaloisMap(n, k)
             assert galois_apply(x * y, g) == galois_apply(x, g) * galois_apply(y, g)
             assert galois_apply(x + y, g) == galois_apply(x, g) + galois_apply(y, g)
-            assert galois_apply(galois_apply(x, h), g) == galois_apply(x, g.compose(h))
+            assert galois_apply(galois_apply(x, h), g) == galois_apply(x, GaloisMap(n, j * k % n))
         x = CycloElem(n, tuple(Fraction(rng.randint(-4, 4)) for _ in range(euler_phi(n))))
         assert galois_apply(x, GaloisMap(n, 1)) == x
 
@@ -138,11 +163,6 @@ def test_norm_numeric_crosscheck():
         assert abs(prod - complex(norm(x))) < 1e-6
 
 
-def test_inverse():
-    x = sin_as_cyclo(2, 30) + CycloElem.one(30)
-    assert (x * x.inverse()) == CycloElem.one(30)
-
-
 def test_mixed_order_rejected():
     with pytest.raises(ValueError):
         CycloElem.one(18) + CycloElem.one(30)
@@ -167,10 +187,10 @@ def test_products_reduce_exponents_past_n(n):
     for k in range(n):
         for m in range(n):
             assert CycloElem.zeta_pow(n, k) * CycloElem.zeta_pow(n, m) == CycloElem.zeta_pow(n, k + m)
-    assert CycloElem.zeta_pow(n, n - 1) ** 2 == CycloElem.zeta_pow(n, n - 2)
+    assert CycloElem.zeta_pow(n, n - 1) * CycloElem.zeta_pow(n, n - 1) == CycloElem.zeta_pow(n, n - 2)
     assert norm(CycloElem.zeta_pow(n, n - 1)) == 1
     x = CycloElem(n, tuple(Fraction(e + 1) for e in range(euler_phi(n))))
-    assert float_crosscheck(x * x, x.to_complex() ** 2)
+    assert abs((x * x).to_complex() - x.to_complex() ** 2) < 1e-9
 
 
 def test_repr_omits_unit_coefficients():

@@ -103,10 +103,11 @@ def test_resume_matches_direct_partial_state(tmp_path):
     assert d1["nodes"] == d2["nodes"]
 
 
-def test_periodic_checkpoint_interval(tmp_path):
+def test_periodic_checkpoint_interval(tmp_path, monkeypatch):
+    monkeypatch.setattr(engine, "CHECKPOINT_INTERVAL", 50)
     tri = tri_eq(T357, QRoot3(15))
     ck = str(tmp_path / "periodic.json")
-    cfg = SearchConfig(node_budget=10**6, checkpoint_path=ck, checkpoint_interval=50)
+    cfg = SearchConfig(node_budget=10**6, checkpoint_path=ck)
     out = TilingSearch(T357, tri, cfg).run()
     assert out.status == "exhausted"
     data = json.load(open(ck))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -192,3 +193,34 @@ def test_find_eisenstein_parameters():
     assert find_eisenstein_parameters(6, 10, 14) == (2, 1, Fraction(2))
     assert find_eisenstein_parameters(7, 8, 13) == (3, 1, Fraction(1))
     assert find_eisenstein_parameters(1, 2, 3) is None
+
+
+def test_find_eisenstein_parameters_past_m_60():
+    # 125, 3843, 3907 is eisenstein_triple(62, 1)
+    assert find_eisenstein_parameters(125, 3843, 3907) == (62, 1, Fraction(1))
+
+
+def _bounded_eisenstein_search(a, b, c, bound=60):
+    """The former search: first (m, n), m < bound, in order, unswapped first."""
+    for m in range(2, bound):
+        for n in range(1, m):
+            if math.gcd(m, n) != 1:
+                continue
+            ta, tb, tc = eisenstein_triple(m, n)
+            for (pa, pb, pc) in ((ta, tb, tc), (tb, ta, tc)):
+                if pa * b == pb * a and pa * c == pc * a:
+                    return (m, n, Fraction(a, pa))
+    return None
+
+
+def test_find_eisenstein_parameters_matches_bounded_search():
+    triples = []
+    for m in range(2, 60):
+        for n in range(1, m):
+            if math.gcd(m, n) == 1:
+                ta, tb, tc = eisenstein_triple(m, n)
+                triples += [(k * ta, k * tb, k * tc) for k in (1, 2, 3)]
+                triples += [(k * tb, k * ta, k * tc) for k in (1, 2, 3)]
+    sample = random.Random(16).sample(triples, 300) + [(1, 2, 3), (3, 4, 5), (1, 1, 1), (5, 3, 7)]
+    for t in sample:
+        assert find_eisenstein_parameters(*t) == _bounded_eisenstein_search(*t), t
