@@ -225,8 +225,8 @@ def lemmas_verify(ids, fmt):
 
 
 @main.command()
-@click.option("--sides", default=None, help="tile sides (required unless --resume)")
-@click.option("--target", "target_text", default=None, help="target triangle (required unless --resume)")
+@click.option("--sides", default=None, help="tile sides (required; not with --resume)")
+@click.option("--target", "target_text", default=None, help="target triangle (required; not with --resume)")
 @click.option("--node-budget", default=10**8, type=click.IntRange(min=1), show_default=True)
 @click.option("--workers", default=1, type=click.IntRange(min=1), envvar="TILING_FORGE_WORKERS",
               show_default=True, help="worker processes (or TILING_FORGE_WORKERS)")
@@ -253,6 +253,13 @@ def search(sides, target_text, node_budget, workers, split_depth, no_mirror, pap
         if value and split_depth > 0:
             click.echo(f"{flag} cannot be combined with --split-depth > 0", err=True)
             sys.exit(2)
+    if resume_path:
+        # the checkpoint sets the instance; a flag that would change it is refused
+        for flag, given in (("--sides", sides is not None), ("--target", target_text is not None),
+                            ("--no-mirror", no_mirror), ("--paper-pruning", paper_pruning)):
+            if given:
+                click.echo(f"{flag} cannot be combined with --resume", err=True)
+                sys.exit(2)
     if not resume_path and (sides is None or target_text is None):
         click.echo("need --sides and --target (or --resume)", err=True)
         sys.exit(2)

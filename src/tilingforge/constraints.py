@@ -15,7 +15,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .exactnum import QRoot3, qr3_sign
-from .geometry import AngleVec
+from .geometry import AngleVec, Point, angle_at, polygon_area_twice
 from .tilealgebra import TileShape
 
 
@@ -131,6 +131,9 @@ class TriangleSpec:
     def sides(self) -> tuple[QRoot3, QRoot3, QRoot3]:
         return (self.X, self.Y, self.Z)
 
+    def vertices(self) -> tuple[Point, Point, Point]:
+        return target_vertices(self.X, self.Y, self.Z)
+
     def similar_to_tile(self) -> bool:
         """Each corner is a single tile angle, one of each."""
         return sorted(self.angles) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
@@ -150,7 +153,7 @@ class TriangleSpec:
         X >= Y >= Z > 0 with X < Y + Z."""
         angles = tuple(tuple(a) for a in obj["angles"])
         if len(angles) != 3 or not all(
-                len(a) == 3 and all(isinstance(k, int) and k >= 0 for k in a) for a in angles):
+                len(a) == 3 and all(type(k) is int and k >= 0 for k in a) for a in angles):
             raise ValueError("target angles must be three triples of nonnegative integers")
         X, Y, Z = (QRoot3.from_json(obj[k]) for k in "XYZ")
         if not (qr3_sign(Z) > 0 and X >= Y >= Z and X < Y + Z):
@@ -158,10 +161,23 @@ class TriangleSpec:
         return TriangleSpec(angles, X, Y, Z)  # type: ignore[arg-type]
 
 
+@functools.cache
+def target_vertices(X: QRoot3, Y: QRoot3, Z: QRoot3) -> tuple[Point, Point, Point]:
+    """(B, C, A): B at the origin, C at (X, 0), apex A above with |AB| = Y
+    and |AC| = Z, so a target similar to the tile is a direct copy of it;
+    raises if the apex leaves Q(sqrt3)^2.  The target's corner angles, area
+    and outline are all read off these vertices."""
+    xa = (X * X + Y * Y - Z * Z) / (2 * X)
+    ya = (Y * Y - xa * xa).sqrt()
+    if ya is None or qr3_sign(ya) <= 0:
+        raise ConstraintError("target apex is not representable in Q(sqrt3)")
+    return (Point(QRoot3(0), QRoot3(0)), Point(X, QRoot3(0)), Point(xa, ya))
+
+
 def triangle_spec(tile: TileShape, sides: Sequence[QRoot3]) -> TriangleSpec:
     """Build a TriangleSpec from three side lengths, resolving every corner
-    angle into a tile-angle combination; rejects targets whose angles are
-    not expressible."""
+    angle, measured at the exact vertices, into a tile-angle combination;
+    rejects targets whose angles are not expressible."""
     if len(sides) != 3 or any(qr3_sign(s) <= 0 for s in sides):
         raise ConstraintError("need three positive side lengths")
     X, Y, Z = sorted(sides, reverse=True)
@@ -171,38 +187,27 @@ def triangle_spec(tile: TileShape, sides: Sequence[QRoot3]) -> TriangleSpec:
     # several combinations can share a value (e.g. 2a+2b = gamma); sorted
     # so that a corner is given the one with the fewest angles
     combos = sorted(((c, a) for c, a in sums if a.rank == 1), key=lambda ca: (sum(ca[0]), ca[0]))
-
-    def match(cos_val: QRoot3) -> tuple[int, int, int]:
-        sin_val = (1 - cos_val * cos_val).sqrt()
-        if sin_val is not None:
-            corner = AngleVec(cos_val, sin_val)
-            for combo, ang in combos:
-                if ang == corner:
-                    return combo
-        raise ConstraintError(
-            f"target corner with cos = {cos_val} is not a combination of tile angles"
-        )
-
-    cos_A = (Y * Y + Z * Z - X * X) / (2 * Y * Z)
-    cos_B = (X * X + Z * Z - Y * Y) / (2 * X * Z)
-    cos_C = (X * X + Y * Y - Z * Z) / (2 * X * Y)
-    angles = (match(cos_A), match(cos_B), match(cos_C))
+    try:
+        B, C, A = target_vertices(X, Y, Z)
+        corners = [angle_at(A, B, C), angle_at(C, A, B), angle_at(B, C, A)]
+    except ConstraintError:
+        # the apex height is irrational, and so is every corner's sine:
+        # no corner matches, and the first one is reported
+        corners = [None] * 3
+    angles = []
+    # the corners opposite X, Y and Z, each with its opposite side first
+    for corner, (p, q, r) in zip(corners, ((X, Y, Z), (Y, X, Z), (Z, X, Y))):
+        combo = next((c for c, a in combos if a == corner), None)
+        if combo is None:
+            cos_val = (q * q + r * r - p * p) / (2 * q * r)
+            raise ConstraintError(
+                f"target corner with cos = {cos_val} is not a combination of tile angles"
+            )
+        angles.append(combo)
     total = tuple(map(sum, zip(*angles)))
     if not any(c == total and a.rank == 2 for c, a in sums):
         raise ConstraintError("corner angles do not sum to pi")
-    return TriangleSpec(angles, X, Y, Z)
-
-
-def triangle_area(X: QRoot3, Y: QRoot3, Z: QRoot3) -> QRoot3:
-    """Exact area from side lengths; 16 A^2 is the Heron polynomial."""
-    sq = (
-        2 * (X * X * Y * Y + Y * Y * Z * Z + Z * Z * X * X)
-        - X ** 4 - Y ** 4 - Z ** 4
-    )
-    root = sq.sqrt()
-    if root is None:
-        raise ConstraintError("triangle area is not in Q(sqrt3)")
-    return root / 4
+    return TriangleSpec(tuple(angles), X, Y, Z)  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +282,7 @@ def enumerate_dmatrices(tile: TileShape, tri: TriangleSpec) -> list[DMatrix]:
 def area_count(tile: TileShape, tri: TriangleSpec) -> Fraction:
     """Area(target) / Area(tile), exact; integrality is the tiling-necessary
     condition the caller checks."""
-    ratio = triangle_area(*tri.sides()) / tile.area
+    ratio = polygon_area_twice(tri.vertices()) / (2 * tile.area)
     if not ratio.is_rational():
         raise ConstraintError("area quotient is irrational; no tiling is possible")
     return ratio.as_rational()

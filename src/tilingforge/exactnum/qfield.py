@@ -147,17 +147,6 @@ class QRoot3:
     def __rtruediv__(self, other: "QRoot3 | Rat") -> "QRoot3":
         return _coerce(other) * self.inverse()
 
-    def __pow__(self, k: int) -> "QRoot3":
-        if k < 0:
-            return self.inverse() ** (-k)
-        acc, base = QR3_ONE, self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
-
     # -- exact order ------------------------------------------------------------
 
     def sign(self) -> int:
@@ -241,10 +230,13 @@ class QRoot3:
 
     @staticmethod
     def from_json(obj) -> "QRoot3":
+        """A rational string, or {"r": ..., "s": ...} with each part a
+        rational string or an integer; JSON floats and booleans are not exact."""
+        r, s = (obj, "0") if isinstance(obj, str) else (obj["r"], obj["s"])
+        if type(r) not in (str, int) or type(s) not in (str, int):
+            raise ValueError(f"not an exact number: {obj!r}")
         try:
-            if isinstance(obj, str):
-                return QRoot3(Fraction(obj), 0)
-            return QRoot3(Fraction(obj["r"]), Fraction(obj["s"]))
+            return QRoot3(Fraction(r), Fraction(s))
         except ArithmeticError as exc:  # a zero denominator, an infinity
             raise ValueError(f"not an exact number: {obj!r}") from exc
 

@@ -4,7 +4,6 @@ from .certificate import (
     Certificate,
     Violation,
     analyze_maximal_segments,
-    canonical_target_vertices,
     check_certificate,
     extract_edge_relations,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "check_certificate",
     "extract_edge_relations",
     "analyze_maximal_segments",
-    "canonical_target_vertices",
     "run_search",
     "resume_from_checkpoint",
     "TilingSearch",

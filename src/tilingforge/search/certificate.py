@@ -3,11 +3,12 @@ exact checker, and extraction of edge relations from valid certificates.
 
 Certificate coordinates are canonical: the target triangle has its longest
 side X on the x-axis from (0, 0) to (X, 0) and its apex above the axis.
-The checker shares only this convention and the exact geometric predicates
-with the search engine; it never looks at search state.  Interior
-disjointness is decided exactly on the placement pairs whose bounding boxes
-overlap, found by a sweep over exact x; every other pair is separated by an
-axis-parallel line, which rules out an overlap on its own.
+The checker shares only these vertices (`TriangleSpec.vertices`) and the
+exact geometric predicates with the search engine; it never looks at search
+state.  Interior disjointness is decided exactly on the placement pairs
+whose bounding boxes overlap, found by a sweep over exact x; every other
+pair is separated by an axis-parallel line, which rules out an overlap on
+its own.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ..constraints import ConstraintError, TriangleSpec
-from ..exactnum import QRoot3, qr3_sign
+from ..exactnum import QRoot3
 from ..geometry import (
     GeometryError,
     Point,
@@ -35,19 +36,6 @@ from ..tilealgebra import EdgeRelation, RelationKind, TileShape
 from .placements import Placement, placement_chirality
 
 SCHEMA = "v1"
-
-
-def canonical_target_vertices(tri: TriangleSpec) -> tuple[Point, Point, Point]:
-    """(B, C, A): B at the origin, C at (X, 0), apex A above with |AB| = Y
-    and |AC| = Z, so a target similar to the tile is a direct copy of it;
-    raises if the apex leaves Q(sqrt3)^2."""
-    X, Y, Z = tri.X, tri.Y, tri.Z
-    xa = (X * X + Y * Y - Z * Z) / (2 * X)
-    ya_sq = Y * Y - xa * xa
-    ya = ya_sq.sqrt()
-    if ya is None or qr3_sign(ya) <= 0:
-        raise ConstraintError("target apex is not representable in Q(sqrt3)")
-    return (Point(QRoot3(0), QRoot3(0)), Point(X, QRoot3(0)), Point(xa, ya))
 
 
 @dataclass(frozen=True)
@@ -128,7 +116,7 @@ def check_certificate(cert: Certificate) -> list[Violation]:
     """
     violations: list[Violation] = []
     try:
-        corners = canonical_target_vertices(cert.target)
+        corners = cert.target.vertices()
     except (ConstraintError, GeometryError):
         return [Violation("BadTarget")]
     target_poly = list(corners)
@@ -244,7 +232,7 @@ def analyze_maximal_segments(cert: Certificate):
     increasing x, or increasing y on a vertical line.  An isosceles tile
     names its equal legs "a".
     """
-    corners = canonical_target_vertices(cert.target)
+    corners = cert.target.vertices()
     target_lines = {_line_key(corners[i], corners[(i + 1) % 3]) for i in range(3)}
     a2, b2, c2 = cert.tile.side_squares
     names = {c2: "c", b2: "b", a2: "a"}  # on a == b the later "a" stays

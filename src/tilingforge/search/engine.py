@@ -26,7 +26,7 @@ from typing import Optional
 
 from ..constraints import TriangleSpec, area_count, triangle_spec
 from ..tilealgebra import TileShape
-from .certificate import Certificate, canonical_target_vertices, check_certificate, write_json
+from .certificate import Certificate, check_certificate, write_json
 from .placements import Candidate, TileGeometry, candidate_placements, select_corner
 from .region import Polygon
 
@@ -100,9 +100,9 @@ class TilingSearch:
         self.n = int(n)
         if not all(self.geom.length_representable(s) for s in target.sides()):
             raise InvalidInstance("no boundary composition exists for this instance")
-        self.target_vertices = canonical_target_vertices(target)
-        self.initial = Polygon.from_points(list(self.target_vertices))
-        self._corner_keys = {v.lex_key() for v in self.target_vertices}
+        corners = target.vertices()
+        self.initial = Polygon.from_points(list(corners))
+        self._corner_keys = {v.lex_key() for v in corners}
         self._pruning_active = (
             self.config.paper_pruning
             and not tile.is_isosceles()

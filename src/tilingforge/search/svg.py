@@ -6,7 +6,7 @@ output (fixed formatting, no timestamps) so renders can be diffed.
 
 from __future__ import annotations
 
-from .certificate import Certificate, canonical_target_vertices
+from .certificate import Certificate
 
 _SCALE = 40.0
 _MARGIN = 20.0
@@ -19,7 +19,7 @@ def render_svg(cert: Certificate, path: str) -> None:
     """Write one polygon per placement; mirrored copies get a distinct fill."""
     if cert.n < 1:
         raise ValueError("empty certificate")
-    corners = canonical_target_vertices(cert.target)
+    corners = cert.target.vertices()
     xs = [float(p.x) for p in corners]
     ys = [float(p.y) for p in corners]
     width = (max(xs) - min(xs)) * _SCALE + 2 * _MARGIN

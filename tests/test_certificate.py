@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilingforge.constraints import triangle_spec
+from tilingforge.cli import parse_target
+from tilingforge.constraints import target_vertices, triangle_spec
 from tilingforge.exactnum import QRoot3, SQRT3
 from tilingforge.geometry import AngleVec, GeometryError, Point, orientation, pt
 import tilingforge.search.certificate as cmod
@@ -17,14 +18,13 @@ from tilingforge.search.certificate import (
     Certificate,
     _box_pairs,
     analyze_maximal_segments,
-    canonical_target_vertices,
     certificate_warnings,
     Violation,
     check_certificate,
     extract_edge_relations,
     _relation_from_counts,
 )
-from tilingforge.search.engine import SearchConfig, run_search
+from tilingforge.search.engine import SearchConfig, TilingSearch, run_search
 from tilingforge.search.placements import Placement, placement_chirality
 from tilingforge.search.region import Polygon
 from tilingforge.tilealgebra import EdgeRelation, RelationKind, tile_from_sides
@@ -36,7 +36,7 @@ ISO = tile_from_sides(1, 1, SQRT3)
 def iso_n3_certificate() -> Certificate:
     """The equilateral 3-tiling, written down from explicit coordinates."""
     tri = triangle_spec(ISO, [SQRT3] * 3)
-    b, c, a = canonical_target_vertices(tri)
+    b, c, a = tri.vertices()
     center = Point((b.x + c.x + a.x) * Fraction(1, 3), (b.y + c.y + a.y) * Fraction(1, 3))
     placements = (
         Placement((b, c, center), False),
@@ -49,7 +49,7 @@ def iso_n3_certificate() -> Certificate:
 def midpoint_n4_certificate() -> Certificate:
     """The quadratic 4-tiling of (6, 10, 14) by (3, 5, 7) via midpoints."""
     tri = triangle_spec(T357, [QRoot3(6), QRoot3(10), QRoot3(14)])
-    b, c, a = canonical_target_vertices(tri)
+    b, c, a = tri.vertices()
 
     def mid(p, q):
         return Point((p.x + q.x) / 2, (p.y + q.y) / 2)
@@ -62,6 +62,21 @@ def midpoint_n4_certificate() -> Certificate:
         Placement((mac, mab, mbc), False),
     )
     return Certificate(T357, tri, placements, True)
+
+
+def test_one_derivation_of_the_target_vertices(monkeypatch):
+    # the set-up takes one square root for its target, the apex height; the
+    # search and the checker of its certificate read the same vertices
+    target_vertices.cache_clear()
+    roots = []
+    sqrt = QRoot3.sqrt
+    monkeypatch.setattr(QRoot3, "sqrt", lambda self: roots.append(self) or sqrt(self))
+    search = TilingSearch(ISO, parse_target("equilateral:2*sqrt3", ISO), SearchConfig())
+    assert len(roots) == 1
+    out = search.run()
+    assert out.status == "found"
+    assert check_certificate(Certificate.from_json(out.certificate.to_json())) == []
+    assert target_vertices.cache_info().misses == 1
 
 
 def test_handmade_n3_certificate_valid():
@@ -198,7 +213,7 @@ def test_warning_when_no_relation(monkeypatch):
 
 def test_exact_values_pickle_and_deepcopy():
     cert = midpoint_n4_certificate()
-    polygon = Polygon.from_points(list(canonical_target_vertices(cert.target)))
+    polygon = Polygon.from_points(list(cert.target.vertices()))
     angle = AngleVec(QRoot3(Fraction(-1, 2), 3), QRoot3(0, Fraction(-2, 5)))
     with_angles = Polygon.from_points([pt(0, 0), pt(2, 0), pt(2, 1), pt(1, 1), pt(1, 2), pt(0, 2)])
     assert with_angles.angles[3].is_reflex()  # stored on the polygon by from_points

@@ -356,6 +356,56 @@ def test_resume_rejects_target_angles_its_sides_do_not_give(runner, tmp_path, an
     assert "target angles do not match its sides" in res.stderr
 
 
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+# a JSON float or boolean where an exact number belongs
+INEXACT_CERTIFICATE = [
+    (("target", "X"), {"r": 14.0, "s": "0"}, "not an exact number: {'r': 14.0, 's': '0'}"),
+    (("tile", "a"), {"r": "3", "s": 0.0}, "not an exact number: {'r': '3', 's': 0.0}"),
+    (("placements", 0, "v", 0, 0), {"r": False, "s": 0}, "not an exact number: {'r': False, 's': 0}"),
+    (("target", "angles", 0, 2), True, "target angles must be three triples of nonnegative integers"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", INEXACT_CERTIFICATE,
+                         ids=["float-side", "float-tile-side", "bool-vertex", "bool-count"])
+def test_check_rejects_inexact_numbers(runner, search_files, tmp_path, path, value, message):
+    doc = copy.deepcopy(search_files[0])
+    _set(doc, path, value)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["check", "--format", "json", str(cert)])
+    assert res.exit_code == 2 and _clean_exit(res), res.output
+    assert res.stderr == f"cannot parse certificate: {message}\n"
+
+
+def test_resume_rejects_inexact_numbers(runner, search_files, tmp_path):
+    doc = copy.deepcopy(search_files[1])
+    doc["target"]["X"] = {"r": 15.0, "s": "0"}
+    ck = tmp_path / "ck.json"
+    ck.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["search", "--resume", str(ck), "--stats-out", str(tmp_path / "s.json")])
+    assert res.exit_code == 2 and _clean_exit(res), res.output
+    assert res.stderr == "invalid instance: malformed checkpoint: not an exact number: {'r': 15.0, 's': '0'}\n"
+
+
+@pytest.mark.parametrize("extra", [["--sides", "1,1,sqrt3"], ["--target", "equilateral:sqrt3"],
+                                   ["--no-mirror"], ["--paper-pruning"]])
+def test_search_rejects_instance_flags_with_resume(runner, search_files, tmp_path, extra):
+    # the checkpoint sets the tile, the target and the flags; none is overridden
+    ck = tmp_path / "ck.json"
+    ck.write_text(json.dumps(search_files[1]))
+    res = runner.invoke(main, ["search", "--resume", str(ck), *extra,
+                               "--stats-out", str(tmp_path / "s.json")])
+    assert res.exit_code == 2 and _clean_exit(res), res.output
+    assert res.stderr == f"{extra[0]} cannot be combined with --resume\n"
+    assert not (tmp_path / "s.json").exists()
+
+
 # replacement values for one node of a JSON document
 JUNK = [None, True, 0, -1, 7, 1.5, "", "x", "1/0", "-3", [], {}, [0], [-1, 0], {"r": "1", "s": "0"},
         float("inf")]

@@ -16,12 +16,12 @@ from tilingforge.constraints import (
     enumerate_vertex_splits,
     side_compositions,
     solve_alpha_from_split,
+    target_vertices,
     tile_angle_sums,
-    triangle_area,
     triangle_spec,
     xz_coefficients,
 )
-from tilingforge.geometry import AngleVec
+from tilingforge.geometry import AngleVec, pt
 from tilingforge.tilealgebra import eisenstein_triple, tile_from_sides
 
 T357 = tile_from_sides(3, 5, 7)
@@ -106,11 +106,6 @@ def test_area_count():
     assert area_count(ISO, tri_iso) == 12  # 3 r^2 with r = 2
     tri_k = triangle_spec(T357, [QRoot3(9), QRoot3(15), QRoot3(21)])
     assert area_count(T357, tri_k) == 9
-
-
-def test_triangle_area():
-    assert triangle_area(QRoot3(15), QRoot3(15), QRoot3(15)) == QRoot3(0, Fraction(225, 4))
-    assert triangle_area(QRoot3(14), QRoot3(10), QRoot3(6)) == 4 * T357.area
 
 
 def test_area_equations_on_quadratic_control():
@@ -255,22 +250,36 @@ def _reference_triangle_spec(tile, sides):
     return angles
 
 
-@pytest.mark.parametrize("tile, sides", [
-    (T357, (15, 15, 15)),
-    (T357, (6, 10, 14)),  # similar to the tile
-    (T357, (24, 21, 15)),  # split corners 2a+b, a+b, b
-    (T357, (3, 4, 5)),  # right angle, rational sines: not a tile-angle sum
-    (T357, (2, 3, 4)),  # sine sqrt(15)/4 outside Q(sqrt3)
-    (T357, (1, 1, SQRT3)),  # corners pi/6
-    (ISO, (2 * SQRT3,) * 3),
-    (ISO, (1, 1, SQRT3)),
-    (ISO, (1, SQRT3, 2)),  # 30-60-90: the right angle is 3 alphas
-    (ISO, (3, 4, 5)),
-    (ISO, (2, 3, 4)),
-], ids=["357-eq15", "357-similar", "357-24,21,15", "357-3,4,5", "357-2,3,4", "357-pi/6",
-        "iso-eq", "iso-similar", "iso-30,60,90", "iso-3,4,5", "iso-2,3,4"])
+REFERENCE_TARGETS = [
+    pytest.param(T357, (15, 15, 15), id="357-eq15"),
+    pytest.param(T357, (6, 10, 14), id="357-similar"),  # similar to the tile
+    pytest.param(T357, (24, 21, 15), id="357-24,21,15"),  # split corners 2a+b, a+b, b
+    pytest.param(T357, (3, 4, 5), id="357-3,4,5"),  # right angle, rational sines: not a tile-angle sum
+    pytest.param(T357, (2, 3, 4), id="357-2,3,4"),  # sine sqrt(15)/4 outside Q(sqrt3)
+    pytest.param(T357, (1, 1, SQRT3), id="357-pi/6"),  # corners pi/6
+    pytest.param(ISO, (2 * SQRT3,) * 3, id="iso-eq"),
+    pytest.param(ISO, (1, 1, SQRT3), id="iso-similar"),
+    pytest.param(ISO, (1, SQRT3, 2), id="iso-30,60,90"),  # the right angle is 3 alphas
+    pytest.param(ISO, (3, 4, 5), id="iso-3,4,5"),
+    pytest.param(ISO, (2, 3, 4), id="iso-2,3,4"),
+]
+
+# the targets of the perfbench workloads
+BENCHMARK_TARGETS = [
+    pytest.param(T357, (30, 30, 30), id="357-eq30"),
+    pytest.param(T357, (15, 25, 35), id="357-15,25,35"),
+    pytest.param(ISO, (4 * SQRT3,) * 3, id="iso-eq-4r3"),
+    pytest.param(ISO, (5 * SQRT3,) * 3, id="iso-eq-5r3"),
+]
+
+
+def _exact_sides(sides):
+    return [s if isinstance(s, QRoot3) else QRoot3(s) for s in sides]
+
+
+@pytest.mark.parametrize("tile, sides", REFERENCE_TARGETS)
 def test_triangle_spec_matches_cosine_reference(tile, sides):
-    sides = [s if isinstance(s, QRoot3) else QRoot3(s) for s in sides]
+    sides = _exact_sides(sides)
     try:
         want = _reference_triangle_spec(tile, sides)
     except ConstraintError as exc:
@@ -279,3 +288,39 @@ def test_triangle_spec_matches_cosine_reference(tile, sides):
         assert str(got.value) == str(exc)
         return
     assert triangle_spec(tile, sides).angles == want
+
+
+def _heron_area(X, Y, Z):
+    """The area from the sides alone: 16 A^2 is the Heron polynomial;
+    None when the area leaves Q(sqrt3)."""
+    x2, y2, z2 = X * X, Y * Y, Z * Z
+    root = (2 * (x2 * y2 + y2 * z2 + z2 * x2) - x2 * x2 - y2 * y2 - z2 * z2).sqrt()
+    return None if root is None else root / 4
+
+
+def _apex_vertices(X, Y, Z):
+    """(B, C, A) with B at the origin, C at (X, 0) and the apex A above at
+    |AB| = Y, |AC| = Z; None when the apex leaves Q(sqrt3)^2."""
+    xa = (X * X + Y * Y - Z * Z) / (2 * X)
+    ya = (Y * Y - xa * xa).sqrt()
+    return None if ya is None else (pt(0, 0), pt(X, 0), pt(xa, ya))
+
+
+@pytest.mark.parametrize("tile, sides", REFERENCE_TARGETS + BENCHMARK_TARGETS)
+def test_vertices_and_area_match_the_side_formulas(tile, sides):
+    sides = _exact_sides(sides)
+    X, Y, Z = sorted(sides, reverse=True)
+    want = _apex_vertices(X, Y, Z)
+    if want is None:
+        # an irrational apex height makes the area irrational too
+        assert _heron_area(X, Y, Z) is None
+        with pytest.raises(ConstraintError, match="target apex is not representable"):
+            target_vertices(X, Y, Z)
+        return
+    assert target_vertices(X, Y, Z) == want
+    try:
+        tri = triangle_spec(tile, sides)
+    except ConstraintError:
+        return
+    assert tri.vertices() == want
+    assert area_count(tile, tri) == _heron_area(X, Y, Z) / tile.area

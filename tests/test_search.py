@@ -205,7 +205,7 @@ def test_splitting_cap_counts_the_placements(monkeypatch):
     # corners from the placements alone; gamma never goes at a target corner
     s = TilingSearch(T357, tri_eq(T357, QRoot3(15)), SearchConfig(paper_pruning=True))
     assert s._pruning_active
-    corner, inner = s.target_vertices[0], Point(QRoot3(1), QRoot3(1))
+    corner, inner = s.target.vertices()[0], Point(QRoot3(1), QRoot3(1))
 
     def cand(p, name):  # a candidate with its corner p
         return Candidate(Placement((p, p, p), False), name, [])
