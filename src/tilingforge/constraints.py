@@ -147,10 +147,10 @@ class TriangleSpec:
         }
 
     @staticmethod
-    def from_json(obj) -> "TriangleSpec":
-        """The spec written by to_json; raises ValueError unless it has
-        three corners of nonnegative integer counts and sides
-        X >= Y >= Z > 0 with X < Y + Z."""
+    def from_json(obj, tile: TileShape) -> "TriangleSpec":
+        """The spec written by to_json for the tile; raises ValueError unless
+        it has three corners of nonnegative integer counts, sides
+        X >= Y >= Z > 0 with X < Y + Z, and the corners its sides give."""
         angles = tuple(tuple(a) for a in obj["angles"])
         if len(angles) != 3 or not all(
                 len(a) == 3 and all(type(k) is int and k >= 0 for k in a) for a in angles):
@@ -158,7 +158,10 @@ class TriangleSpec:
         X, Y, Z = (QRoot3.from_json(obj[k]) for k in "XYZ")
         if not (qr3_sign(Z) > 0 and X >= Y >= Z and X < Y + Z):
             raise ValueError("target sides must satisfy X >= Y >= Z > 0 and X < Y + Z")
-        return TriangleSpec(angles, X, Y, Z)  # type: ignore[arg-type]
+        spec = TriangleSpec(angles, X, Y, Z)  # type: ignore[arg-type]
+        if triangle_spec(tile, spec.sides()) != spec:
+            raise ValueError("target angles do not match its sides")
+        return spec
 
 
 @functools.cache

@@ -1,14 +1,9 @@
 """Exact number arithmetic: rationals, Q(sqrt3), cyclotomics."""
 
-from fractions import Fraction
-
 from .qfield import (
-    QR3_ONE,
-    QR3_ZERO,
     SQRT3,
     QRoot3,
     qr3_sign,
-    rat_from_str,
     rat_to_str,
     rational_sqrt,
 )
@@ -26,18 +21,12 @@ from .cyclo import (
 )
 from .numth import euler_phi, is_prime, multiplicative_order, niven_classify, prime_splitting
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "QRoot3",
-    "QR3_ZERO",
-    "QR3_ONE",
     "SQRT3",
     "qr3_sign",
     "rational_sqrt",
     "rat_to_str",
-    "rat_from_str",
     "CycloElem",
     "GaloisMap",
     "cyclotomic_poly",

@@ -25,10 +25,6 @@ def rat_to_str(v: Fraction) -> str:
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
-def rat_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def rational_sqrt(v: Fraction) -> Optional[Fraction]:
     """Exact square root of a nonnegative rational, or None if irrational."""
     if v < 0:
@@ -249,8 +245,6 @@ def _coerce(v) -> QRoot3:
     raise TypeError(f"cannot coerce {type(v).__name__} into Q(sqrt3)")
 
 
-QR3_ZERO = QRoot3(0, 0)
-QR3_ONE = QRoot3(1, 0)
 SQRT3 = QRoot3(0, 1)
 
 

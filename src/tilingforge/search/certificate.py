@@ -64,7 +64,8 @@ class Certificate:
             raise ValueError("a certificate is a JSON object")
         if obj.get("schema") != SCHEMA:
             raise ValueError(f"unsupported certificate schema {obj.get('schema')!r}")
-        tile, target = TileShape.from_json(obj["tile"]), TriangleSpec.from_json(obj["target"])
+        tile = TileShape.from_json(obj["tile"])
+        target = TriangleSpec.from_json(obj["target"], tile)
         placements = tuple(Placement.from_json(p) for p in obj["placements"])
         if not placements:
             raise ValueError("empty certificate")

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from ..constraints import TriangleSpec, area_count, triangle_spec
+from ..constraints import TriangleSpec, area_count
 from ..tilealgebra import TileShape
 from .certificate import Certificate, check_certificate, write_json
 from .placements import Candidate, TileGeometry, candidate_placements, select_corner
@@ -261,9 +261,7 @@ def resume_from_checkpoint(path: str, config: Optional[SearchConfig] = None) -> 
         if data.get("schema") != CHECKPOINT_SCHEMA:
             raise ValueError(f"unsupported checkpoint schema {data.get('schema')!r}")
         tile = TileShape.from_json(data["tile"])
-        target = TriangleSpec.from_json(data["target"])
-        if triangle_spec(tile, target.sides()) != target:
-            raise ValueError("target angles do not match its sides")
+        target = TriangleSpec.from_json(data["target"], tile)
         saved, indices, nodes = data["config"], data["indices"], data["nodes"]
         flags = (saved["allow_mirror"], saved["paper_pruning"])
         if not all(isinstance(f, bool) for f in flags):

@@ -72,9 +72,6 @@ class TileShape:
     def side_ratios_rational(self) -> bool:
         return (self.a / self.c).is_rational() and (self.b / self.c).is_rational()
 
-    def scaled(self, k: Union[QRoot3, Fraction, int]) -> "TileShape":
-        return TileShape(self.a * k, self.b * k, self.c * k)
-
     def to_json(self) -> dict:
         return {"a": self.a.to_json(), "b": self.b.to_json(), "c": self.c.to_json()}
 
@@ -85,7 +82,7 @@ class TileShape:
         )
 
 
-def tile_from_sides(a, b, c, canonical: bool = True) -> TileShape:
+def tile_from_sides(a, b, c) -> TileShape:
     """Construct a TileShape, verifying the 120-degree law of cosines."""
     a, b, c = _as_qr3(a), _as_qr3(b), _as_qr3(c)
     for side in (a, b, c):
@@ -93,7 +90,7 @@ def tile_from_sides(a, b, c, canonical: bool = True) -> TileShape:
             raise TileError("tile sides must be positive")
     if c * c != a * a + b * b + a * b:
         raise TileError(f"sides ({a}, {b}, {c}) violate c^2 = a^2 + b^2 + ab")
-    if canonical and a > b:
+    if a > b:
         a, b = b, a
     return TileShape(a, b, c)
 
@@ -243,42 +240,35 @@ def side_ratio_pair(x: QRoot3) -> Optional[tuple[QRoot3, QRoot3]]:
 def relation_from_shape(x, max_j: int = 12) -> list[EdgeRelation]:
     """All canonical edge relations with j <= max_j holding exactly for the
     tile with a/c = x.  Accepts a rational or a Q(sqrt3) value."""
-    if isinstance(x, (int, Fraction)):
-        x = QRoot3(Fraction(x), 0)
+    x = _as_qr3(x)
     if not (QRoot3(0) < x < QRoot3(1)):
         raise ValueError("need 0 < a/c < 1")
     pair = side_ratio_pair(x)
-    rels: list[EdgeRelation] = []
-    y = pair[1] if pair is not None else None
-    for j in range(1, max_j + 1):
-        for kind, lhs, unit in (
-            (RelationKind.B_SIDE, y, x),
-            (RelationKind.A_SIDE, x, y),
-        ):
-            if lhs is None:
-                continue
-            target = j * lhs
-            u = 0
-            while True:
-                rest = target - u * unit if unit is not None else target
-                if unit is not None and qr3_sign(rest) < 0:
-                    break
-                if unit is None and u > 0:
-                    break
-                if rest.is_rational():
-                    v = rest.as_rational()
-                    if v.denominator == 1 and v >= 0:
-                        g = math.gcd(math.gcd(j, u), int(v))
-                        if g == 1:
-                            rels.append(EdgeRelation(kind, j, u, int(v)))
-                if unit is None:
-                    break
-                u += 1
-    return sorted(set(rels), key=lambda r: (r.kind.value, r.j, r.u, r.v))
+    if pair is not None:
+        return relations_for_tile(TileShape(*pair, QRoot3(1)), max_j=max_j)
+    # b/c leaves Q(sqrt3), so no relation holds with a b-term; j*a = v*c
+    # holds only for x = p/q in lowest terms, as q*a = p*c
+    if not x.is_rational() or x.as_rational().denominator > max_j:
+        return []
+    x = x.as_rational()
+    return [EdgeRelation(RelationKind.A_SIDE, x.denominator, 0, x.numerator)]
 
 
 def relations_for_tile(tile: TileShape, max_j: int = 12) -> list[EdgeRelation]:
-    rels = relation_from_shape(tile.a / tile.c, max_j=max_j)
+    """All canonical relations j*a = u*b + v*c and j*b = u*a + v*c with
+    j <= max_j holding exactly for the tile, sorted by kind, j and u."""
+    rels: list[EdgeRelation] = []
+    x, y = tile.a / tile.c, tile.b / tile.c
+    for kind, lhs, unit in ((RelationKind.A_SIDE, x, y), (RelationKind.B_SIDE, y, x)):
+        for j in range(1, max_j + 1):
+            # rest = j*lhs - u*unit for u = 0, 1, ... while it stays >= 0
+            rest, u = j * lhs, 0
+            while qr3_sign(rest) >= 0:
+                if rest.is_rational():
+                    v = rest.as_rational()
+                    if v.denominator == 1 and math.gcd(j, u, v.numerator) == 1:
+                        rels.append(EdgeRelation(kind, j, u, v.numerator))
+                rest, u = rest - unit, u + 1
     assert all(r.holds_for(tile) for r in rels)
     return rels
 
@@ -321,22 +311,26 @@ def classify_tile(tile: TileShape) -> TileReport:
     return TileReport(integer_similar, False, None)
 
 
-def find_eisenstein_parameters(a: int, b: int, c: int) -> Optional[tuple[int, int, Fraction]]:
+def find_eisenstein_parameters(a, b, c) -> Optional[tuple[int, int, QRoot3]]:
     """(m, n, k) with (a, b, c) = k * eisenstein_triple(m, n) (or with the
-    first two sides swapped), if the tile admits the parametrization.
+    first two sides swapped), if the tile admits the parametrization.  The
+    sides are exact: int, Fraction or QRoot3, and so is the scale k.
 
-    The triple has a + c = m(2m + n) and b = n(2m + n), so m : n is
-    (a + c) : b in lowest terms, or (b + c) : a for the swapped sides; the
-    smallest verified candidate by (m, n, swapped) is returned."""
+    The triple has a + c = m(2m + n) and b = n(2m + n), so m : n is the
+    rational (a + c) / b in lowest terms, or (b + c) / a for the swapped
+    sides; the smallest verified candidate by (m, n, swapped) is returned."""
+    a, b, c = _as_qr3(a), _as_qr3(b), _as_qr3(c)
     found = []
     for swapped, (pa, pb) in enumerate(((a, b), (b, a))):
-        g = math.gcd(pa + c, pb) or 1
-        m, n = (pa + c) // g, pb // g
+        ratio = (pa + c) / pb
+        if not ratio.is_rational():
+            continue
+        m, n = ratio.as_rational().as_integer_ratio()
         if not m > n >= 1:
             continue
         ta, tb, tc = eisenstein_triple(m, n)
         if ta * pb == tb * pa and ta * c == tc * pa:
-            found.append((m, n, swapped, Fraction(pa, ta)))
+            found.append((m, n, swapped, pa / ta))
     if not found:
         return None
     m, n, _, k = min(found)

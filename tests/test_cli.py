@@ -50,6 +50,14 @@ def test_tile_analyze_parametrization_past_m_60(runner):
     assert json.loads(res.output)["eisenstein_parameters"] == {"m": 62, "n": 1, "scale": "1"}
 
 
+@pytest.mark.parametrize("sides, scale", [("6,10,14", "2"), ("3/2,5/2,7/2", "1/2"),
+                                          ("3*sqrt3,5*sqrt3,7*sqrt3", "1*sqrt3")])
+def test_tile_analyze_reports_the_exact_scale(runner, sides, scale):
+    res = runner.invoke(main, ["tile", "analyze", "--sides", sides, "--format", "json"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["eisenstein_parameters"] == {"m": 2, "n": 1, "scale": scale}
+
+
 @pytest.mark.parametrize("max_j", ["0", "-4"])
 def test_tile_analyze_rejects_max_j_below_one(runner, max_j):
     res = runner.invoke(main, ["tile", "analyze", "--sides", "3,5,7", "--max-j", max_j])
@@ -354,6 +362,31 @@ def test_resume_rejects_target_angles_its_sides_do_not_give(runner, tmp_path, an
     res = runner.invoke(main, resume)
     assert res.exit_code == 2 and _clean_exit(res), res.output
     assert "target angles do not match its sides" in res.stderr
+
+
+# the 6, 10, 14 target is similar to the tile, with the corners c, b and a;
+# other corners, or sides whose apex leaves Q(sqrt3)^2, are a parse error
+REWRITTEN_TARGET = [
+    ({"angles": [[0, 0, 1], [0, 2, 0], [1, 0, 0]]}, "target angles do not match its sides"),
+    ({"angles": [[1, 1, 0]] * 3}, "target angles do not match its sides"),
+    ({"X": "15", "Y": "15", "Z": "14"}, "target corner with cos = 7/15 is not a combination of tile angles"),
+]
+
+
+@pytest.mark.parametrize("target, message", REWRITTEN_TARGET, ids=["b-twice", "a+b-thrice", "apex"])
+def test_check_and_render_reject_target_angles_its_sides_do_not_give(runner, search_files, tmp_path,
+                                                                     target, message):
+    doc = copy.deepcopy(search_files[0])
+    assert doc["target"]["angles"] == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    doc["target"].update(target)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    svg = tmp_path / "out.svg"
+    for args in (["check", str(cert)], ["render", str(cert), str(svg)]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2 and _clean_exit(res), res.output
+        assert res.stderr == f"cannot parse certificate: {message}\n"
+    assert not svg.exists()
 
 
 def _set(doc, path, value):

@@ -131,6 +131,62 @@ def test_relation_from_shape_irrational():
     assert b_rels == [EdgeRelation(RelationKind.B_SIDE, 1, 1, 0)]  # b = a, nothing else
 
 
+def _reference_relation_from_shape(x, max_j=12):
+    """The former search: j and u over a/c = x and the b/c that
+    side_ratio_pair rebuilds with a square root, if it lies in Q(sqrt3)."""
+    if isinstance(x, (int, Fraction)):
+        x = QRoot3(Fraction(x), 0)
+    pair = side_ratio_pair(x)
+    rels = []
+    y = pair[1] if pair is not None else None
+    for j in range(1, max_j + 1):
+        for kind, lhs, unit in (
+            (RelationKind.B_SIDE, y, x),
+            (RelationKind.A_SIDE, x, y),
+        ):
+            if lhs is None:
+                continue
+            target = j * lhs
+            u = 0
+            while True:
+                rest = target - u * unit if unit is not None else target
+                if unit is not None and rest.sign() < 0:
+                    break
+                if unit is None and u > 0:
+                    break
+                if rest.is_rational():
+                    v = rest.as_rational()
+                    if v.denominator == 1 and v >= 0:
+                        g = math.gcd(math.gcd(j, u), int(v))
+                        if g == 1:
+                            rels.append(EdgeRelation(kind, j, u, int(v)))
+                if unit is None:
+                    break
+                u += 1
+    return sorted(set(rels), key=lambda r: (r.kind.value, r.j, r.u, r.v))
+
+
+def test_relations_match_the_former_square_root_search():
+    tiles = [ISO]
+    for m in range(2, 20):
+        for n in range(1, m):
+            if math.gcd(m, n) == 1:
+                for k in (QRoot3(1), QRoot3(2), QRoot3(Fraction(1, 2)), SQRT3):
+                    tiles.append(tile_from_sides(*(k * s for s in eisenstein_triple(m, n))))
+    for t in tiles:
+        want = _reference_relation_from_shape(t.a / t.c)
+        assert relations_for_tile(t) == want, t
+        assert relation_from_shape(t.a / t.c) == want, t
+    # b/c leaves Q(sqrt3): only q*a = p*c for a/c = p/q, and only if q <= max_j
+    for x, max_j, want in ((QRoot3(Fraction(1, 2)), 12, [EdgeRelation(RelationKind.A_SIDE, 2, 0, 1)]),
+                           (QRoot3(Fraction(2, 5)), 12, [EdgeRelation(RelationKind.A_SIDE, 5, 0, 2)]),
+                           (QRoot3(Fraction(2, 5)), 4, []),
+                           (QRoot3(0, Fraction(1, 4)), 12, [])):
+        assert side_ratio_pair(x) is None
+        assert _reference_relation_from_shape(x, max_j) == want
+        assert relation_from_shape(x, max_j) == want
+
+
 def test_relation_roundtrip_50_triples():
     # every integer tile carries the relations b = (b/a) a and b = (b/c) c;
     # recovering a/c from either is the relation -> shape -> relation loop
@@ -193,6 +249,17 @@ def test_find_eisenstein_parameters():
     assert find_eisenstein_parameters(6, 10, 14) == (2, 1, Fraction(2))
     assert find_eisenstein_parameters(7, 8, 13) == (3, 1, Fraction(1))
     assert find_eisenstein_parameters(1, 2, 3) is None
+    # sides given as Fraction or QRoot3 carry their exact scale
+    half = Fraction(1, 2)
+    assert find_eisenstein_parameters(3 * half, 5 * half, 7 * half) == (2, 1, QRoot3(half))
+    assert find_eisenstein_parameters(*(k * SQRT3 for k in (3, 5, 7))) == (2, 1, SQRT3)
+    root = QRoot3(1, 1)
+    assert find_eisenstein_parameters(*(k * root for k in (7, 8, 13))) == (3, 1, root)
+    assert find_eisenstein_parameters(*(k * root for k in (5, 16, 19))) == (3, 2, root)
+    m, n, k = find_eisenstein_parameters(6, 10, 14)
+    assert isinstance(k, QRoot3) and k == 2
+    # (1 + sqrt3) / 1 is irrational: no m : n
+    assert find_eisenstein_parameters(1, 1, SQRT3) is None
 
 
 def test_find_eisenstein_parameters_past_m_60():
