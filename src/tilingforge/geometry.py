@@ -9,14 +9,17 @@ denominators scale but never flip, and decide it with the shared kernel
 `_sign`: fraction-free, with no gcd and no QRoot3 built per call (exact
 geometric computation; Yap, CGTA 7, 1997).  `sides` takes one line's
 integer coefficients once for many points, and an `AngleVec` holds its
-angle as four ints with its band fixed at construction.  No
-floating-point comparison participates in any decision.
+angle as four ints with its band fixed at construction.  Sums and
+midpoints of points are taken on the forms, each coordinate normalised
+once, and the form-level kernels (`_mid`, `_inside_triangle`, `_locate`)
+test points that are never built.  No floating-point comparison
+participates in any decision.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .exactnum import QRoot3
@@ -31,10 +34,12 @@ _set = object.__setattr__
 
 
 class Point:
-    """Immutable point with QRoot3 coordinates x, y and their integer form
-    (which takes no part in equality, hashing, ordering or JSON)."""
+    """Immutable point with QRoot3 coordinates x, y, their integer form and
+    `key`, the `lex_key()` tuple of their normalised parts, both kept from
+    construction.  Equal keys are equal coordinates; the form takes no part
+    in equality, hashing, ordering or JSON."""
 
-    __slots__ = ("x", "y", "form")
+    __slots__ = ("x", "y", "form", "key")
 
     def __init__(self, x: QRoot3, y: QRoot3):
         g = gcd(x.den, y.den)
@@ -42,6 +47,7 @@ class Point:
         _set(self, "x", x)
         _set(self, "y", y)
         _set(self, "form", (x.n1 * kx, x.n3 * kx, y.n1 * ky, y.n3 * ky, x.den * kx))
+        _set(self, "key", (x.n1, x.n3, x.den, y.n1, y.n3, y.den))
 
     def __setattr__(self, *_args):
         raise AttributeError("Point is immutable")
@@ -53,13 +59,16 @@ class Point:
     def __eq__(self, other) -> bool:
         if other.__class__ is not Point:
             return NotImplemented
-        return self.x == other.x and self.y == other.y
+        return self.key == other.key
 
     def __hash__(self):
         return hash((self.x, self.y))
 
     def __add__(self, other: "Point") -> "Point":
-        return Point(self.x + other.x, self.y + other.y)
+        ax1, ax3, ay1, ay3, ad = self.form
+        bx1, bx3, by1, by3, bd = other.form
+        return _of_form(ax1 * bd + bx1 * ad, ax3 * bd + bx3 * ad, ay1 * bd + by1 * ad, ay3 * bd + by3 * ad,
+                        ad * bd)
 
     def __sub__(self, other: "Point") -> "Point":
         return Point(self.x - other.x, self.y - other.y)
@@ -68,7 +77,7 @@ class Point:
         return Point(self.x * k, self.y * k)
 
     def lex_key(self):
-        return (self.x.n1, self.x.n3, self.x.den, self.y.n1, self.y.n3, self.y.den)
+        return self.key
 
     def lex_less(self, other: "Point") -> bool:
         if self.x != other.x:
@@ -88,6 +97,12 @@ class Point:
         return f"({self.x}, {self.y})"
 
 
+def _of_form(x1: int, x3: int, y1: int, y3: int, d: int) -> Point:
+    """The point with integer form (x1, x3, y1, y3, d), d > 0, each
+    coordinate normalised once."""
+    return Point(QRoot3._raw(x1, x3, d), QRoot3._raw(y1, y3, d))
+
+
 def pt(x, y) -> Point:
     return Point(QRoot3(Fraction(x)) if not isinstance(x, QRoot3) else x,
                  QRoot3(Fraction(y)) if not isinstance(y, QRoot3) else y)
@@ -96,11 +111,7 @@ def pt(x, y) -> Point:
 def midpoint(a: Point, b: Point) -> Point:
     """Midpoint of a and b, summed on the integer forms and normalised once
     per coordinate."""
-    ax1, ax3, ay1, ay3, ad = a.form
-    bx1, bx3, by1, by3, bd = b.form
-    den = 2 * ad * bd
-    return Point(QRoot3._raw(ax1 * bd + bx1 * ad, ax3 * bd + bx3 * ad, den),
-                 QRoot3._raw(ay1 * bd + by1 * ad, ay3 * bd + by3 * ad, den))
+    return _of_form(*_mid(a.form, b.form))
 
 
 def sort_along(points: list[Point], a: Point, b: Point) -> None:
@@ -142,6 +153,13 @@ def _span(p: tuple, a: tuple, b: tuple) -> tuple[int, int]:
     d = _sign(by1 * ad - ay1 * bd, by3 * ad - ay3 * bd)
     return (d * _sign(py1 * ad - ay1 * pd, py3 * ad - ay3 * pd),
             d * _sign(by1 * pd - py1 * bd, by3 * pd - py3 * bd))
+
+
+def _mid(a: tuple, b: tuple) -> tuple:
+    """An integer form of the midpoint of the points with forms a and b."""
+    ax1, ax3, ay1, ay3, ad = a
+    bx1, bx3, by1, by3, bd = b
+    return (ax1 * bd + bx1 * ad, ax3 * bd + bx3 * ad, ay1 * bd + by1 * ad, ay3 * bd + by3 * ad, 2 * ad * bd)
 
 
 def orientation(a: Point, b: Point, c: Point) -> int:
@@ -189,7 +207,12 @@ def segments_properly_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
 
 def strictly_inside_triangle(p: Point, tri: Sequence[Point]) -> bool:
     """p lies in the open interior of the counterclockwise triangle tri."""
-    fp, fa, fb, fc = p.form, tri[0].form, tri[1].form, tri[2].form
+    return _inside_triangle(p.form, tri[0].form, tri[1].form, tri[2].form)
+
+
+def _inside_triangle(fp: tuple, fa: tuple, fb: tuple, fc: tuple) -> bool:
+    """The form fp lies in the open interior of the counterclockwise
+    triangle with forms fa, fb, fc."""
     return _orient(fa, fb, fp) > 0 and _orient(fb, fc, fp) > 0 and _orient(fc, fa, fp) > 0
 
 
@@ -220,7 +243,11 @@ def point_in_polygon(p: Point, vertices: Sequence[Point]) -> str:
     right.  An edge wholly above or below p can neither hold p nor cross
     the ray, so only edges that reach p's height are tested further.
     """
-    fp = p.form
+    return _locate(p.form, vertices)
+
+
+def _locate(fp: tuple, vertices: Sequence[Point]) -> str:
+    """point_in_polygon for the point with integer form fp."""
     px1, px3, py1, py3, pd = fp
     forms = [v.form for v in vertices]
     # sign of (vertex y - p.y), by vertex
@@ -249,11 +276,8 @@ def polygon_area_twice(vertices: Sequence[Point]) -> QRoot3:
     """Twice the signed area (positive for counterclockwise), summed on the
     integer forms brought to their least common denominator."""
     forms = [v.form for v in vertices]
-    den = 1
-    for f in forms:
-        den = den * f[4] // gcd(den, f[4])
-    scaled = [(x1 * (den // d), x3 * (den // d), y1 * (den // d), y3 * (den // d))
-              for x1, x3, y1, y3, d in forms]
+    den = lcm(*[f[4] for f in forms])
+    scaled = [(x1 * k, x3 * k, y1 * k, y3 * k) for x1, x3, y1, y3, d in forms for k in (den // d,)]
     r = s = 0
     ax1, ax3, ay1, ay3 = scaled[-1]
     for bx1, bx3, by1, by3 in scaled:

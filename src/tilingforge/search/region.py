@@ -12,13 +12,12 @@ strictly outside the same tile line: it can neither cross the tile, nor
 pass through a tile vertex, nor share a piece with a tile edge, so no
 test looks at it.  Of the other, *near* edges, only one whose endpoints
 lie strictly apart on a tile line can properly cross that tile edge.
-Only a region vertex on a tile line can cut that tile edge.  Only a
-region edge that meets both lines through a tile vertex can be cut there.
-And a region edge on the closed outer side of some tile line can neither
-cross the tile nor run inside it.  A simple polygon has no vertex inside
-its own edges, and neither has a triangle, so these cuts are all there
-are: the near edges are cut at the tile's vertices (`cut`), and the
-tile's edges, reversed, at the region's vertices.
+Only a region edge whose ends lie strictly apart on, or both on, each of
+the two lines through a tile vertex can pass through it.  And a region
+edge on the closed outer side of some tile line can neither cross the
+tile nor run inside it.  A simple polygon has no vertex inside its own
+edges, and neither has a triangle, so the near edges are cut at the
+tile's vertices (`cut`) and nowhere else.
 
 If no region edge properly crosses a tile edge and no region piece has its
 midpoint strictly inside the tile, no point of the region's boundary lies
@@ -26,23 +25,36 @@ in the open tile: a piece that entered it would have to cross a tile edge
 properly, or both its ends would lie on the tile's boundary and its
 midpoint inside.  The open tile is connected, so it then lies wholly inside
 or wholly outside the simple region, and one interior point of the tile
-decides which.
+decides which.  These probes are integer forms, not points.
 
-Opposite pairs of the pieces cancel, and the boundary cycles are
-re-extracted by always leaving a vertex along the most-counterclockwise
-turn from the reversed incoming direction.  Pinches (a tile touching the
-far boundary) then fall out as several independent simple polygons, and a
-tile that exactly finishes a region cancels its boundary away entirely.
-Every vertex of a far edge lies strictly outside the closed tile, so no
-tile piece and no other region edge reaches it: a run of consecutive far
-edges enters the walk whole, as one *strand* (a point sequence), never
-cancels, and at each vertex inside it the walk has one way on, the
-region's own next edge.  Those vertices keep both neighbours, so their
-interior angles are carried over from the region; only the vertices
-where strands and pieces join are merged or measured again.  A region
-whose edges are all far is one closed strand, and the tile is then a
-hole, which the walk rejects.  `subtract_triangle` is the remainder of
-`place` for a triangle known to fit.
+Once the tile fits, the remainder is fixed by the *contacts*, the
+connected pieces of the region's boundary on the tile's: the boundary
+tracing of Weiler and Atherton's clipping (SIGGRAPH 1977).  A region
+vertex strictly outside no tile line lies on the tile's boundary, and so
+does a tile vertex cut into a near edge.  Any other common point of the
+boundaries lies inside a region edge and a tile edge that do not cross,
+so on a piece they share, which ends at such points.  Two of these next
+to each other on one region edge bound a piece on the tile, or the chord
+between them would pass through the open tile.
+
+Both boundaries run counterclockwise with the tile inside the region, so
+the interiors lie on the same side of every contact, which runs the same
+way on both.  The region arc from the end of one contact to the start of
+the next keeps out of the open tile, and with the tile arc run clockwise
+from there back to its start it bounds a face of the region less the
+tile, whose inside no boundary point reaches.  So no other contact lies
+on that tile arc, and the contacts C1 ... Ck come in the same cyclic
+order on both boundaries: face i is the region arc from the end of Ci to
+the start of C(i+1), then the tile arc back to the end of Ci.  A point
+contact pinches the region apart.  No contact, or one point contact
+(whose face would pass that point twice), leaves the tile a hole, which
+raises GeometryError; a contact that is the whole boundary leaves
+nothing.  The region vertices inside a region arc keep both neighbours,
+so their angles are carried over as slices; only the junctions (contact
+ends, tile vertices on a tile arc) are measured, merged when straight
+and checked for doubling back.  Each face's area is summed from its
+vertices, and the areas must add up to the region's.
+`subtract_triangle` is the remainder of `place` for a tile known to fit.
 """
 
 from __future__ import annotations
@@ -55,15 +67,16 @@ from ..geometry import (
     AngleVec,
     GeometryError,
     Point,
+    _inside_triangle,
+    _locate,
+    _mid,
+    _span,
     angle_at,
-    midpoint,
     on_open_segment,
     orientation,
-    point_in_polygon,
     polygon_area_twice,
     sides,
     sort_along,
-    strictly_inside_triangle,
 )
 
 
@@ -79,20 +92,40 @@ class Polygon:
     corner_angles: Optional[tuple[AngleVec, ...]] = field(default=None, compare=False, repr=False)
 
     @staticmethod
-    def from_points(points: Sequence[Point],
-                    carried: Optional[Sequence[Optional[AngleVec]]] = None) -> "Polygon":
+    def from_points(points: Sequence[Point]) -> "Polygon":
         """The polygon through `points`, with repeated points and
-        straight-angle vertices merged away.  `carried` gives, point by
-        point, an interior angle known from a polygon the point keeps both
-        its neighbours from, or None; such a vertex is neither merged nor
-        measured again."""
-        pts, angles = _merge_collinear(list(points), list(carried or [None] * len(points)))
-        if len(pts) < 3:
+        straight-angle vertices merged away."""
+        pts = [p for i, p in enumerate(points) if p != points[i - 1]]
+        return Polygon._joined(pts, [None] * len(pts))
+
+    @staticmethod
+    def _joined(pts: list[Point], angles: list[Optional[AngleVec]]) -> "Polygon":
+        """The polygon through `pts`, where `angles` gives, point by point,
+        an interior angle carried over from a polygon the point keeps both
+        its neighbours from, or None at a junction.  Each junction is
+        measured, dropped if its angle is straight and rejected if the
+        boundary doubles back there; dropping a vertex leaves its
+        neighbours' edge directions, and so their angles, as they were."""
+        n = len(pts)
+        if n < 3:
             raise GeometryError("degenerate polygon")
+        straight = []
+        for i in [i for i, ang in enumerate(angles) if ang is None]:
+            ang = angles[i] = angle_at(pts[i], pts[(i + 1) % n], pts[i - 1])
+            if ang.rank == 2:
+                straight.append(i)  # an angle of pi: straight continuation
+            elif ang.rank == 0:
+                raise GeometryError("boundary doubles back on itself")
+        if straight:
+            keep = [i for i in range(n) if i not in straight]
+            pts, angles = [pts[i] for i in keep], [angles[i] for i in keep]
+            if len(pts) < 3:
+                raise GeometryError("degenerate polygon")
         area2 = polygon_area_twice(pts)
         if area2.sign() <= 0:
             raise GeometryError("polygon is not counterclockwise")
-        k = min(range(len(pts)), key=lambda i: pts[i].lex_key())
+        keys = [p.key for p in pts]
+        k = keys.index(min(keys))
         return Polygon(tuple(pts[k:] + pts[:k]), area2, tuple(angles[k:] + angles[:k]))
 
     def __len__(self):
@@ -124,34 +157,6 @@ class Polygon:
     def interior_angle(self, i: int) -> AngleVec:
         return self.angles[i]
 
-    def contains(self, p: Point) -> str:
-        return point_in_polygon(p, self.vertices)
-
-
-def _merge_collinear(pts: list[Point],
-                     angles: list[Optional[AngleVec]]) -> tuple[list[Point], list[AngleVec]]:
-    """Drop each point equal to the one before it, then measure the angle at
-    every point whose angle is None and drop it if the angle is straight.
-    Dropping a straight-angle vertex leaves its neighbours' edge directions,
-    and so their angles, as they were."""
-    keep = [i for i in range(len(pts)) if angles[i] is not None or pts[i] != pts[i - 1]]
-    pts, angles = [pts[i] for i in keep], [angles[i] for i in keep]
-    if len(pts) < 3:
-        return pts, angles
-    out_pts, out_angles = [], []
-    n = len(pts)
-    for i in range(n):
-        ang = angles[i]
-        if ang is None:
-            ang = angle_at(pts[i], pts[(i + 1) % n], pts[i - 1])
-            if ang.rank == 2:
-                continue  # an angle of pi: straight continuation
-            if ang.is_zero_mod_2pi():
-                raise GeometryError("boundary doubles back on itself")
-        out_pts.append(pts[i])
-        out_angles.append(ang)
-    return out_pts, out_angles
-
 
 def triangle_ccw(a: Point, b: Point, c: Point) -> tuple[Point, Point, Point]:
     s = orientation(a, b, c)
@@ -171,73 +176,18 @@ def cut(a: Point, b: Point, points: Sequence[Point]) -> list[tuple[Point, Point]
     return list(zip(ends, ends[1:]))
 
 
-def _cancel(strands: list[tuple[Point, ...]]) -> dict[tuple, tuple[Point, ...]]:
-    """The strands (point sequences of one or more segments), keyed by their
-    end points' lex_key() pairs, less each single segment whose reverse is
-    also there; a strand of several segments has no reverse among them."""
-    keyed: dict[tuple, tuple[Point, ...]] = {}
-    for s in strands:
-        key = (s[0].lex_key(), s[-1].lex_key())
-        if key in keyed:
-            raise GeometryError("boundary edge traversed twice in the same direction")
-        keyed[key] = s
-    return {key: s for key, s in keyed.items()
-            if len(s) > 2 or len(keyed.get((key[1], key[0]), ())) != 2}
-
-
-def _extract_faces(strands: dict[tuple, tuple[Point, ...]]) -> list[list[tuple]]:
-    """The boundary cycles, each as the keys of its strands in walk order."""
-    # walked in key order, so each vertex lists its outgoing strands by end
-    order = sorted(strands)
-    outgoing: dict[tuple, list[tuple]] = {}
-    for key in order:
-        outgoing.setdefault(key[0], []).append(key)
-    unused = set(strands)
-    faces = []
-    for start in order:
-        if start not in unused:
-            continue
-        unused.discard(start)
-        face = [start]
-        key = start
-        while key[1] != start[0]:
-            s = strands[key]
-            key = _next_edge(s[-2], s[-1], outgoing.get(key[1], ()), strands, unused)
-            unused.discard(key)
-            face.append(key)
-        faces.append(face)
-    return faces
-
-
-def _next_edge(u, v, keys, strands, unused):
-    """Key of the unused strand out of v with the most counterclockwise turn
-    from the incoming segment u -> v.  A single exit needs no turn angle,
-    only the slit test: it must not lead back along v -> u."""
-    exits = [key for key in keys if key in unused]
-    if len(exits) == 1:
-        w = strands[exits[0]][1]
-        if orientation(v, u, w) == 0 and angle_at(v, u, w).is_zero_mod_2pi():
-            raise GeometryError("slit edge encountered during face walk")
-        return exits[0]
-    best = None
-    best_angle: Optional[AngleVec] = None
-    for key in exits:
-        # measured from the reversed incoming direction
-        ang = angle_at(v, u, strands[key][1])
-        if ang.is_zero_mod_2pi():
-            raise GeometryError("slit edge encountered during face walk")
-        if best_angle is None or best_angle.compare(ang) < 0:
-            best, best_angle = key, ang
-    if best is None:
-        raise GeometryError("open boundary during face walk")
-    return best
-
-
 def _arc(seq: tuple, start: int, stop: int) -> tuple:
     """seq[start:stop] read around the cycle, for start <= len(seq) and
     stop - start <= len(seq)."""
     n = len(seq)
     return seq[start:stop] if stop <= n else seq[start:] + seq[:stop - n]
+
+
+# the tile lines through tile vertex k, as a mask: lines k - 1 and k
+_VERTEX_LINES = (0b101, 0b011, 0b110)
+# the place on the tile's boundary of a point on the tile lines of a mask:
+# 2k at tile vertex k, 2k + 1 inside tile edge k (vertex k to vertex k + 1)
+_TILE_POS = {0b001: 1, 0b010: 3, 0b100: 5, 0b101: 0, 0b011: 2, 0b110: 4}
 
 
 def place(region: Polygon, tri: tuple[Point, Point, Point]) -> Optional[list[Polygon]]:
@@ -250,68 +200,91 @@ def place(region: Polygon, tri: tuple[Point, Point, Point]) -> Optional[list[Pol
     midpoint(tri[0], midpoint(tri[1], tri[2])) lies outside.  Otherwise
     returns the rest of the region as zero or more simple polygons, sorted
     canonically; raises GeometryError if that rest is inconsistent, as it
-    is when the triangle touches no part of the region's boundary (a hole).
+    is when the triangle touches the region's boundary nowhere or at one
+    point only (a hole).
     """
     verts = region.vertices
     n = len(verts)
     lines = ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0]))
-    # side[i][k]: side of region vertex i against tile line k, +1 inner
-    side = list(zip(*(sides(a, b, verts) for a, b in lines)))
-    # out[i]: bit k set when vertex i lies strictly outside tile line k
-    out = [(s0 < 0) | (s1 < 0) << 1 | (s2 < 0) << 2 for s0, s1, s2 in side]
+    forms = [t.form for t in tri]
+    # code[i]: bit k set when region vertex i lies strictly outside tile
+    # line k, bit k + 3 when it lies strictly inside (one `sides` per line)
+    code = [(s0 < 0) | (s1 < 0) << 1 | (s2 < 0) << 2 | (s0 > 0) << 3 | (s1 > 0) << 4 | (s2 > 0) << 5
+            for s0, s1, s2 in zip(*(sides(a, b, verts) for a, b in lines))]
     # the edges that are not far; edge i runs from vertex i - 1 to vertex i
-    near = [i for i in range(n) if not out[i - 1] & out[i]]
+    near = [i for i in range(n) if not code[i - 1] & code[i] & 7]
 
-    strands = []
+    # the points of the region's boundary on the tile's, if the tile fits,
+    # in the region's order: (place on the region's boundary, 2i inside
+    # edge i and 2i + 1 at vertex i; the point; its tile lines as a mask)
+    touch = []
     for i in near:
         c, d = verts[i - 1], verts[i]
-        sc, sd = side[i - 1], side[i]
-        # tile vertex k lies on lines k - 1 and k, so the edge must meet both
-        meets = [sc[k] * sd[k] <= 0 for k in range(3)]
-        pieces = cut(c, d, [tri[k] for k in range(3) if meets[k] and meets[k - 1]])
-        strands += pieces
-        if any(sc[k] <= 0 and sd[k] <= 0 for k in range(3)):
+        out_c, out_d, in_c, in_d = code[i - 1] & 7, code[i] & 7, code[i - 1] >> 3, code[i] >> 3
+        apart = out_c & in_d | in_c & out_d  # the tile lines that c and d lie strictly apart on
+        on = 7 & ~(out_c | in_c | out_d | in_d)  # the tile lines that both lie on
+        # tile vertex k, on lines k - 1 and k, can lie inside the edge only
+        # if the edge's ends lie strictly apart on, or both on, each of them
+        pieces = cut(c, d, [tri[k] for k, both in enumerate(_VERTEX_LINES) if (apart | on) & both == both])
+        touch += [(2 * i, q, _VERTEX_LINES[tri.index(q)]) for q, _ in pieces[1:]]
+        if not out_d:
+            touch.append((2 * i + 1, d, 7 & ~in_d))
+        if in_c | in_d != 7:
             continue  # on the closed outer side of a tile line: it keeps out of the tile
         for k in range(3):
-            if sc[k] * sd[k] < 0:  # c and d strictly apart: test the reverse pair
+            if apart >> k & 1:  # test the reverse pair
                 o = orientation(c, d, lines[k][0])
                 if o and orientation(c, d, lines[k][1]) == -o:
                     return None  # proper crossing
-        if any(strictly_inside_triangle(midpoint(p, q), tri) for p, q in pieces):
+        if any(_inside_triangle(_mid(p.form, q.form), *forms) for p, q in pieces):
             return None
     # no boundary point in the open tile: one interior point decides
-    if region.contains(midpoint(tri[0], midpoint(tri[1], tri[2]))) != "inside":
+    if _locate(_mid(forms[0], _mid(forms[1], forms[2])), verts) != "inside":
         return None
-    for k, (a, b) in enumerate(lines):
-        # a vertex strictly outside some line is off every tile edge
-        on_line = [p for p, s, o in zip(verts, side, out) if s[k] == 0 and not o]
-        strands += [(q, p) for p, q in cut(a, b, on_line)]
-
-    # each run of far edges, from the end of one near edge to the start of
-    # the next, is one strand; the angles inside it are carried over
-    angles = region.angles
-    carried = {}
-    for j, i in enumerate(near):
-        stop = near[j + 1] if j + 1 < len(near) else near[0] + n
-        if stop - i > 1:
-            strand = _arc(verts, i, stop)
-            strands.append(strand)
-            carried[(strand[0].lex_key(), strand[-1].lex_key())] = _arc(angles, i + 1, stop - 1)
-    if not near:
-        strands.append(verts + verts[:1])
-        carried[(verts[0].lex_key(), verts[0].lex_key())] = angles[1:]
-
-    keyed = _cancel(strands)
-    polys = []
-    for face in _extract_faces(keyed):
-        pts, known = [], []
-        for key in face:
-            pts += keyed[key][:-1]
-            known.append(None)
-            known += carried.get(key, ())
-        polys.append(Polygon.from_points(pts, known))
+    polys = _splice(region, tri, touch)
     _check_area_conservation(region, tri, polys)
-    return sorted(polys, key=lambda p: p.vertices[0].lex_key())
+    if len(polys) > 1:  # faces pinched apart at their first vertex go by the next
+        polys.sort(key=lambda p: [v.key for v in p.vertices])
+    return polys
+
+
+def _splice(region: Polygon, tri: tuple[Point, Point, Point], touch: list) -> list[Polygon]:
+    """The faces of the region less the fitting tile, from the points where
+    their boundaries meet (see the module docstring)."""
+    verts, angles = region.vertices, region.angles
+    n, m = len(verts), len(touch)
+    if m < 2:
+        # no contact, or one point, which the face round the tile would pass twice
+        raise GeometryError("the tile leaves a hole in the region")
+    # along[j]: the boundary runs on the tile from touch point j to the
+    # next, as it does when that lies on the same region edge
+    along = []
+    for j in range(m):
+        a, b = touch[j][0], touch[j + 1][0] if j + 1 < m else touch[0][0] + 2 * n
+        along.append(b // 2 == (a + 1) // 2)
+    if all(along):
+        return []  # the tile is the whole region
+    # the contacts, as (first, last) indices into touch, in the region's order
+    contacts = []
+    start = next(j for j in range(m) if not along[j - 1])
+    for j in range(start, start + m):
+        if not along[j % m]:
+            contacts.append((start % m, j % m))
+            start = j + 1
+    faces = []
+    for (_, last), (first, _) in zip(contacts, contacts[1:] + contacts[:1]):
+        (re, e, e_lines), (rs, s, s_lines) = touch[last], touch[first]
+        # the region arc, its inner vertices with their angles carried over
+        lo, hi = (re + 1) // 2, (rs + (2 * n if first <= last else 0)) // 2
+        # the tile arc: the tile vertices strictly between the contacts
+        te, ts = _TILE_POS[e_lines], _TILE_POS[s_lines]
+        # (inside one tile edge, s lies behind e when s = e + t(end - e), t < 0)
+        if ts < te or ts == te and _span(s.form, e.form, tri[(te // 2 + 1) % 3].form)[0] < 0:
+            ts += 6  # the tile arc from e runs round the tile to s
+        back = [tri[k % 3] for k in range((ts - 1) // 2, te // 2, -1)]
+        faces.append(Polygon._joined([e, *_arc(verts, lo, hi), s, *back],
+                                     [None, *_arc(angles, lo, hi), None, *[None] * len(back)]))
+    return faces
 
 
 def subtract_triangle(region: Polygon, tri: tuple[Point, Point, Point]) -> list[Polygon]:

@@ -11,6 +11,7 @@ at segment endpoints, shared vertices, points on polygon edges and
 vertices, and horizontal edges at the height of the crossing ray.
 """
 
+import pickle
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -443,6 +444,19 @@ def test_sides(a, data):
 @given(points(), points())
 def test_midpoint(a, b):
     assert midpoint(a, b) == Point((a.x + b.x) / 2, (a.y + b.y) / 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(points(), points())
+def test_point_sum_and_difference_on_forms(a, b):
+    # sums are taken on the integer forms and normalised once; both agree
+    # with the coordinates
+    for got, x, y in ((a + b, a.x + b.x, a.y + b.y), (a - b, a.x - b.x, a.y - b.y)):
+        want = Point(x, y)
+        assert got == want and got.form == want.form
+        assert got.key == got.lex_key() == (x.n1, x.n3, x.den, y.n1, y.n3, y.den)
+        copy = pickle.loads(pickle.dumps(got))
+        assert copy == got and copy.form == got.form and copy.key == got.key
 
 
 @settings(max_examples=200, deadline=None)

@@ -11,18 +11,20 @@ from tilingforge.geometry import (
     midpoint,
     on_open_segment,
     orientation,
+    point_in_polygon,
+    polygon_area_twice,
     pt,
+    segment_length,
     segments_properly_cross,
     sort_along,
     strictly_inside_triangle,
 )
 from tilingforge.search import engine
-from tilingforge.search.engine import SearchConfig, run_search
-from tilingforge.search.placements import candidate_placements, tile_fits_in_region
+from tilingforge.search.engine import SearchConfig, TilingSearch, run_search
+from tilingforge.search.placements import Placement, candidate_placements, placement_chirality, tile_fits_in_region
 from tilingforge.search.region import (
     Polygon,
-    _cancel,
-    _extract_faces,
+    _splice,
     cut,
     place,
     subtract_triangle,
@@ -144,7 +146,8 @@ def test_cut_orders_pieces_from_the_start():
 
 def _ref_subtract(region, tri):
     """Split every edge at every endpoint lying on it, cancel opposite
-    pairs by net count, and walk the faces."""
+    pairs by net count, and walk the faces; a face that passes a point
+    twice (a hole pinned to the boundary) is not simple and raises."""
     a, b, c = tri
     edges = list(region.edges()) + [(b, a), (c, b), (a, c)]
     points = {p for e in edges for p in e}
@@ -178,6 +181,8 @@ def _ref_subtract(region, tri):
                     best = e
             unused.discard(best)
             cur = best
+        if len(set(cycle)) < len(cycle):
+            raise GeometryError("a face passes a point twice: not a simple polygon")
         faces.append(Polygon.from_points(cycle))
     return sorted(faces, key=lambda f: f.vertices[0].lex_key())
 
@@ -189,14 +194,14 @@ def _ref_fits(region, tri):
     tri_edges = [(tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])]
     if any(segments_properly_cross(a, b, c, d) for a, b in tri_edges for c, d in region.edges()):
         return False
-    if any(region.contains(p) == "outside" for p in tri):
+    if any(point_in_polygon(p, region.vertices) == "outside" for p in tri):
         return False
     for a, b in tri_edges:
         stops = [p for p in region.vertices if on_open_segment(p, a, b)]
         sort_along(stops, a, b)
         prev = a
         for p in stops + [b]:
-            if region.contains(midpoint(prev, p)) == "outside":
+            if point_in_polygon(midpoint(prev, p), region.vertices) == "outside":
                 return False
             prev = p
     for c, d in region.edges():
@@ -320,12 +325,15 @@ def test_fit_and_subtract_are_views_of_place():
         subtract_triangle(region, poking)
 
 
-def test_face_walk_slit_at_single_exit_raises():
-    # u -> v, then the only way on from v runs back towards u: a slit
+def test_splice_guards_reject_a_slit_and_a_hole():
+    # u -> v, then the way on from v runs back towards u: a slit, which the
+    # junction check rejects where the face doubles back
     u, v, w = pt(0, 0), pt(2, 0), pt(1, 0)
-    edges = _cancel([(u, v), (v, w), (w, u)])
-    with pytest.raises(GeometryError, match="slit"):
-        _extract_faces(edges)
+    with pytest.raises(GeometryError, match="doubles back"):
+        Polygon._joined([u, v, w], [None, None, None])
+    # no point of the region's boundary on the tile's: no contact, a hole
+    with pytest.raises(GeometryError, match="hole"):
+        _splice(SQUARE, (pt(4, 4), pt(5, 4), pt(4, 5)), [])
 
 
 # -- the containment probe: triangles that the region loop lets through ---------
@@ -338,17 +346,34 @@ def _place_verdict(region, tri):
         return "error"
 
 
+def _assert_remainder_matches_reference(region, tri):
+    """Check the remainder of a fitting tile against _ref_subtract: the
+    faces and their vertex order, every stored angle against the one its
+    vertices give, and every stored area against its vertices' and the
+    reference's; return the remainder."""
+    rest, want = place(region, tri), _ref_subtract(region, tri)
+    assert [p.vertices for p in rest] == [p.vertices for p in want]
+    assert all(list(p.angles) == _fresh_angles(p) for p in rest)
+    assert [p.area2 for p in rest] == [polygon_area_twice(p.vertices) for p in rest] == [
+        p.area_twice() for p in want]
+    return rest
+
+
 def _assert_verdict_matches_reference(region, tri):
-    """Check place's verdict against _ref_fits, and return it."""
+    """Check place's verdict against _ref_fits, and a fitting tile's
+    remainder against _ref_subtract; return the verdict."""
     tri = triangle_ccw(*tri)
     want, got = _ref_fits(region, tri), _place_verdict(region, tri)
     if got == "error":
-        # a tile strictly inside the region (a hole): both sides raise
+        # a tile strictly inside the region, or touching its boundary at one
+        # point only (a hole): both sides raise
         assert want
         with pytest.raises(GeometryError):
             _ref_subtract(region, tri)
     else:
         assert got == want
+        if got:
+            _assert_remainder_matches_reference(region, tri)
     return got
 
 
@@ -410,3 +435,85 @@ def test_probe_lattice_sweep(region):
                 tri = tuple(pt(p.x + dx, p.y + dy) for p in shape)
                 seen.add(_assert_verdict_matches_reference(region, tri))
     assert seen == {True, False, "error"}
+
+
+L_SHAPE = Polygon.from_points([pt(0, 0), pt(2, 0), pt(2, 1), pt(1, 1), pt(1, 2), pt(0, 2)])
+# a square with two spikes down from its top edge, to (4, 2) and (2, 4)
+SPIKES = Polygon.from_points([pt(0, 0), pt(8, 0), pt(8, 8), pt(5, 8), pt(4, 2), pt(3, 8), pt(2, 4),
+                              pt(1, 8), pt(0, 8)])
+
+
+@pytest.mark.parametrize("region, tri, faces", [
+    # the bottom edge, and the apex on the top edge, which pinches
+    pytest.param(SQUARE, (pt(0, 0), pt(10, 0), pt(5, 10)), 2, id="two-contacts"),
+    # the tile's base inside the bottom edge: one contact, whose two ends
+    # lie inside one region edge, and a face round the whole tile
+    pytest.param(SQUARE, (pt(3, 0), pt(7, 0), pt(5, 4)), 1, id="tile-vertex-on-region-edge"),
+    # the reflex vertex (1, 1) touches the tile's long edge
+    pytest.param(L_SHAPE, (pt(0, 0), pt(2, 0), pt(0, 2)), 2, id="region-vertex-on-tile-edge"),
+    # along the top edge, through the last vertex (0, 10), down edge 0
+    pytest.param(SQUARE, (pt(0, 10), pt(0, 4), pt(3, 10)), 1, id="contact-wraps-past-vertex-0"),
+    # the two spike tips touch one tile edge: a face between them
+    pytest.param(SPIKES, (pt(0, 0), pt(6, 0), pt(0, 6)), 3, id="two-contacts-on-one-tile-edge"),
+])
+def test_splice_matches_reference(region, tri, faces):
+    assert _ref_fits(region, tri)
+    assert len(_assert_remainder_matches_reference(region, tri)) == faces
+
+
+# -- the corner rule against a naive enumerator --------------------------------
+
+def _naive_tilings(tile, target, allow_mirror):
+    """Every tiling of the target, each as a set of its tiles' vertex keys.
+    At the lowest-leftmost vertex of the uncovered region (a convex corner,
+    so in any tiling one tile there is flush with the outgoing edge) it
+    tries every tile angle in both edge orders against the outgoing edge,
+    with no angle or length filter; _ref_fits decides containment and
+    _ref_subtract gives the rest."""
+    legs = {"alpha": (tile.b, tile.c), "beta": (tile.a, tile.c), "gamma": (tile.a, tile.b)}
+    found = set()
+
+    def walk(regions, placed):
+        if not regions:
+            found.add(frozenset(placed))
+            return
+        region, i = min(((r, i) for r in regions for i in range(len(r))),
+                        key=lambda ri: (ri[0].vertices[ri[1]].y, ri[0].vertices[ri[1]].x))
+        v, w = region.edge(i)
+        length = segment_length(v, w)
+        ux, uy = (w.x - v.x) / length, (w.y - v.y) / length
+        tried = set()  # an isosceles tile gives some triangles twice
+        for name, (e1, e2) in legs.items():
+            cos_v, sin_v = tile.angle_vec(name)
+            rx, ry = ux * cos_v - uy * sin_v, ux * sin_v + uy * cos_v
+            for flush, other in ((e1, e2), (e2, e1)):
+                tri = (v, Point(v.x + ux * flush, v.y + uy * flush), Point(v.x + rx * other, v.y + ry * other))
+                key = frozenset(p.lex_key() for p in tri)
+                if key in tried or placement_chirality(tile, Placement(tri, False)) and not allow_mirror:
+                    continue
+                tried.add(key)
+                if _ref_fits(region, tri):
+                    walk([r for r in regions if r is not region] + _ref_subtract(region, tri), placed + [key])
+
+    walk([Polygon.from_points(list(target.vertices()))], [])
+    return found
+
+
+@pytest.mark.parametrize("tile, sides, tilings", [
+    pytest.param(ISO, [SQRT3] * 3, 1, id="iso-sqrt3"),
+    pytest.param(ISO, [2 * SQRT3] * 3, 2, id="iso-2sqrt3"),
+    pytest.param(T357, [QRoot3(6), QRoot3(10), QRoot3(14)], 1, id="357-6,10,14"),
+    pytest.param(T357, [QRoot3(9), QRoot3(15), QRoot3(21)], 1, id="357-9,15,21"),
+    pytest.param(ISO, [3 * SQRT3] * 3, 9, id="iso-3sqrt3"),
+    pytest.param(T357, [QRoot3(12), QRoot3(20), QRoot3(28)], 1, id="357-12,20,28"),
+    pytest.param(T357, [QRoot3(15)] * 3, 0, id="357-15"),  # the exhausted verdict
+])
+@pytest.mark.parametrize("allow_mirror", [True, False], ids=["mirrors", "no-mirrors"])
+def test_corner_rule_finds_the_naive_tilings(tile, sides, tilings, allow_mirror):
+    # the smallest-angle corner, the angle and length filters and the
+    # frames give the same tilings as trying every flush tile everywhere
+    target = triangle_spec(tile, sides)
+    certs = TilingSearch(tile, target, SearchConfig(allow_mirror=allow_mirror)).enumerate_all()
+    got = {frozenset(frozenset(v.lex_key() for v in p.vertices) for p in c.placements) for c in certs}
+    assert len(got) == len(certs) == tilings
+    assert got == _naive_tilings(tile, target, allow_mirror)
