@@ -11,6 +11,7 @@ Q(zeta_24), which contains Q(sqrt2, sqrt3); see ``cyclo.sin_value``.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -19,6 +20,9 @@ Rat = Union[int, Fraction]
 
 def _frac(v: Rat) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
+
+
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # what rat_to_str writes
 
 
 def rat_to_str(v: Fraction) -> str:
@@ -227,14 +231,24 @@ class QRoot3:
     @staticmethod
     def from_json(obj) -> "QRoot3":
         """A rational string, or {"r": ..., "s": ...} with each part a
-        rational string or an integer; JSON floats and booleans are not exact."""
+        rational string or a JSON integer (not a float or a boolean).  A
+        rational string is what `rat_to_str` writes, -?digits or
+        -?digits/digits: no decimal point, exponent, plus sign, space or
+        underscore."""
         r, s = (obj, "0") if isinstance(obj, str) else (obj["r"], obj["s"])
-        if type(r) not in (str, int) or type(s) not in (str, int):
+        (n1, d1), (n3, d3) = _ratio(r), _ratio(s)
+        if not (d1 and d3):
             raise ValueError(f"not an exact number: {obj!r}")
-        try:
-            return QRoot3(Fraction(r), Fraction(s))
-        except ArithmeticError as exc:  # a zero denominator, an infinity
-            raise ValueError(f"not an exact number: {obj!r}") from exc
+        return QRoot3._raw(n1 * d3, n3 * d1, d1 * d3)
+
+
+def _ratio(v) -> tuple[int, int]:
+    """(numerator, denominator) of a JSON integer or of a string that
+    `rat_to_str` could have written; (0, 0) for anything else."""
+    if type(v) is int:
+        return v, 1
+    m = _RATIONAL.fullmatch(v) if type(v) is str else None
+    return (int(m[1]), int(m[2] or 1)) if m else (0, 0)
 
 
 def _coerce(v) -> QRoot3:

@@ -7,8 +7,10 @@ The checker shares only these vertices (`TriangleSpec.vertices`) and the
 exact geometric predicates with the search engine; it never looks at search
 state.  Interior disjointness is decided exactly on the placement pairs
 whose bounding boxes overlap, found by a sweep over exact x; every other
-pair is separated by an axis-parallel line, which rules out an overlap on
-its own.
+pair is separated by an axis-parallel line.  A tested pair is disjoint iff
+the line of one of its own edges separates it (the separating-axis test),
+and containment is read off the target's three edge lines, each line one
+`sides` row over the points it tests.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from ..constraints import ConstraintError, TriangleSpec
@@ -26,11 +27,9 @@ from ..geometry import (
     GeometryError,
     Point,
     orientation,
-    point_in_polygon,
     polygon_area_twice,
-    segments_properly_cross,
+    sides,
     squared_distance,
-    strictly_inside_triangle,
 )
 from ..tilealgebra import EdgeRelation, RelationKind, TileShape
 from .placements import Placement, placement_chirality
@@ -120,7 +119,13 @@ def check_certificate(cert: Certificate) -> list[Violation]:
         corners = cert.target.vertices()
     except (ConstraintError, GeometryError):
         return [Violation("BadTarget")]
-    target_poly = list(corners)
+    tris = [p.vertices for p in cert.placements]
+    # the target is convex and counterclockwise, so a vertex is outside it
+    # iff it is strictly right of one of its edge lines, and vertex
+    # containment is containment
+    points = [v for t in tris for v in t]
+    rows = [sides(corners[k - 1], corners[k], points) for k in range(3)]
+    outside = [min(s) < 0 for s in zip(*rows)]
 
     for i, p in enumerate(cert.placements):
         chir = placement_chirality(cert.tile, p)
@@ -131,14 +136,12 @@ def check_certificate(cert: Certificate) -> list[Violation]:
             violations.append(Violation("ChiralityMismatch", (i,)))
         if p.mirrored and not cert.allow_mirror:
             violations.append(Violation("MirrorNotAllowed", (i,)))
-        if any(point_in_polygon(v, target_poly) == "outside" for v in p.vertices):
-            # the target is convex, so vertex containment is containment
+        if any(outside[3 * i:3 * i + 3]):
             violations.append(Violation("OutsideTarget", (i,)))
 
-    tris = [p.vertices for p in cert.placements]
-    centroids = [_centroid(t) for t in tris]
+    turns = [orientation(*t) for t in tris]
     for i, j in _box_pairs(tris):
-        if _triangles_overlap(tris[i], tris[j], centroids[i], centroids[j]):
+        if _triangles_overlap(tris[i], tris[j], turns[i], turns[j]):
             violations.append(Violation("Overlap", (i, j)))
 
     total2 = QRoot3(0)
@@ -153,10 +156,10 @@ def check_certificate(cert: Certificate) -> list[Violation]:
 def _box_pairs(tris) -> list[tuple[int, int]]:
     """The pairs i < j, sorted, whose bounding boxes overlap as open
     intervals on both axes (min_i < max_j and min_j < max_i).  Any other
-    pair lies on the two sides of a line x = m or y = m, so no point of
-    one is strictly inside the other and two edges can only cross on that
-    line, not properly.  The sweep scans in order of exact min x and stops
-    at the first min x >= the current max x."""
+    pair lies on the two closed sides of a line x = m or y = m, so their
+    interiors are disjoint and one of their own edge lines separates them.
+    The sweep scans in order of exact min x and stops at the first
+    min x >= the current max x."""
     boxes = []
     for t in tris:
         xs = sorted(v.x for v in t)
@@ -176,24 +179,24 @@ def _box_pairs(tris) -> list[tuple[int, int]]:
     return pairs
 
 
-def _triangles_overlap(t1, t2, c1: Point, c2: Point) -> bool:
-    """Open interiors intersect; c1 and c2 are the centroids."""
-    for a, b in _tri_edges(t1):
-        for c, d in _tri_edges(t2):
-            if segments_properly_cross(a, b, c, d):
-                return True
-    return strictly_inside_triangle(c1, t2) or strictly_inside_triangle(c2, t1) or any(
-        strictly_inside_triangle(v, t2) for v in t1
-    ) or any(strictly_inside_triangle(v, t1) for v in t2)
-
-
-def _tri_edges(t):
-    return [(t[0], t[1]), (t[1], t[2]), (t[2], t[0])]
-
-
-def _centroid(t) -> Point:
-    third = Fraction(1, 3)
-    return Point((t[0].x + t[1].x + t[2].x) * third, (t[0].y + t[1].y + t[2].y) * third)
+def _triangles_overlap(t1, t2, o1: int, o2: int) -> bool:
+    """The placements t1 and t2, of orientations o1 and o2, overlap: no
+    edge line of either has all three vertices of the other on its closed
+    outer side (the separating-axis test).  An edge is directed by its own
+    triangle's orientation, so a clockwise placement is tested as its point
+    set; the line of a collinear placement separates on either side, and a
+    zero-length edge has no line.  Two single points have no line at all
+    and never overlap."""
+    lined = False
+    for t, o, other in ((t1, o1, t2), (t2, o2, t1)):
+        for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
+            if a == b:
+                continue
+            lined = True
+            row = sides(a, b, other)
+            if (o >= 0 and max(row) <= 0) or (o <= 0 and min(row) >= 0):
+                return False
+    return lined
 
 
 # ---------------------------------------------------------------------------

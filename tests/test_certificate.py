@@ -12,7 +12,18 @@ from hypothesis import strategies as st
 from tilingforge.cli import parse_target
 from tilingforge.constraints import target_vertices, triangle_spec
 from tilingforge.exactnum import QRoot3, SQRT3
-from tilingforge.geometry import AngleVec, GeometryError, Point, orientation, pt
+from tilingforge.geometry import (
+    AngleVec,
+    GeometryError,
+    Point,
+    midpoint,
+    on_open_segment,
+    orientation,
+    point_in_polygon,
+    pt,
+    segments_properly_cross,
+    strictly_inside_triangle,
+)
 import tilingforge.search.certificate as cmod
 from tilingforge.search.certificate import (
     Certificate,
@@ -283,7 +294,8 @@ def mutated_certificates(draw):
         n = len(placements)
         i = draw(st.integers(0, n - 1))
         verts = list(placements[i].vertices)
-        kind = draw(st.sampled_from(["duplicate", "shift-by-difference", "shift-small", "swap", "replace"]))
+        kind = draw(st.sampled_from(["duplicate", "shift-by-difference", "shift-small", "swap", "replace",
+                                     "repeat", "collinear", "point"]))
         if kind == "duplicate":
             placements.insert(draw(st.integers(0, n)), placements[i])
             continue
@@ -296,9 +308,18 @@ def mutated_certificates(draw):
         elif kind == "swap":
             k, l = draw(st.sampled_from([(0, 1), (1, 2), (0, 2)]))
             verts[k], verts[l] = verts[l], verts[k]
-        else:
+        elif kind == "replace":
             donor = placements[draw(st.integers(0, n - 1))].vertices[draw(st.integers(0, 2))]
             verts[draw(st.integers(0, 2))] = donor
+        elif kind == "repeat":
+            k = draw(st.integers(0, 2))
+            verts[k] = verts[(k + draw(st.integers(1, 2))) % 3]
+        elif kind == "collinear":  # the midpoint of the other two, or one beyond them
+            k = draw(st.integers(0, 2))
+            a, b = verts[(k + 1) % 3], verts[(k + 2) % 3]
+            verts[k] = midpoint(a, b) if draw(st.booleans()) else b + (b - a)
+        else:
+            verts = [verts[draw(st.integers(0, 2))]] * 3
         placements[i] = Placement(tuple(verts), placements[i].mirrored)
     return Certificate(cert.tile, cert.target, tuple(placements), cert.allow_mirror)
 
@@ -348,3 +369,131 @@ def test_sweep_tests_few_pairs_on_the_n75_certificate(monkeypatch):
     monkeypatch.setattr(cmod, "_triangles_overlap", lambda *args: calls.append(1) or real(*args))
     assert check_certificate(cert) == []
     assert 0 < len(calls) < 0.1 * 75 * 74 // 2
+
+
+# ---------------------------------------------------------------------------
+# the edge-line tests against the proper-crossing and containment tests
+
+
+def _edges(t):
+    return [(t[0], t[1]), (t[1], t[2]), (t[2], t[0])]
+
+
+def reference_overlap(t1, t2) -> bool:
+    """The overlap test the checker used before the edge-line test: two
+    edges cross properly, or a vertex or the centroid of one placement is
+    strictly inside the other (which never holds for a clockwise one)."""
+    third = Fraction(1, 3)
+    c1, c2 = (Point(sum((v.x for v in t), QRoot3(0)) * third, sum((v.y for v in t), QRoot3(0)) * third)
+              for t in (t1, t2))
+    if any(segments_properly_cross(a, b, c, d) for a, b in _edges(t1) for c, d in _edges(t2)):
+        return True
+    return strictly_inside_triangle(c1, t2) or strictly_inside_triangle(c2, t1) or any(
+        strictly_inside_triangle(v, t2) for v in t1) or any(strictly_inside_triangle(v, t1) for v in t2)
+
+
+def overlap(t1, t2) -> bool:
+    return cmod._triangles_overlap(t1, t2, orientation(*t1), orientation(*t2))
+
+
+def enters_at_a_corner(s, t) -> bool:
+    """s is collinear and runs from a corner of t on it into t's open
+    interior: its point set meets t's interior.  The reference misses this
+    when that piece of s ends at an end of s on t's boundary, so that no
+    vertex and no centroid of s is inside t and no edge crosses properly."""
+    if orientation(*s) != 0:
+        return False
+    on_s = [v for v in t if v in s or any(on_open_segment(v, a, b) for a, b in _edges(s))]
+    return any(strictly_inside_triangle(midpoint(v, w), t) for v in on_s for w in s)
+
+
+def test_a_collinear_placement_entering_at_a_corner_overlaps():
+    # the segment from (-1, -1) to (2, 2) enters the triangle at its corner
+    # (0, 0) and ends on its far edge: the reference sees no overlap
+    t = (pt(0, 0), pt(4, 0), pt(0, 4))
+    for s in [(pt(-3, -3), pt(-2, -2), pt(2, 2)), (pt(-1, -1), pt(-1, -1), pt(2, 2))]:
+        assert overlap(s, t) and overlap(t, s) and enters_at_a_corner(s, t)
+        assert not reference_overlap(s, t)
+    # with a vertex or the centroid inside, both tests see it
+    s = (pt(-1, -1), pt(1, 1), pt(2, 2))
+    assert overlap(s, t) and reference_overlap(s, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_certificates())
+def test_edge_lines_match_the_reference_on_every_pair(cert):
+    tris = [p.vertices for p in cert.placements]
+    for i in range(len(tris)):
+        for j in range(i + 1, len(tris)):
+            s, t = tris[i], tris[j]
+            if orientation(*s) < 0 or orientation(*t) < 0:
+                continue  # a clockwise placement is tested as its point set
+            got = overlap(s, t)
+            assert got == overlap(t, s)
+            if got != reference_overlap(s, t):
+                assert got and (enters_at_a_corner(s, t) or enters_at_a_corner(t, s))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_certificates())
+def test_outside_target_matches_point_in_polygon(cert):
+    target = list(cert.target.vertices())
+    want = [i for i, p in enumerate(cert.placements)
+            if placement_chirality(cert.tile, p) is not None
+            and any(point_in_polygon(v, target) == "outside" for v in p.vertices)]
+    assert [v.placements[0] for v in check_certificate(cert) if v.kind == "OutsideTarget"] == want
+
+
+def test_a_clockwise_placement_containing_another_overlaps_it():
+    # twice the tile, clockwise, around the tile itself: the point sets
+    # overlap, though nothing is strictly inside a clockwise triangle
+    big = Placement((pt(0, 0), pt(SQRT3, 1), pt(2 * SQRT3, 0)), False)
+    small = _shifted(ISO_TRI, 0, 0)
+    assert orientation(*big.vertices) < 0
+    assert not reference_overlap(big.vertices, small.vertices)
+    cert = Certificate(ISO, triangle_spec(ISO, [2 * SQRT3] * 3), (big, small), True)
+    assert check_certificate(cert) == [Violation("Noncongruent", (0,)), Violation("Overlap", (0, 1)),
+                                       Violation("AreaMismatch")]
+
+
+@pytest.mark.parametrize("segment, overlaps", [
+    ((pt(SQRT3 / 2, -1), pt(SQRT3 / 2, -1), pt(SQRT3 / 2, 1)), True),  # across the tile
+    ((pt(0, 0), pt(0, 0), pt(SQRT3, 0)), False),  # along its long edge
+    ((pt(SQRT3, 0), pt(SQRT3 / 2, Fraction(1, 2)), pt(SQRT3 / 2, Fraction(1, 2))), False),  # along a leg
+], ids=["across", "long-edge", "leg"])
+def test_a_placement_with_a_repeated_vertex(segment, overlaps):
+    assert overlap(segment, ISO_TRI) == overlap(ISO_TRI, segment) == overlaps
+    assert reference_overlap(segment, ISO_TRI) == overlaps
+    cert = Certificate(ISO, triangle_spec(ISO, [2 * SQRT3] * 3),
+                       (_shifted(ISO_TRI, 0, 0), Placement(segment, False)), True)
+    assert (Violation("Overlap", (0, 1)) in check_certificate(cert)) == overlaps
+
+
+@pytest.mark.parametrize("q", [pt(1, Fraction(1, 5)), pt(2, Fraction(1, 5))], ids=["same", "apart"])
+def test_single_point_placements_overlap_nothing_but_an_interior(q):
+    p = (pt(1, Fraction(1, 5)),) * 3
+    assert not overlap(p, (q,) * 3) and not reference_overlap(p, (q,) * 3)
+    cert = Certificate(ISO, triangle_spec(ISO, [2 * SQRT3] * 3),
+                       (Placement(p, False), Placement((q,) * 3, False)), True)
+    assert all(v.kind != "Overlap" for v in check_certificate(cert))
+    # strictly inside the tile, a single point overlaps it, as before
+    assert overlap(p, ISO_TRI) and reference_overlap(p, ISO_TRI)
+    assert overlap(ISO_TRI, (pt(SQRT3, 0),) * 3) is reference_overlap(ISO_TRI, (pt(SQRT3, 0),) * 3) is False
+
+
+def test_a_vertex_on_a_target_edge_is_not_outside():
+    # the tile on the bottom edge of the side-2*sqrt3 target, its right
+    # corner inside that edge; pushed down a little, it is outside
+    target = triangle_spec(ISO, [2 * SQRT3] * 3)
+    corners = list(target.vertices())
+    tile = _shifted(ISO_TRI, 0, 0)
+    assert point_in_polygon(tile.vertices[1], corners) == "on"
+    assert check_certificate(Certificate(ISO, target, (tile,), True)) == [Violation("AreaMismatch")]
+    pushed = Certificate(ISO, target, (_shifted(ISO_TRI, 0, Fraction(-1, 100)),), True)
+    assert check_certificate(pushed) == [Violation("OutsideTarget", (0,)), Violation("AreaMismatch")]
+    # a found tiling has vertices inside all three target edges
+    cert = found_certificate("iso", (3 * SQRT3,) * 3)
+    corners = list(cert.target.vertices())
+    on_edges = {v for p in cert.placements for v in p.vertices
+                if point_in_polygon(v, corners) == "on" and v not in corners}
+    assert len(on_edges) >= 3 and check_certificate(cert) == []

@@ -426,6 +426,73 @@ def test_resume_rejects_inexact_numbers(runner, search_files, tmp_path):
     assert res.stderr == "invalid instance: malformed checkpoint: not an exact number: {'r': 15.0, 's': '0'}\n"
 
 
+# strings that Fraction() reads but rat_to_str never writes: an exponent
+# (read by Fraction(), this one kept `check` busy for tens of seconds), a
+# decimal, a space, an underscore and a plus sign
+NOT_WRITTEN = ["1e-300000", "0.5", " 1/2", "1_0", "+1"]
+
+
+@pytest.mark.parametrize("text", NOT_WRITTEN)
+def test_check_render_and_resume_reject_numbers_rat_to_str_does_not_write(runner, search_files, tmp_path,
+                                                                          text):
+    doc = copy.deepcopy(search_files[0])
+    coordinate = doc["placements"][0]["v"][0][0]
+    coordinate["r"] = text
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    for args in (["check", str(cert)], ["render", str(cert), str(tmp_path / "out.svg")]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2 and _clean_exit(res), res.output
+        assert res.stderr == f"cannot parse certificate: not an exact number: {coordinate!r}\n"
+    doc = copy.deepcopy(search_files[1])
+    doc["target"]["X"]["r"] = text
+    ck = tmp_path / "ck.json"
+    ck.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["search", "--resume", str(ck), "--stats-out", str(tmp_path / "s.json")])
+    assert res.exit_code == 2 and _clean_exit(res), res.output
+    number = doc["target"]["X"]
+    assert res.stderr == f"invalid instance: malformed checkpoint: not an exact number: {number!r}\n"
+
+
+def _rewritten(doc):
+    """doc with every part p/q of a Q(sqrt3) value written unreduced, as
+    2p/2q, and every integer part as a JSON integer."""
+    if isinstance(doc, dict) and set(doc) == {"r", "s"}:
+        return {k: int(v) if "/" not in v else "/".join(str(2 * int(n)) for n in v.split("/"))
+                for k, v in doc.items()}
+    if isinstance(doc, dict):
+        return {k: _rewritten(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_rewritten(v) for v in doc]
+    return doc
+
+
+def test_check_and_resume_read_unreduced_fractions_and_integers(runner, search_files, tmp_path):
+    doc = _rewritten(search_files[0])
+    text = json.dumps(doc)
+    assert any(type(v) is int for v in doc["tile"]["a"].values())
+    assert any("/" in v for p in doc["placements"] for xy in p["v"] for c in xy for v in c.values()
+               if type(v) is str)
+    cert = tmp_path / "cert.json"
+    cert.write_text(text)
+    res = runner.invoke(main, ["check", str(cert)])
+    assert res.exit_code == 0 and res.output.startswith("valid N=4 tiling\n"), res.output
+    # a negative integer string is read, and the checker gives its verdict
+    doc["placements"][0]["v"][0][0]["r"] = "-3"
+    cert.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["check", str(cert)])
+    assert res.exit_code == 1 and _clean_exit(res), res.output
+    stats = []
+    for i, ck_doc in enumerate((search_files[1], _rewritten(search_files[1]))):
+        ck = tmp_path / f"ck{i}.json"
+        ck.write_text(json.dumps(ck_doc))
+        res = runner.invoke(main, ["search", "--resume", str(ck), "--node-budget", "12",
+                                   "--stats-out", str(tmp_path / f"s{i}.json")])
+        assert res.exit_code == 3, res.output
+        stats.append(json.loads((tmp_path / f"s{i}.json").read_text())["nodes"])
+    assert stats[0] == stats[1] > 10
+
+
 @pytest.mark.parametrize("extra", [["--sides", "1,1,sqrt3"], ["--target", "equilateral:sqrt3"],
                                    ["--no-mirror"], ["--paper-pruning"]])
 def test_search_rejects_instance_flags_with_resume(runner, search_files, tmp_path, extra):

@@ -117,3 +117,25 @@ def test_serialization_roundtrip():
     assert QRoot3.from_json(x.to_json()) == x
     assert Fraction(rat_to_str(Fraction(-22, 7))) == Fraction(-22, 7)
     assert rat_to_str(Fraction(4)) == "4"
+
+
+@given(qroot3s())
+def test_from_json_reads_what_to_json_writes(x):
+    assert QRoot3.from_json(x.to_json()) == x
+
+
+@pytest.mark.parametrize("part, value", [("-3", QRoot3(-3)), ("2/4", QRoot3(Fraction(1, 2))), (7, QRoot3(7)),
+                                          ("-0", QRoot3(0)), ("-22/7", QRoot3(Fraction(-22, 7)))])
+def test_from_json_accepts_rational_strings_and_integers(part, value):
+    assert QRoot3.from_json({"r": part, "s": 0}) == value
+    assert QRoot3.from_json({"r": 0, "s": part}) == value * QRoot3(0, 1)
+
+
+@pytest.mark.parametrize("part", ["1e-300000", "0.5", " 1/2", "1_0", "+1", "1/-2", "1/", "", "1\n", "\u0661",
+                                  "1/0", 1.0, True, None])
+def test_from_json_rejects_what_rat_to_str_does_not_write(part):
+    # Fraction() reads the first five; read by it, the exponent kept the
+    # checker busy for tens of seconds
+    for obj in ({"r": part, "s": "0"}, {"r": "0", "s": part}):
+        with pytest.raises(ValueError, match="not an exact number"):
+            QRoot3.from_json(obj)
