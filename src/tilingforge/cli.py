@@ -26,7 +26,6 @@ from .constraints import (
     triangle_spec,
 )
 from .exactnum import QRoot3, rat_to_str
-from .lemmalab import run_checks
 from .search import (
     Certificate,
     InvalidInstance,
@@ -194,6 +193,8 @@ def lemmas():
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def lemmas_verify(ids, fmt):
     """Run all (or selected) identity checks; exit 0 iff all pass."""
+    from .lemmalab import run_checks  # only this command needs the suite
+
     id_list = [s.strip() for s in ids.split(",")] if ids else None
     try:
         results = run_checks(id_list)

@@ -83,12 +83,13 @@ class Certificate:
 
 
 def write_json(path, obj, indent=None) -> None:
-    """Write obj as JSON to a temporary file beside path, then move it into
-    place, so a failure mid-write leaves any earlier file at path intact."""
+    """Write obj as JSON to a temporary file beside path, in one write, then
+    move it into place, so a failure mid-write leaves any earlier file at
+    path intact."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            json.dump(obj, fh, indent=indent)
+            fh.write(json.dumps(obj, indent=indent))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

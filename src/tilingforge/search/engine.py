@@ -18,7 +18,6 @@ conditional.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -127,6 +126,7 @@ class TilingSearch:
 
     @staticmethod
     def _apply(regions: tuple[Polygon, ...], cand: Candidate) -> tuple[Polygon, ...]:
+        # the candidate's remainder is spliced here, when the search enters it
         merged = cand.remainder + list(regions[1:])
         merged.sort(key=lambda p: p.vertices[0].lex_key())
         return tuple(merged)
@@ -361,6 +361,8 @@ def run_search(tile: TileShape, target: TriangleSpec, config: Optional[SearchCon
     if cfg.workers <= 1:
         outcome = _merge(frontier, map(_run_subtree, jobs), stats)
     else:
+        import multiprocessing  # only a worker pool needs it
+
         # leaving the block terminates the subtrees still running
         with multiprocessing.get_context("spawn").Pool(processes=cfg.workers) as pool:
             outcome = _merge(frontier, pool.imap(_run_subtree, jobs), stats)

@@ -14,20 +14,30 @@ meets few directions, so `TileGeometry.frame` builds them once per
 direction as offsets from the corner, with their chirality; a node adds
 them to its corner.  That is exact: a translate has the same sides and
 orientation, so it is congruent with the same chirality, and an edge d
-on the ray of the unit vector u has |d| = d.x / u.x.  No square root,
+on the ray of the unit vector u has |d| = d.x / u.x.  The frame is found
+by the edge's integer direction (the difference of its ends' integer
+forms), so the edge's length is one normalisation.  No square root,
 division, rotation or chirality test is made per node.
+
+The fit test's `sides` rows of the flush line (the outgoing edge) and of
+the ray line (shared by both edge orders of a tile angle) are taken once
+per corner and once per angle, so a candidate takes only its far edge's
+row.  A candidate keeps what the fit test found and builds its remainder
+on first use, checked against the tile's exact area: the search splices
+only the candidates it enters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from ..constraints import side_compositions, tile_angle_sums
 from ..exactnum import QRoot3
-from ..geometry import AngleVec, Point, orientation, segment_length, squared_distance
+from ..geometry import AngleVec, Point, orientation, segment_length, sides, squared_distance
 from ..tilealgebra import TileShape
-from .region import Polygon, place
+from .region import Polygon, fit, place, splice
 
 
 @dataclass(frozen=True)
@@ -55,19 +65,31 @@ class Placement:
 class Candidate:
     placement: Placement  # its first vertex is the corner
     angle_name: str  # which tile angle sits at the corner
-    # the region left once the placement is made; None if it does not fit
-    remainder: Optional[list[Polygon]] = field(compare=False)
+    # the region it is placed in and the points where their boundaries
+    # meet (`fit`), None if it does not fit; twice the tile's area
+    region: Polygon = field(compare=False, repr=False)
+    touch: Optional[list] = field(compare=False, repr=False)
+    area2: QRoot3 = field(compare=False, repr=False)
+
+    @cached_property
+    def remainder(self) -> Optional[list[Polygon]]:
+        """The region left once the placement is made, spliced on first
+        use; None if it does not fit."""
+        if self.touch is None:
+            return None
+        return splice(self.region, self.placement.vertices, self.touch, self.area2)
 
 
 class TileGeometry:
-    """Derived exact data for one tile: angle vectors, adjacent edge
-    lengths, the rays of the tile-angle sums in (0, 2*pi) (from
-    `tile_angle_sums`, for the rest of a corner), representable edge
+    """Derived exact data for one tile: twice its area, angle vectors,
+    adjacent edge lengths, the rays of the tile-angle sums in (0, 2*pi)
+    (from `tile_angle_sums`, for the rest of a corner), representable edge
     lengths, and one candidate frame per boundary direction, built on
     first use (`frame`)."""
 
     def __init__(self, tile: TileShape):
         self.tile = tile
+        self.area2 = tile.area * 2
         self.angles = []
         for name, (e1, e2) in (("alpha", (tile.b, tile.c)),
                                ("beta", (tile.a, tile.c)),
@@ -93,15 +115,28 @@ class TileGeometry:
 
     # -- candidate frames per boundary direction ------------------------------
 
-    def frame(self, d: Point) -> tuple:
-        """The frame of boundary edge d = next - corner, built on first use
-        of its ray: the edge is d.x * per_unit long (d.y if on_y), and each
+    def frame(self, a: Point, b: Point) -> tuple:
+        """(length, angles) of the boundary edge a -> b: its length, and the
+        frame of its ray, found by its integer direction d (b - a times the
+        denominators of a and b) and built on first use (`_frame`).  Each
         tile angle gives (name, phi, cos, sin, options), each edge order an
         option (flush_len, f_off, g_off, mirrored) for the candidate
-        (v, v + f_off, v + g_off) at corner v; repeats are dropped."""
-        key = AngleVec._of(*d.form[:4]).ray_key()
-        if key in self._frames:
-            return self._frames[key]
+        (a, a + f_off, a + g_off)."""
+        ax1, ax3, ay1, ay3, ad = a.form
+        bx1, bx3, by1, by3, bd = b.form
+        dx1, dx3, dy1, dy3 = bx1 * ad - ax1 * bd, bx3 * ad - ax3 * bd, by1 * ad - ay1 * bd, by3 * ad - ay3 * bd
+        key = AngleVec._of(dx1, dx3, dy1, dy3).ray_key()
+        fr = self._frames.get(key)
+        if fr is None:
+            fr = self._frames[key] = self._frame(b - a)
+        per_unit, on_y, angles = fr
+        n1, n3 = (dy1, dy3) if on_y else (dx1, dx3)
+        p1, p3, pd = per_unit.n1, per_unit.n3, per_unit.den
+        return QRoot3._raw(n1 * p1 + 3 * n3 * p3, n1 * p3 + n3 * p1, ad * bd * pd), angles
+
+    def _frame(self, d: Point) -> tuple:
+        """(per_unit, on_y, angles) for the ray of d: an edge e on it is
+        e.x * per_unit long (e.y if on_y); repeated options are dropped."""
         origin = Point(QRoot3(0), QRoot3(0))
         length = segment_length(origin, d)
         u = Point(d.x / length, d.y / length)
@@ -119,8 +154,7 @@ class TileGeometry:
                     options.append((flush_len, *offs, mirrored))
             if options:
                 angles.append((name, AngleVec(cos_v, sin_v), cos_v, sin_v, options))
-        fr = self._frames[key] = ((u.y if on_y else u.x).inverse(), on_y, angles)
-        return fr
+        return (u.y if on_y else u.x).inverse(), on_y, angles
 
 
 def placement_chirality(tile: TileShape, p: Placement) -> Optional[bool]:
@@ -179,26 +213,28 @@ def candidate_placements(
     nonnegative combination of tile angles), the flush boundary edge keeps
     a representable remainder (or the far corner is reflex and the tile
     overhangs it, which the exact containment check then vets), and the
-    tile lies inside the region.  Each candidate carries the remainder that
-    `place` leaves; with check_fit=False the candidates that do not fit
-    are kept too, with remainder None.  Shapes, chirality and the edge's
-    length come from the edge's frame: a candidate costs two point sums.
+    tile lies inside the region (`fit`).  Each candidate builds its
+    remainder when first asked; with check_fit=False the candidates that
+    do not fit are kept too, with remainder None.  Shapes, chirality and
+    the edge's length come from the edge's frame: a candidate costs two
+    point sums and one `sides` row.
     """
-    v = region.vertices[corner]
-    j = (corner + 1) % len(region)
-    d = region.vertices[j] - v
-    per_unit, on_y, angles = geom.frame(d)
-    boundary_len = (d.y if on_y else d.x) * per_unit
+    verts = region.vertices
+    v = verts[corner]
+    j = (corner + 1) % len(verts)
+    boundary_len, angles = geom.frame(v, verts[j])
     theta = region.interior_angle(corner)
     next_angle_reflex = region.interior_angle(j).is_reflex()
 
     out: list[Candidate] = []
+    flush_row = None
     for name, phi, cos_v, sin_v, options in angles:
         if theta.compare(phi) < 0:
             continue
         rest = theta.minus_rotation(cos_v, sin_v)
         if not rest.is_zero_mod_2pi() and not geom.angle_representable(rest):
             continue
+        ray_row = None
         for flush_len, f_off, g_off, mirrored in options:
             if flush_len > boundary_len and not next_angle_reflex:
                 continue
@@ -206,9 +242,13 @@ def candidate_placements(
                 continue
             if mirrored and not allow_mirror:
                 continue
-            placement_vertices = (v, v + f_off, v + g_off)
-            remainder = place(region, placement_vertices)
-            if check_fit and remainder is None:
+            tri = (v, v + f_off, v + g_off)
+            if flush_row is None:  # every flush edge runs along the outgoing edge
+                flush_row = sides(v, verts[j], verts)
+            if ray_row is None:  # both edge orders end on the angle's ray
+                ray_row = sides(tri[2], v, verts)
+            touch = fit(region, tri, flush_row, ray_row)
+            if check_fit and touch is None:
                 continue
-            out.append(Candidate(Placement(placement_vertices, mirrored), name, remainder))
+            out.append(Candidate(Placement(tri, mirrored), name, region, touch, geom.area2))
     return out

@@ -2,15 +2,19 @@
 
 The uncovered part of the target is a list of simple polygons with
 counterclockwise boundary (interior on the left of each directed edge).
-`place(region, tri)` decides in one pass whether a triangle lies in the
-region and, if it does, what is left of the region.
+`place(region, tri)` decides whether a triangle lies in the region and,
+if it does, what is left of the region: the fit test `fit` returns the
+points where the two boundaries meet, or None, and `splice` builds the
+rest from them.  The search splices only the candidates it enters.
 
-It first takes the side of every region vertex against each of the three
-tile-edge lines (one `sides` call per line), and that table decides which
-exact tests are needed.  A region edge is *far* when both its ends lie
-strictly outside the same tile line: it can neither cross the tile, nor
-pass through a tile vertex, nor share a piece with a tile edge, so no
-test looks at it.  Of the other, *near* edges, only one whose endpoints
+The fit test takes the side of every region vertex against each of the
+three tile-edge lines (one `sides` row per line), and that table decides
+which exact tests are needed.  The caller may pass the rows of the lines
+through tri[0]: `candidate_placements` takes the flush line's row (the
+region's outgoing edge) once per corner and the ray line's once per tile
+angle.  A region edge is *far* when both its ends lie strictly outside
+the same tile line: it can neither cross the tile, nor pass through a
+tile vertex, nor share a piece with a tile edge, so no test looks at it.  Of the other, *near* edges, only one whose endpoints
 lie strictly apart on a tile line can properly cross that tile edge.
 Only a region edge whose ends lie strictly apart on, or both on, each of
 the two lines through a tile vertex can pass through it.  And a region
@@ -53,7 +57,8 @@ nothing.  The region vertices inside a region arc keep both neighbours,
 so their angles are carried over as slices; only the junctions (contact
 ends, tile vertices on a tile arc) are measured, merged when straight
 and checked for doubling back.  Each face's area is summed from its
-vertices, and the areas must add up to the region's.
+vertices, and with the tile's (a candidate's is the tile's exact area)
+they must add up to the region's.
 `subtract_triangle` is the remainder of `place` for a tile known to fit.
 """
 
@@ -191,7 +196,8 @@ _TILE_POS = {0b001: 1, 0b010: 3, 0b100: 5, 0b101: 0, 0b011: 2, 0b110: 4}
 
 
 def place(region: Polygon, tri: tuple[Point, Point, Point]) -> Optional[list[Polygon]]:
-    """Place a counterclockwise triangle in the region.
+    """Place a counterclockwise triangle in the region: the fit test
+    `fit`, then, if the triangle fits, the splice `splice`.
 
     Returns None if the triangle does not lie in the region: a region edge
     properly crosses a tile edge, a region sub-edge midpoint lies strictly
@@ -203,14 +209,29 @@ def place(region: Polygon, tri: tuple[Point, Point, Point]) -> Optional[list[Pol
     is when the triangle touches the region's boundary nowhere or at one
     point only (a hole).
     """
+    touch = fit(region, tri)
+    return None if touch is None else splice(region, tri, touch, polygon_area_twice(tri))
+
+
+def fit(region: Polygon, tri: tuple[Point, Point, Point], flush: Optional[list[int]] = None,
+        ray: Optional[list[int]] = None) -> Optional[list]:
+    """The fit test of `place`: None if the counterclockwise triangle does
+    not lie in the region, else the points where the region's boundary
+    meets the tile's, in the region's order.  `flush` and `ray`, if given,
+    are the `sides` rows of the region's vertices against the tile lines
+    tri[0] -> tri[1] and tri[2] -> tri[0]."""
     verts = region.vertices
     n = len(verts)
     lines = ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0]))
     forms = [t.form for t in tri]
+    if flush is None:
+        flush = sides(tri[0], tri[1], verts)
+    if ray is None:
+        ray = sides(tri[2], tri[0], verts)
     # code[i]: bit k set when region vertex i lies strictly outside tile
-    # line k, bit k + 3 when it lies strictly inside (one `sides` per line)
+    # line k, bit k + 3 when it lies strictly inside
     code = [(s0 < 0) | (s1 < 0) << 1 | (s2 < 0) << 2 | (s0 > 0) << 3 | (s1 > 0) << 4 | (s2 > 0) << 5
-            for s0, s1, s2 in zip(*(sides(a, b, verts) for a, b in lines))]
+            for s0, s1, s2 in zip(flush, sides(tri[1], tri[2], verts), ray)]
     # the edges that are not far; edge i runs from vertex i - 1 to vertex i
     near = [i for i in range(n) if not code[i - 1] & code[i] & 7]
 
@@ -241,14 +262,26 @@ def place(region: Polygon, tri: tuple[Point, Point, Point]) -> Optional[list[Pol
     # no boundary point in the open tile: one interior point decides
     if _locate(_mid(forms[0], _mid(forms[1], forms[2])), verts) != "inside":
         return None
-    polys = _splice(region, tri, touch)
-    _check_area_conservation(region, tri, polys)
+    return touch
+
+
+def splice(region: Polygon, tri: tuple[Point, Point, Point], touch: list, area2: QRoot3) -> list[Polygon]:
+    """The rest of the region once the triangle is placed, from the points
+    `touch` that `fit` returned for it and its twice area `area2`: zero or
+    more simple polygons, sorted canonically.  Raises GeometryError if the
+    triangle leaves a hole or the areas do not add up."""
+    polys = _faces(region, tri, touch)
+    total = area2
+    for p in polys:
+        total = total + p.area_twice()
+    if total != region.area_twice():
+        raise GeometryError("area not conserved by subtraction")
     if len(polys) > 1:  # faces pinched apart at their first vertex go by the next
         polys.sort(key=lambda p: [v.key for v in p.vertices])
     return polys
 
 
-def _splice(region: Polygon, tri: tuple[Point, Point, Point], touch: list) -> list[Polygon]:
+def _faces(region: Polygon, tri: tuple[Point, Point, Point], touch: list) -> list[Polygon]:
     """The faces of the region less the fitting tile, from the points where
     their boundaries meet (see the module docstring)."""
     verts, angles = region.vertices, region.angles
@@ -295,11 +328,3 @@ def subtract_triangle(region: Polygon, tri: tuple[Point, Point, Point]) -> list[
     if rest is None:
         raise GeometryError("triangle does not lie in the region")
     return rest
-
-
-def _check_area_conservation(region, tri, polys):
-    total = polygon_area_twice(tri)
-    for p in polys:
-        total = total + p.area_twice()
-    if total != region.area_twice():
-        raise GeometryError("area not conserved by subtraction")

@@ -253,6 +253,16 @@ def test_console_entrypoint():
     assert "tiling-forge" in out.stdout
 
 
+def test_cli_import_leaves_out_the_worker_pool_and_the_lemma_suite():
+    # every command pays for the CLI's imports; only a split search with
+    # workers needs multiprocessing, and only `lemmas verify` the suite
+    code = ("import sys, tilingforge.cli; "
+            "print([m for m in ('multiprocessing', 'tilingforge.lemmalab') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def _split_search(runner, tmp_path, *extra):
     return runner.invoke(main, ["search", "--sides", "3,5,7", "--target", "equilateral:15",
                                 "--split-depth", "2", *extra,

@@ -10,7 +10,6 @@ from tilingforge.geometry import Point, pt, segment_length
 from tilingforge.search import engine, placements
 from tilingforge.search.engine import SearchConfig, TilingSearch
 from tilingforge.search.placements import (
-    Candidate,
     Placement,
     TileGeometry,
     candidate_placements,
@@ -140,7 +139,8 @@ def test_select_corner_tie_lexicographic():
 def _reference_candidates(region, corner, geom, allow_mirror, check_fit):
     """The candidates built node by node: the edge's exact length, the unit
     direction by division, one rotation per tile angle, a chirality test per
-    candidate and a set of vertex sets against duplicates."""
+    candidate, a set of vertex sets against duplicates and `place` for the
+    remainder; each as `_summary` gives it."""
     v = region.vertices[corner]
     nxt = region.vertices[(corner + 1) % len(region)]
     theta = region.interior_angle(corner)
@@ -173,7 +173,7 @@ def _reference_candidates(region, corner, geom, allow_mirror, check_fit):
             if check_fit and remainder is None:
                 continue
             seen.add(key)
-            out.append(Candidate(Placement(tri, mirrored), name, remainder))
+            out.append((tri, mirrored, name, None if remainder is None else [r.vertices for r in remainder]))
     return out
 
 
@@ -187,7 +187,9 @@ def _summary(cands):
     (T357, [QRoot3(15)] * 3, False, 9),
     (T357, [QRoot3(15), QRoot3(25), QRoot3(35)], True, 814),
     (ISO, [4 * SQRT3] * 3, True, 48),
-], ids=["357-eq15", "357-eq15-direct", "357-15,25,35", "iso-eq4sqrt3"])
+    (T357, [QRoot3(30)] * 3, True, 400),
+    (ISO, [5 * SQRT3] * 3, True, 75),
+], ids=["357-eq15", "357-eq15-direct", "357-15,25,35", "iso-eq4sqrt3", "357-eq30-budget", "iso-eq5sqrt3"])
 def test_frames_match_the_per_node_construction(monkeypatch, tile, sides, allow_mirror, nodes):
     # every region the search expands, under both fit and mirror settings
     expanded = []
@@ -198,15 +200,30 @@ def test_frames_match_the_per_node_construction(monkeypatch, tile, sides, allow_
         return expand(region, corner, geom, **kwargs)
 
     monkeypatch.setattr(engine, "candidate_placements", recorded)
-    s = TilingSearch(tile, triangle_spec(tile, sides), SearchConfig(allow_mirror=allow_mirror))
+    config = SearchConfig(allow_mirror=allow_mirror, node_budget=nodes)
+    s = TilingSearch(tile, triangle_spec(tile, sides), config)
     assert s.run().stats.nodes == nodes
     geom = TileGeometry(tile)
+    rows = []
+    fit = placements.fit
+
+    def shared_rows_checked(region, tri, flush, ray):
+        # the flush row, taken once per corner, and the ray row, once per
+        # tile angle, are the rows of this candidate's own lines
+        verts = region.vertices
+        assert flush == geometry.sides(tri[0], tri[1], verts)
+        assert ray == geometry.sides(tri[2], tri[0], verts)
+        rows.append(tri)
+        return fit(region, tri, flush, ray)
+
+    monkeypatch.setattr(placements, "fit", shared_rows_checked)
     for region, corner in expanded:
         for check_fit in (True, False):
             for mirror in (True, False):
                 got = candidate_placements(region, corner, geom, allow_mirror=mirror, check_fit=check_fit)
                 want = _reference_candidates(region, corner, geom, mirror, check_fit)
-                assert _summary(got) == _summary(want), (region, corner, check_fit, mirror)
+                assert _summary(got) == want, (region, corner, check_fit, mirror)
+    assert rows
     if tile is ISO:  # directions at multiples of 30 degrees: vertical edges too
         assert any(on_y for _, on_y, _ in geom._frames.values())
 

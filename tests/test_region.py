@@ -24,7 +24,7 @@ from tilingforge.search.engine import SearchConfig, TilingSearch, run_search
 from tilingforge.search.placements import Placement, candidate_placements, placement_chirality, tile_fits_in_region
 from tilingforge.search.region import (
     Polygon,
-    _splice,
+    _faces,
     cut,
     place,
     subtract_triangle,
@@ -333,7 +333,7 @@ def test_splice_guards_reject_a_slit_and_a_hole():
         Polygon._joined([u, v, w], [None, None, None])
     # no point of the region's boundary on the tile's: no contact, a hole
     with pytest.raises(GeometryError, match="hole"):
-        _splice(SQUARE, (pt(4, 4), pt(5, 4), pt(4, 5)), [])
+        _faces(SQUARE, (pt(4, 4), pt(5, 4), pt(4, 5)), [])
 
 
 # -- the containment probe: triangles that the region loop lets through ---------

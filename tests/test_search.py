@@ -1,4 +1,6 @@
 import json
+import os
+import pickle
 
 import pytest
 
@@ -6,7 +8,7 @@ from tilingforge.cli import parse_sides, parse_target
 from tilingforge.constraints import tile_angle_sums, triangle_spec
 from tilingforge.exactnum import QRoot3, SQRT3
 from tilingforge.geometry import Point
-from tilingforge.search import engine
+from tilingforge.search import engine, region
 from tilingforge.search.certificate import check_certificate
 from tilingforge.search.engine import (
     InvalidInstance,
@@ -125,12 +127,13 @@ def test_checkpoint_survives_a_failed_write(tmp_path, monkeypatch):
     TilingSearch(T357, tri, SearchConfig(node_budget=120, checkpoint_path=str(ck))).run()
     saved = ck.read_bytes()
 
-    def dump_then_fail(obj, fh, **kwargs):
-        fh.write('{"schema": "v1", "indi')
+    def fail(fd):
         raise OSError("no space left on device")
 
     with monkeypatch.context() as patch:
-        patch.setattr(json, "dump", dump_then_fail)
+        # part of a checkpoint reaches the file, then the write fails
+        patch.setattr(json, "dumps", lambda obj, **kwargs: '{"schema": "v1", "indi')
+        patch.setattr(os, "fsync", fail)
         with pytest.raises(OSError):
             resume_from_checkpoint(str(ck), SearchConfig(node_budget=260, checkpoint_path=str(ck)))
     # the earlier checkpoint is intact, no temporary file is left, and it resumes
@@ -207,8 +210,8 @@ def test_splitting_cap_counts_the_placements(monkeypatch):
     assert s._pruning_active
     corner, inner = s.target.vertices()[0], Point(QRoot3(1), QRoot3(1))
 
-    def cand(p, name):  # a candidate with its corner p
-        return Candidate(Placement((p, p, p), False), name, [])
+    def cand(p, name):  # a candidate with its corner p, never placed
+        return Candidate(Placement((p, p, p), False), name, None, None, None)
 
     synthetic = [cand(p, name) for p in (corner, inner) for name in ("alpha", "beta", "gamma")]
     monkeypatch.setattr(engine, "candidate_placements", lambda *args, **kwargs: synthetic)
@@ -227,6 +230,42 @@ def test_splitting_cap_counts_the_placements(monkeypatch):
     # with the cap off every candidate is kept
     s._pruning_active = False
     assert len(s._expand((s.initial,), [at["alpha"]] * 3)) == len(synthetic)
+
+
+@pytest.mark.parametrize("tile, side, budget, expected", [
+    (T357, QRoot3(30), 400, ("budget", 400)),
+    (ISO, 5 * SQRT3, 10**8, ("found", 75)),
+    (T357, QRoot3(15), 10**8, ("exhausted", 380)),
+])
+def test_a_search_splices_only_the_candidates_it_enters(monkeypatch, tile, side, budget, expected):
+    # a remainder is built when the search enters its candidate: one splice
+    # per node, none for the fitting candidates it never reaches
+    splices = []
+    faces = region._faces
+
+    def counted(*args):
+        splices.append(args)
+        return faces(*args)
+
+    monkeypatch.setattr(region, "_faces", counted)
+    out = run_search(tile, tri_eq(tile, side), SearchConfig(node_budget=budget))
+    assert (out.status, out.stats.nodes) == expected
+    assert len(splices) == out.stats.nodes
+
+
+def test_unspliced_candidates_and_frontier_frames_pickle():
+    # the frontier frames go to spawned workers with their candidates not
+    # yet spliced; a copy splices the same remainder as the original
+    s = TilingSearch(T357, tri_eq(T357, QRoot3(15)), SearchConfig())
+    frame = engine._subtree_prefixes(s, 2)[0][0][0]
+    cand = frame.cands[0]
+    assert "remainder" not in vars(cand)
+    copy = pickle.loads(pickle.dumps(cand))
+    assert copy == cand and "remainder" not in vars(copy)
+    assert copy.remainder == cand.remainder and copy.remainder
+    frame_copy = pickle.loads(pickle.dumps(frame))
+    assert frame_copy.regions == frame.regions and frame_copy.cands == frame.cands
+    assert [c.remainder for c in frame_copy.cands] == [c.remainder for c in frame.cands]
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
