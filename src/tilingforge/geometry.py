@@ -11,9 +11,9 @@ geometric computation; Yap, CGTA 7, 1997).  `sides` takes one line's
 integer coefficients once for many points, and an `AngleVec` holds its
 angle as four ints with its band fixed at construction.  Sums and
 midpoints of points are taken on the forms, each coordinate normalised
-once, and the form-level kernels (`_mid`, `_inside_triangle`, `_locate`)
-test points that are never built.  No floating-point comparison
-participates in any decision.
+once, and the form-level kernels (`_mid`, `_locate`) test points that
+are never built.  No floating-point comparison participates in any
+decision.
 """
 
 from __future__ import annotations
@@ -207,12 +207,7 @@ def segments_properly_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
 
 def strictly_inside_triangle(p: Point, tri: Sequence[Point]) -> bool:
     """p lies in the open interior of the counterclockwise triangle tri."""
-    return _inside_triangle(p.form, tri[0].form, tri[1].form, tri[2].form)
-
-
-def _inside_triangle(fp: tuple, fa: tuple, fb: tuple, fc: tuple) -> bool:
-    """The form fp lies in the open interior of the counterclockwise
-    triangle with forms fa, fb, fc."""
+    fp, fa, fb, fc = p.form, tri[0].form, tri[1].form, tri[2].form
     return _orient(fa, fb, fp) > 0 and _orient(fb, fc, fp) > 0 and _orient(fc, fa, fp) > 0
 
 

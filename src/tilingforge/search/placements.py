@@ -9,15 +9,19 @@ edge, and each becomes the flush candidate once its predecessors are
 placed.  Two candidates per angle arise from the two ways to assign the
 angle's adjacent edges; they are mirror images of each other.
 
-A boundary edge's direction fixes the candidates' shapes, and the search
-meets few directions, so `TileGeometry.frame` builds them once per
-direction as offsets from the corner, with their chirality; a node adds
-them to its corner.  That is exact: a translate has the same sides and
+A corner's kind fixes which candidate shapes pass the angle and length
+filters: its outgoing edge as an exact vector, its interior angle and
+whether the next corner is reflex.  The search meets few kinds, so
+`TileGeometry.shapes` keeps one shape list per kind, built on a table miss
+and reused by every later corner of that kind; a node adds the shapes to
+its corner.  A miss filters the frame of the edge's direction, which
+`TileGeometry.frame` builds once per direction as offsets from the corner,
+with their chirality.  That is exact: a translate has the same sides and
 orientation, so it is congruent with the same chirality, and an edge d
 on the ray of the unit vector u has |d| = d.x / u.x.  The frame is found
 by the edge's integer direction (the difference of its ends' integer
 forms), so the edge's length is one normalisation.  No square root,
-division, rotation or chirality test is made per node.
+division, rotation, chirality test or filter is run per node.
 
 The fit test's `sides` rows of the flush line (the outgoing edge) and of
 the ray line (shared by both edge orders of a tile angle) are taken once
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import gcd
 from typing import Optional
 
 from ..constraints import side_compositions, tile_angle_sums
@@ -84,8 +89,9 @@ class TileGeometry:
     """Derived exact data for one tile: twice its area, angle vectors,
     adjacent edge lengths, the rays of the tile-angle sums in (0, 2*pi)
     (from `tile_angle_sums`, for the rest of a corner), representable edge
-    lengths, and one candidate frame per boundary direction, built on
-    first use (`frame`)."""
+    lengths, one candidate frame per boundary direction (`frame`) and one
+    list of candidate shapes per corner kind (`shapes`), each built on
+    first use."""
 
     def __init__(self, tile: TileShape):
         self.tile = tile
@@ -99,6 +105,7 @@ class TileGeometry:
         self._angle_rays = frozenset(a.ray_key() for _, a in tile_angle_sums(tile))
         self._length_cache: dict[tuple, bool] = {}
         self._frames: dict[tuple, tuple] = {}
+        self._shapes: dict[tuple, list] = {}
 
     # -- representable corner angles and edge lengths ---------------------------
 
@@ -112,6 +119,44 @@ class TileGeometry:
         if hit is None:
             hit = self._length_cache[key] = bool(side_compositions(self.tile, length))
         return hit
+
+    # -- candidate shapes per corner kind ----------------------------------------
+
+    def shapes(self, a: Point, b: Point, theta: AngleVec, next_reflex: bool) -> list:
+        """The candidate shapes at the corner a, with outgoing edge a -> b,
+        interior angle theta and the next corner reflex or not: for each
+        tile angle that passes the angle filter, in frame order, (name,
+        options), each option (f_off, g_off, mirrored) one that passes the
+        length filter.  The list is kept per corner kind (b - a in lowest
+        terms, theta's ray and next_reflex) and built for the first corner
+        of its kind."""
+        ax1, ax3, ay1, ay3, ad = a.form
+        bx1, bx3, by1, by3, bd = b.form
+        d = (bx1 * ad - ax1 * bd, bx3 * ad - ax3 * bd, by1 * ad - ay1 * bd, by3 * ad - ay3 * bd, ad * bd)
+        g = gcd(*d)
+        key = (*[t // g for t in d], theta.ray_key(), next_reflex)
+        hit = self._shapes.get(key)
+        if hit is None:
+            hit = self._shapes[key] = self._shape_list(a, b, theta, next_reflex)
+        return hit
+
+    def _shape_list(self, a: Point, b: Point, theta: AngleVec, next_reflex: bool) -> list:
+        """`shapes` for a corner kind met for the first time, filtered from
+        the frame of a -> b."""
+        boundary_len, angles = self.frame(a, b)
+        out = []
+        for name, phi, cos_v, sin_v, options in angles:
+            if theta.compare(phi) < 0:
+                continue
+            rest = theta.minus_rotation(cos_v, sin_v)
+            if not rest.is_zero_mod_2pi() and not self.angle_representable(rest):
+                continue
+            kept = [(f_off, g_off, mirrored) for flush_len, f_off, g_off, mirrored in options
+                    if (flush_len <= boundary_len or next_reflex)
+                    and (flush_len >= boundary_len or self.length_representable(boundary_len - flush_len))]
+            if kept:
+                out.append((name, kept))
+        return out
 
     # -- candidate frames per boundary direction ------------------------------
 
@@ -215,31 +260,20 @@ def candidate_placements(
     overhangs it, which the exact containment check then vets), and the
     tile lies inside the region (`fit`).  Each candidate builds its
     remainder when first asked; with check_fit=False the candidates that
-    do not fit are kept too, with remainder None.  Shapes, chirality and
-    the edge's length come from the edge's frame: a candidate costs two
-    point sums and one `sides` row.
+    do not fit are kept too, with remainder None.  The shapes that pass the
+    angle and length filters, with their chirality, come from the corner's
+    kind (`TileGeometry.shapes`): a candidate costs two point sums and the
+    fit test, which takes its far edge's `sides` row.
     """
     verts = region.vertices
     v = verts[corner]
     j = (corner + 1) % len(verts)
-    boundary_len, angles = geom.frame(v, verts[j])
-    theta = region.interior_angle(corner)
-    next_angle_reflex = region.interior_angle(j).is_reflex()
-
+    shapes = geom.shapes(v, verts[j], region.interior_angle(corner), region.interior_angle(j).is_reflex())
     out: list[Candidate] = []
     flush_row = None
-    for name, phi, cos_v, sin_v, options in angles:
-        if theta.compare(phi) < 0:
-            continue
-        rest = theta.minus_rotation(cos_v, sin_v)
-        if not rest.is_zero_mod_2pi() and not geom.angle_representable(rest):
-            continue
+    for name, options in shapes:
         ray_row = None
-        for flush_len, f_off, g_off, mirrored in options:
-            if flush_len > boundary_len and not next_angle_reflex:
-                continue
-            if flush_len < boundary_len and not geom.length_representable(boundary_len - flush_len):
-                continue
+        for f_off, g_off, mirrored in options:
             if mirrored and not allow_mirror:
                 continue
             tri = (v, v + f_off, v + g_off)

@@ -8,28 +8,51 @@ points where the two boundaries meet, or None, and `splice` builds the
 rest from them.  The search splices only the candidates it enters.
 
 The fit test takes the side of every region vertex against each of the
-three tile-edge lines (one `sides` row per line), and that table decides
-which exact tests are needed.  The caller may pass the rows of the lines
-through tri[0]: `candidate_placements` takes the flush line's row (the
-region's outgoing edge) once per corner and the ray line's once per tile
-angle.  A region edge is *far* when both its ends lie strictly outside
-the same tile line: it can neither cross the tile, nor pass through a
-tile vertex, nor share a piece with a tile edge, so no test looks at it.  Of the other, *near* edges, only one whose endpoints
-lie strictly apart on a tile line can properly cross that tile edge.
-Only a region edge whose ends lie strictly apart on, or both on, each of
-the two lines through a tile vertex can pass through it.  And a region
-edge on the closed outer side of some tile line can neither cross the
-tile nor run inside it.  A simple polygon has no vertex inside its own
-edges, and neither has a triangle, so the near edges are cut at the
-tile's vertices (`cut`) and nowhere else.
+three tile-edge lines (one `sides` row per line), and decides from that
+sign table, not from new determinants, wherever it can (exact geometric
+computation; Yap, CGTA 7, 1997).  The caller may pass the rows of the
+lines through tri[0]: `candidate_placements` takes the flush line's row
+(the region's outgoing edge) once per corner and the ray line's once per
+tile angle.  A region edge is *far* when both its ends lie strictly
+outside the same tile line: it can neither cross the tile, nor pass
+through a tile vertex, nor share a piece with a tile edge, so no test
+looks at it.  On the other, *near* edges three rules read the table:
+
+- *Cuts.*  A simple polygon has no vertex inside its own edges, and
+  neither has a triangle, so a near edge is cut at the tile vertices
+  inside it and nowhere else.  Tile vertex k, on lines k - 1 and k, lies
+  inside an edge that is on one of them and strictly across the other,
+  which takes no arithmetic, and inside an edge strictly across both
+  exactly when the edge's line passes through it.
+- *Pieces.*  A tile vertex is on its two lines and strictly inside the
+  third.  A piece strictly across a tile line meets that line outside the
+  closed tile (a proper crossing is excluded, and no tile vertex lies
+  inside a piece), so it keeps out of the open tile; any other piece has
+  its midpoint strictly inside the tile iff each line has an end strictly
+  inside it and none strictly outside.
+- *Crossings.*  Only an edge whose ends lie strictly apart on a tile line
+  can properly cross that tile edge.  Strictly across one tile line, with
+  an end strictly inside each other line and none outside, it does; an
+  edge strictly across two or three lines takes one `sides` row of the
+  tile's vertices against its own line, which decides its crossings and
+  the vertices it passes through.  And a region edge on the closed outer
+  side of some tile line can neither cross the tile nor run inside it.
 
 If no region edge properly crosses a tile edge and no region piece has its
 midpoint strictly inside the tile, no point of the region's boundary lies
 in the open tile: a piece that entered it would have to cross a tile edge
 properly, or both its ends would lie on the tile's boundary and its
-midpoint inside.  The open tile is connected, so it then lies wholly inside
-or wholly outside the simple region, and one interior point of the tile
-decides which.  These probes are integer forms, not points.
+midpoint inside.  The open tile is connected, so it then lies wholly
+inside or wholly outside the simple region.  A near edge on tile line k
+with a piece whose ends both lie in the closed tile shares a piece of
+positive length with tile edge k, which settles the side: the region lies
+left of the edge and the tile left of its edge, so the tile is inside if
+the edge runs the tile edge's way (the opposite tile vertex strictly on its
+left, one orientation) and outside if it runs the other way.  Only a tile
+that shares no piece with the region's boundary is decided by one
+interior point, the probe `_locate` on an integer form.  Each candidate of
+the search has its flush edge on the region's outgoing edge, so the
+search never probes.
 
 Once the tile fits, the remainder is fixed by the *contacts*, the
 connected pieces of the region's boundary on the tile's: the boundary
@@ -72,12 +95,10 @@ from ..geometry import (
     AngleVec,
     GeometryError,
     Point,
-    _inside_triangle,
     _locate,
     _mid,
     _span,
     angle_at,
-    on_open_segment,
     orientation,
     polygon_area_twice,
     sides,
@@ -170,17 +191,6 @@ def triangle_ccw(a: Point, b: Point, c: Point) -> tuple[Point, Point, Point]:
     return (a, b, c) if s > 0 else (a, c, b)
 
 
-def cut(a: Point, b: Point, points: Sequence[Point]) -> list[tuple[Point, Point]]:
-    """The pieces of the segment a -> b, cut at those of `points` that lie
-    strictly inside it, in order from a."""
-    inner = [p for p in points if on_open_segment(p, a, b)]
-    if not inner:
-        return [(a, b)]
-    sort_along(inner, a, b)
-    ends = [a, *inner, b]
-    return list(zip(ends, ends[1:]))
-
-
 def _arc(seq: tuple, start: int, stop: int) -> tuple:
     """seq[start:stop] read around the cycle, for start <= len(seq) and
     stop - start <= len(seq)."""
@@ -190,6 +200,8 @@ def _arc(seq: tuple, start: int, stop: int) -> tuple:
 
 # the tile lines through tile vertex k, as a mask: lines k - 1 and k
 _VERTEX_LINES = (0b101, 0b011, 0b110)
+# the code of tile vertex k: on lines k - 1 and k, strictly inside line k + 1
+_VERTEX_CODE = (0b010 << 3, 0b100 << 3, 0b001 << 3)
 # the place on the tile's boundary of a point on the tile lines of a mask:
 # 2k at tile vertex k, 2k + 1 inside tile edge k (vertex k to vertex k + 1)
 _TILE_POS = {0b001: 1, 0b010: 3, 0b100: 5, 0b101: 0, 0b011: 2, 0b110: 4}
@@ -202,8 +214,9 @@ def place(region: Polygon, tri: tuple[Point, Point, Point]) -> Optional[list[Pol
     Returns None if the triangle does not lie in the region: a region edge
     properly crosses a tile edge, a region sub-edge midpoint lies strictly
     inside the tile, or else (the open tile then meets no boundary point,
-    so it lies wholly on one side of it) the interior point
-    midpoint(tri[0], midpoint(tri[1], tri[2])) lies outside.  Otherwise
+    so it lies wholly on one side of it) a region edge shares a piece with
+    a tile edge running the other way or, if none shares one, the interior
+    point midpoint(tri[0], midpoint(tri[1], tri[2])) lies outside.  Otherwise
     returns the rest of the region as zero or more simple polygons, sorted
     canonically; raises GeometryError if that rest is inconsistent, as it
     is when the triangle touches the region's boundary nowhere or at one
@@ -222,8 +235,6 @@ def fit(region: Polygon, tri: tuple[Point, Point, Point], flush: Optional[list[i
     tri[0] -> tri[1] and tri[2] -> tri[0]."""
     verts = region.vertices
     n = len(verts)
-    lines = ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0]))
-    forms = [t.form for t in tri]
     if flush is None:
         flush = sides(tri[0], tri[1], verts)
     if ray is None:
@@ -239,29 +250,61 @@ def fit(region: Polygon, tri: tuple[Point, Point, Point], flush: Optional[list[i
     # in the region's order: (place on the region's boundary, 2i inside
     # edge i and 2i + 1 at vertex i; the point; its tile lines as a mask)
     touch = []
+    inside = False  # a shared piece has shown the tile inside the region
     for i in near:
         c, d = verts[i - 1], verts[i]
         out_c, out_d, in_c, in_d = code[i - 1] & 7, code[i] & 7, code[i - 1] >> 3, code[i] >> 3
         apart = out_c & in_d | in_c & out_d  # the tile lines that c and d lie strictly apart on
         on = 7 & ~(out_c | in_c | out_d | in_d)  # the tile lines that both lie on
-        # tile vertex k, on lines k - 1 and k, can lie inside the edge only
-        # if the edge's ends lie strictly apart on, or both on, each of them
-        pieces = cut(c, d, [tri[k] for k, both in enumerate(_VERTEX_LINES) if (apart | on) & both == both])
-        touch += [(2 * i, q, _VERTEX_LINES[tri.index(q)]) for q, _ in pieces[1:]]
+        # the tile vertices inside the edge; tile vertex k is on lines k - 1 and k
+        o = None  # the sides of the tile's vertices against the edge's line
+        if on:  # on one of vertex k's lines and strictly across the other
+            inner = [k for k, both in enumerate(_VERTEX_LINES) if on & both and apart & both]
+        elif apart & (apart - 1):  # strictly across both of vertex k's lines, and through it
+            o = sides(c, d, tri)
+            inner = [k for k, both in enumerate(_VERTEX_LINES) if apart & both == both and not o[k]]
+        else:
+            inner = []
+        if len(inner) > 1:  # both ends of the tile edge on the edge's line
+            pts = [tri[k] for k in inner]
+            sort_along(pts, c, d)
+            inner = [tri.index(q) for q in pts]
+        touch += [(2 * i, tri[k], _VERTEX_LINES[k]) for k in inner]
         if not out_d:
             touch.append((2 * i + 1, d, 7 & ~in_d))
+        # the codes of the ends of the edge's pieces, cut at the tile vertices
+        ends = [code[i - 1], *[_VERTEX_CODE[k] for k in inner], code[i]]
+        if on:
+            # on tile line k, a piece with both ends in the closed tile lies
+            # on tile edge k: the tile is inside the region if the edge runs
+            # the tile edge's way (the opposite tile vertex on its left),
+            # outside if it runs the other way
+            if not inside and any(not (p | q) & 7 for p, q in zip(ends, ends[1:])):
+                if orientation(c, d, tri[(on.bit_length() + 1) % 3]) < 0:
+                    return None
+                inside = True
+            continue
         if in_c | in_d != 7:
             continue  # on the closed outer side of a tile line: it keeps out of the tile
-        for k in range(3):
-            if apart >> k & 1:  # test the reverse pair
-                o = orientation(c, d, lines[k][0])
-                if o and orientation(c, d, lines[k][1]) == -o:
-                    return None  # proper crossing
-        if any(_inside_triangle(_mid(p.form, q.form), *forms) for p, q in pieces):
+        if o is None:
+            # strictly across one tile line and outside no other at either
+            # end, it crosses that tile edge properly; across none, it runs
+            # inside the tile
             return None
-    # no boundary point in the open tile: one interior point decides
-    if _locate(_mid(forms[0], _mid(forms[1], forms[2])), verts) != "inside":
-        return None
+        if any(apart >> k & 1 and o[k] and o[(k + 1) % 3] == -o[k] for k in range(3)):
+            return None  # proper crossing: tile edge k's ends lie strictly apart on the edge's line
+        # a piece keeps out of the open tile if it is strictly across a tile
+        # line, which it meets outside the closed tile; otherwise its
+        # midpoint is strictly inside when each tile line has an end
+        # strictly inside it and none strictly outside
+        if any(not (p | q) & 7 and (p | q) >> 3 == 7 for p, q in zip(ends, ends[1:])):
+            return None
+    if not inside:
+        # no boundary point in the open tile and no shared piece: one
+        # interior point decides
+        forms = [t.form for t in tri]
+        if _locate(_mid(forms[0], _mid(forms[1], forms[2])), verts) != "inside":
+            return None
     return touch
 
 

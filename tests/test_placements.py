@@ -251,3 +251,32 @@ def test_one_square_root_per_frame(monkeypatch):
     again = copy.run()
     assert (again.status, again.stats.nodes) == ("exhausted", 380)
     assert calls == []
+
+
+def test_one_shape_list_per_corner_kind(monkeypatch):
+    frames, expansions = [], []
+    real_frame, expand = TileGeometry.frame, engine.candidate_placements
+
+    def counted_frame(self, a, b):
+        frames.append((a, b))
+        return real_frame(self, a, b)
+
+    def counted_expand(region, corner, geom, **kwargs):
+        expansions.append(corner)
+        return expand(region, corner, geom, **kwargs)
+
+    monkeypatch.setattr(TileGeometry, "frame", counted_frame)
+    monkeypatch.setattr(engine, "candidate_placements", counted_expand)
+    s = TilingSearch(T357, triangle_spec(T357, [QRoot3(15)] * 3), SearchConfig())
+    assert s.geom._shapes == {}  # filled on first use: set-up builds none
+    out = s.run()
+    assert (out.status, out.stats.nodes) == ("exhausted", 380)
+    # one frame per table miss, and far fewer corner kinds than expansions
+    assert 0 < len(frames) == len(s.geom._shapes) < len(expansions)
+    # split mode ships the search, table included, to spawned workers
+    copy = pickle.loads(pickle.dumps(s))
+    assert copy.geom._shapes == s.geom._shapes
+    frames.clear()
+    again = copy.run()
+    assert (again.status, again.stats.nodes) == ("exhausted", 380)
+    assert frames == [] and len(copy.geom._shapes) == len(s.geom._shapes)

@@ -19,13 +19,13 @@ from tilingforge.geometry import (
     sort_along,
     strictly_inside_triangle,
 )
-from tilingforge.search import engine
+from tilingforge.search import engine, placements
+from tilingforge.search import region as region_module
 from tilingforge.search.engine import SearchConfig, TilingSearch, run_search
 from tilingforge.search.placements import Placement, candidate_placements, placement_chirality, tile_fits_in_region
 from tilingforge.search.region import (
     Polygon,
     _faces,
-    cut,
     place,
     subtract_triangle,
     triangle_ccw,
@@ -133,13 +133,6 @@ def test_determinism():
     a = subtract_triangle(p, tri)
     b = subtract_triangle(p, tri)
     assert a == b
-
-
-def test_cut_orders_pieces_from_the_start():
-    a, b = pt(4, 0), pt(0, 0)
-    assert cut(a, b, [pt(1, 0), pt(3, 0), pt(0, 0), pt(2, 1)]) == [(a, pt(3, 0)), (pt(3, 0), pt(1, 0)),
-                                                                 (pt(1, 0), b)]
-    assert cut(a, b, [pt(5, 0)]) == [(a, b)]
 
 
 # -- differential check against the all-pairs subtraction and stop-loop fit ----
@@ -395,7 +388,8 @@ NON_CONVEX = Polygon.from_points([pt(0, 0), pt(5, 0), pt(5, 5), pt(3, 5), pt(3, 
 ])
 def test_probe_rejects_a_triangle_outside(tri):
     # no region edge crosses these tiles and no region piece runs inside
-    # them, so only the interior probe can reject them
+    # them: the three that share a piece of a region edge running the other
+    # way are rejected by it, the others by the interior probe
     assert not _ref_fits(CONVEX, tri)
     assert place(CONVEX, tri) is None
     assert not tile_fits_in_region(CONVEX, tri)
@@ -435,6 +429,127 @@ def test_probe_lattice_sweep(region):
                 tri = tuple(pt(p.x + dx, p.y + dy) for p in shape)
                 seen.add(_assert_verdict_matches_reference(region, tri))
     assert seen == {True, False, "error"}
+
+
+# -- the fit test's sign rules against the probe and the reference ------------
+
+def _shared_pieces(region, tri):
+    """For each region edge that shares a piece of positive length with a
+    tile edge, whether it runs the tile edge's way."""
+    out = []
+    for a, b in [(tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])]:
+        for c, d in region.edges():
+            if orientation(a, b, c) or orientation(a, b, d):
+                continue
+            if (on_open_segment(c, a, b) or on_open_segment(d, a, b) or on_open_segment(a, c, d)
+                    or on_open_segment(b, c, d) or {c, d} == {a, b}):
+                out.append(((d.x - c.x) * (b.x - a.x) + (d.y - c.y) * (b.y - a.y)).sign() > 0)
+    return out
+
+
+def _boundary_enters(region, tri):
+    """A region edge properly crosses a tile edge, or a region sub-edge,
+    split at the tile's vertices, has its midpoint strictly inside the tile."""
+    tri_edges = [(tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])]
+    if any(segments_properly_cross(a, b, c, d) for a, b in tri_edges for c, d in region.edges()):
+        return True
+    for c, d in region.edges():
+        stops = [p for p in tri if on_open_segment(p, c, d)]
+        sort_along(stops, c, d)
+        ends = [c, *stops, d]
+        if any(strictly_inside_triangle(midpoint(p, q), tri) for p, q in zip(ends, ends[1:])):
+            return True
+    return False
+
+
+def _spy_on_fit(monkeypatch):
+    """Wrap the fit test where `place` and `candidate_placements` call it.
+    Whenever a region edge shares a piece with a tile edge, the fit takes
+    its verdict from it and makes no probe; if the region's boundary keeps
+    out of the open tile, that verdict and every shared piece's direction
+    agree with the interior probe.  Returns the tallies (fit tests, shared
+    verdicts, shared verdicts by probe answer, probes made)."""
+    tally = {"fits": 0, "shared": 0, "inside": 0, "outside": 0, "probes": 0}
+    real_fit, real_locate = region_module.fit, region_module._locate
+
+    def counted_locate(fp, vertices):
+        tally["probes"] += 1
+        return real_locate(fp, vertices)
+
+    def spied(poly, tri, *rows):
+        probes = tally["probes"]
+        got = real_fit(poly, tri, *rows)
+        tally["fits"] += 1
+        shared = _shared_pieces(poly, tri)
+        if not shared:
+            return got
+        tally["shared"] += 1
+        assert tally["probes"] == probes
+        if not _boundary_enters(poly, tri):
+            probe = point_in_polygon(midpoint(tri[0], midpoint(tri[1], tri[2])), poly.vertices)
+            assert probe != "on"
+            tally[probe] += 1
+            assert (got is not None) == (probe == "inside")
+            assert shared == [probe == "inside"] * len(shared)
+        return got
+
+    monkeypatch.setattr(region_module, "_locate", counted_locate)
+    monkeypatch.setattr(region_module, "fit", spied)
+    monkeypatch.setattr(placements, "fit", spied)
+    return tally
+
+
+@pytest.mark.parametrize("tile, sides, allow_mirror, budget, expected", [
+    (T357, [QRoot3(15)] * 3, True, None, ("exhausted", 380)),
+    (T357, [QRoot3(15)] * 3, False, None, ("exhausted", 9)),
+    (T357, [QRoot3(15), QRoot3(25), QRoot3(35)], True, None, ("found", 814)),
+    (T357, [QRoot3(30)] * 3, True, 400, ("budget", 400)),
+    (ISO, [4 * SQRT3] * 3, True, None, ("found", 48)),
+    (ISO, [5 * SQRT3] * 3, True, None, ("found", 75)),
+], ids=["357-eq15", "357-eq15-direct", "357-15,25,35", "357-eq30-budget", "iso-eq4sqrt3", "iso-eq5sqrt3"])
+def test_the_benchmark_searches_make_no_probe(monkeypatch, tile, sides, allow_mirror, budget, expected):
+    # every candidate's flush edge shares a piece with the region's
+    # outgoing edge, running its way, so no fit test probes
+    tally = _spy_on_fit(monkeypatch)
+    config = SearchConfig(allow_mirror=allow_mirror, node_budget=budget or SearchConfig().node_budget)
+    out = run_search(tile, triangle_spec(tile, sides), config)
+    assert (out.status, out.stats.nodes) == expected
+    assert tally["fits"] == tally["shared"] > 0
+    assert tally["probes"] == 0
+
+
+@pytest.mark.parametrize("poly", [CONVEX, NON_CONVEX], ids=["convex", "non-convex"])
+def test_shared_piece_verdicts_agree_with_the_probe(monkeypatch, poly):
+    # the lattice sweep's tiles, with the fit test spied on
+    tally = _spy_on_fit(monkeypatch)
+    for dx in range(-2, 7):
+        for dy in range(-2, 7):
+            for shape in SHAPES:
+                tri = triangle_ccw(*[pt(p.x + dx, p.y + dy) for p in shape])
+                _place_verdict(poly, tri)
+    assert tally["inside"] > 0 and tally["outside"] > 0
+    assert 0 < tally["probes"] <= tally["fits"] - tally["shared"]
+
+
+# the left half of a square, its right side through (2, 0) bent outwards
+BENT = Polygon.from_points([pt(-6, -6), pt(4, -6), pt(2, 0), pt(2, 6), pt(-6, 6)])
+
+
+@pytest.mark.parametrize("poly, tri, fits", [
+    # the bottom edge is on the tile's base line and strictly across the
+    # other line through each base vertex: both vertices lie inside it
+    pytest.param(SQUARE, (pt(3, 0), pt(7, 0), pt(5, 4)), True, id="on-one-line-across-the-other"),
+    pytest.param(SQUARE, (pt(3, 0), pt(5, -4), pt(7, 0)), False, id="on-one-line-across-the-other-outside"),
+    # the top edge is strictly across both lines through the apex
+    pytest.param(SQUARE, (pt(0, 0), pt(10, 0), pt(5, 10)), True, id="across-both-lines"),
+    pytest.param(SQUARE, (pt(3, 12), pt(5, 10), pt(7, 12)), False, id="across-both-lines-outside"),
+    pytest.param(SQUARE, (pt(4, 9), pt(6, 9), pt(5, 11)), False, id="across-both-lines-missing-the-apex"),
+    # from the middle of the tile's base through its apex: only the piece
+    # up to the apex, both ends on the tile's boundary, runs inside it
+    pytest.param(BENT, (pt(0, 0), pt(4, 0), pt(2, 4)), False, id="piece-from-an-edge-to-the-apex"),
+])
+def test_cut_rules_match_reference(poly, tri, fits):
+    assert _assert_verdict_matches_reference(poly, tri) is fits
 
 
 L_SHAPE = Polygon.from_points([pt(0, 0), pt(2, 0), pt(2, 1), pt(1, 1), pt(1, 2), pt(0, 2)])
