@@ -5,12 +5,14 @@ multiples like 3/2*sqrt3.  Targets: equilateral:SIDE or triangle:X,Y,Z.
 
 Exit codes: search 0=found, 3=budget exhausted, 4=tree exhausted with no
 tiling, 2=invalid instance; check 0=valid, 1=violations, 2=parse error;
-lemmas verify 0=all pass, 1=failures, 2=unknown id.
+lemmas verify 0=all pass, 1=failures, 2=unknown id.  A bad path to read or
+to write is a usage error: exit 2 before any work starts.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -76,6 +78,19 @@ def parse_target(text: str, tile: TileShape) -> TriangleSpec:
     if kind == "triangle":
         return triangle_spec(tile, list(parse_sides(rest)))
     raise click.BadParameter(f"unknown target kind {kind!r}; use equilateral: or triangle:")
+
+
+def _in_existing_dir(ctx, param, path):
+    """A file to write must lie in a directory that exists: checked before
+    the command runs, so a bad path loses no result."""
+    parent = os.path.dirname(path or "") or "."
+    if not os.path.isdir(parent):
+        raise click.BadParameter(f"directory {parent!r} does not exist")
+    return path
+
+
+_READ_FILE = click.Path(exists=True, dir_okay=False)
+_WRITE_FILE = dict(type=click.Path(dir_okay=False), callback=_in_existing_dir)
 
 
 @click.group()
@@ -227,10 +242,10 @@ def lemmas_verify(ids, fmt):
               help="partition depth for the worker pool")
 @click.option("--no-mirror", is_flag=True, help="disallow mirrored copies of the tile")
 @click.option("--paper-pruning", is_flag=True, help="opt-in vertex-splitting cap (exhaustion becomes conditional)")
-@click.option("--checkpoint", "checkpoint_path", default=None, type=click.Path())
-@click.option("--resume", "resume_path", default=None, type=click.Path(exists=True))
-@click.option("--cert-out", default="certificate.json", show_default=True, type=click.Path())
-@click.option("--stats-out", default="search_stats.json", show_default=True, type=click.Path())
+@click.option("--checkpoint", "checkpoint_path", default=None, **_WRITE_FILE)
+@click.option("--resume", "resume_path", default=None, type=_READ_FILE)
+@click.option("--cert-out", default="certificate.json", show_default=True, **_WRITE_FILE)
+@click.option("--stats-out", default="search_stats.json", show_default=True, **_WRITE_FILE)
 def search(sides, target_text, node_budget, workers, split_depth, no_mirror, paper_pruning,
            checkpoint_path, resume_path, cert_out, stats_out):
     """Exhaustive search for a tiling of TARGET by the tile SIDES."""
@@ -308,7 +323,7 @@ def _load_certificate(path) -> Certificate:
 
 
 @main.command()
-@click.argument("cert_path", type=click.Path(exists=True))
+@click.argument("cert_path", type=_READ_FILE)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def check(cert_path, fmt):
     """Validate a certificate with the independent exact checker."""
@@ -335,8 +350,8 @@ def check(cert_path, fmt):
 
 
 @main.command()
-@click.argument("cert_path", type=click.Path(exists=True))
-@click.argument("out_path", type=click.Path())
+@click.argument("cert_path", type=_READ_FILE)
+@click.argument("out_path", **_WRITE_FILE)
 def render(cert_path, out_path):
     """Render a certificate to SVG."""
     render_svg(_load_certificate(cert_path), out_path)

@@ -92,7 +92,7 @@ class TilingSearch:
         self.tile = tile
         self.target = target
         self.config = config or SearchConfig()
-        self.geom = TileGeometry(tile)
+        self.geom = TileGeometry(tile, self.config.allow_mirror)
         n = area_count(tile, target)
         if n.denominator != 1 or n <= 0:
             raise InvalidInstance(f"area quotient {n} is not a positive integer")
@@ -115,8 +115,7 @@ class TilingSearch:
         by `placements`.  Under the vertex-splitting cap the target corners
         take at most three alphas and three betas in all, and no gamma."""
         region = regions[0]
-        cands = candidate_placements(region, select_corner(region), self.geom,
-                                     allow_mirror=self.config.allow_mirror)
+        cands = candidate_placements(region, select_corner(region), self.geom)
         if self._pruning_active:
             keys = self._corner_keys
             used = Counter(p.angle_name for p in placements if p.placement.vertices[0].lex_key() in keys)

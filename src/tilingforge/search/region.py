@@ -10,10 +10,11 @@ rest from them.  The search splices only the candidates it enters.
 The fit test takes the side of every region vertex against each of the
 three tile-edge lines (one `sides` row per line), and decides from that
 sign table, not from new determinants, wherever it can (exact geometric
-computation; Yap, CGTA 7, 1997).  The caller may pass the rows of the
-lines through tri[0]: `candidate_placements` takes the flush line's row
-(the region's outgoing edge) once per corner and the ray line's once per
-tile angle.  A region edge is *far* when both its ends lie strictly
+computation; Yap, CGTA 7, 1997).  The caller passes the rows of the two
+lines through tri[0], which are required arguments: `place` takes both
+for its one triangle, and `candidate_placements` takes the flush line's
+row (the region's outgoing edge) once per corner and the ray line's once
+per tile angle.  A region edge is *far* when both its ends lie strictly
 outside the same tile line: it can neither cross the tile, nor pass
 through a tile vertex, nor share a piece with a tile edge, so no test
 looks at it.  On the other, *near* edges three rules read the table:
@@ -180,9 +181,6 @@ class Polygon:
                 angle_at(vs[i], vs[(i + 1) % len(vs)], vs[i - 1]) for i in range(len(vs))))
         return self.corner_angles
 
-    def interior_angle(self, i: int) -> AngleVec:
-        return self.angles[i]
-
 
 def triangle_ccw(a: Point, b: Point, c: Point) -> tuple[Point, Point, Point]:
     s = orientation(a, b, c)
@@ -222,23 +220,19 @@ def place(region: Polygon, tri: tuple[Point, Point, Point]) -> Optional[list[Pol
     is when the triangle touches the region's boundary nowhere or at one
     point only (a hole).
     """
-    touch = fit(region, tri)
+    verts = region.vertices
+    touch = fit(region, tri, sides(tri[0], tri[1], verts), sides(tri[2], tri[0], verts))
     return None if touch is None else splice(region, tri, touch, polygon_area_twice(tri))
 
 
-def fit(region: Polygon, tri: tuple[Point, Point, Point], flush: Optional[list[int]] = None,
-        ray: Optional[list[int]] = None) -> Optional[list]:
+def fit(region: Polygon, tri: tuple[Point, Point, Point], flush: list[int], ray: list[int]) -> Optional[list]:
     """The fit test of `place`: None if the counterclockwise triangle does
     not lie in the region, else the points where the region's boundary
-    meets the tile's, in the region's order.  `flush` and `ray`, if given,
-    are the `sides` rows of the region's vertices against the tile lines
+    meets the tile's, in the region's order.  `flush` and `ray` are the
+    `sides` rows of the region's vertices against the tile lines
     tri[0] -> tri[1] and tri[2] -> tri[0]."""
     verts = region.vertices
     n = len(verts)
-    if flush is None:
-        flush = sides(tri[0], tri[1], verts)
-    if ray is None:
-        ray = sides(tri[2], tri[0], verts)
     # code[i]: bit k set when region vertex i lies strictly outside tile
     # line k, bit k + 3 when it lies strictly inside
     code = [(s0 < 0) | (s1 < 0) << 1 | (s2 < 0) << 2 | (s0 > 0) << 3 | (s1 > 0) << 4 | (s2 > 0) << 5

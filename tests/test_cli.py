@@ -292,6 +292,60 @@ def test_search_rejects_checkpoint_with_split_depth(runner, tmp_path):
     assert not (tmp_path / "s.json").exists()
 
 
+# -- bad paths: a usage error (exit 2) before any search or render starts --
+
+def _never_called(calls):
+    return lambda *args, **kwargs: calls.append(args)
+
+
+@pytest.mark.parametrize("flag, path", [
+    ("--cert-out", "missing/c.json"),
+    ("--stats-out", "missing/s.json"),
+    ("--checkpoint", "missing/ck.json"),
+    ("--cert-out", "."),
+    ("--stats-out", "."),
+    ("--checkpoint", "."),
+])
+def test_search_rejects_an_output_path_it_cannot_write_before_searching(runner, tmp_path, monkeypatch,
+                                                                       flag, path):
+    # a directory, or a file in a directory that does not exist: the search
+    # would only fail once it came to write, and lose what it found
+    calls = []
+    monkeypatch.setattr(cli, "run_search", _never_called(calls))
+    monkeypatch.setattr(cli, "resume_from_checkpoint", _never_called(calls))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ck.json").write_text("{}")
+    paths = {"--cert-out": "c.json", "--stats-out": "s.json", flag: path}
+    for instance in (["--sides", "3,5,7", "--target", "equilateral:15"], ["--resume", "ck.json"]):
+        res = runner.invoke(main, ["search", *instance, *[x for kv in paths.items() for x in kv]])
+        assert res.exit_code == 2 and _clean_exit(res), res.output
+        assert f"Invalid value for '{flag}'" in res.stderr
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.json"]
+
+
+@pytest.mark.parametrize("out", ["missing/out.svg", "."])
+def test_render_rejects_an_output_path_it_cannot_write_before_rendering(runner, tmp_path, monkeypatch, out):
+    calls = []
+    monkeypatch.setattr(cli, "render_svg", _never_called(calls))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text("{}")
+    res = runner.invoke(main, ["render", "c.json", out])
+    assert res.exit_code == 2 and _clean_exit(res), res.output
+    assert "Invalid value for 'OUT_PATH'" in res.stderr
+    assert calls == []
+
+
+@pytest.mark.parametrize("args", [["check", "."], ["render", ".", "out.svg"], ["search", "--resume", "."]],
+                         ids=["check", "render", "resume"])
+def test_a_directory_to_read_is_a_usage_error(runner, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2 and _clean_exit(res), res.output
+    assert "'.' is a directory" in res.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- malformed certificates and checkpoints: a verdict or exit 2, never a traceback --
 
 def _clean_exit(res):

@@ -34,13 +34,12 @@ def test_alpha_corner_two_candidates():
     # corner of exactly alpha with long edges: the two edge assignments
     # (mirror images of each other) and nothing else
     region = _scaled_tile_region(T357, 3)
-    geom = TileGeometry(T357)
     corner = [i for i in range(3) if region.vertices[i] == pt(0, 0)][0]
-    cands = candidate_placements(region, corner, geom, allow_mirror=True)
+    cands = candidate_placements(region, corner, TileGeometry(T357))
     assert len(cands) == 2
     assert {c.angle_name for c in cands} == {"alpha"}
     assert sorted(c.placement.mirrored for c in cands) == [False, True]
-    direct_only = candidate_placements(region, corner, geom, allow_mirror=False)
+    direct_only = candidate_placements(region, corner, TileGeometry(T357, allow_mirror=False))
     assert len(direct_only) == 1 and not direct_only[0].placement.mirrored
 
 
@@ -48,7 +47,7 @@ def test_pi3_corner_alpha_and_beta_fillings():
     eq = Polygon.from_points([pt(0, 0), pt(15, 0),
                               Point(QRoot3(Fraction(15, 2)), QRoot3(0, Fraction(15, 2)))])
     geom = TileGeometry(T357)
-    cands = candidate_placements(eq, 0, geom, allow_mirror=True)
+    cands = candidate_placements(eq, 0, geom)
     names = {c.angle_name for c in cands}
     assert names == {"alpha", "beta"}
     assert len(cands) == 4
@@ -63,7 +62,7 @@ def test_length_4_edge_has_no_candidates():
                                   Point(QRoot3(Fraction(-5, 2)), h)])
     geom = TileGeometry(T357)
     corner = [i for i in range(4) if region.vertices[i] == pt(0, 0)][0]
-    cands = candidate_placements(region, corner, geom, allow_mirror=True)
+    cands = candidate_placements(region, corner, geom)
     assert [c for c in cands if c.placement.vertices[0] == pt(0, 0)] == []
 
 
@@ -136,18 +135,19 @@ def test_select_corner_tie_lexicographic():
 
 # -- per-direction frames against the per-node construction they replace -------
 
-def _reference_candidates(region, corner, geom, allow_mirror, check_fit):
-    """The candidates built node by node: the edge's exact length, the unit
-    direction by division, one rotation per tile angle, a chirality test per
-    candidate, a set of vertex sets against duplicates and `place` for the
-    remainder; each as `_summary` gives it."""
+def _reference_candidates(region, corner, geom, allow_mirror):
+    """The triangles the fit test is to see, built node by node: the edge's
+    exact length, the unit direction by division, one rotation per tile
+    angle, a chirality test per candidate, a set of vertex sets against
+    duplicates and `place` for the remainder; each as `_summary` gives it,
+    with remainder None if it does not fit."""
     v = region.vertices[corner]
     nxt = region.vertices[(corner + 1) % len(region)]
-    theta = region.interior_angle(corner)
+    theta = region.angles[corner]
     boundary_len = segment_length(v, nxt)
     d = nxt - v
     u_hat = Point(d.x / boundary_len, d.y / boundary_len)
-    next_angle_reflex = region.interior_angle((corner + 1) % len(region)).is_reflex()
+    next_angle_reflex = region.angles[(corner + 1) % len(region)].is_reflex()
     out, seen = [], set()
     for name, cos_v, sin_v, e1, e2 in geom.angles:
         if theta.compare(geometry.AngleVec(cos_v, sin_v)) < 0:
@@ -170,16 +170,14 @@ def _reference_candidates(region, corner, geom, allow_mirror, check_fit):
             if mirrored and not allow_mirror:
                 continue
             remainder = place(region, tri)
-            if check_fit and remainder is None:
-                continue
             seen.add(key)
             out.append((tri, mirrored, name, None if remainder is None else [r.vertices for r in remainder]))
     return out
 
 
 def _summary(cands):
-    return [(c.placement.vertices, c.placement.mirrored, c.angle_name,
-             None if c.remainder is None else [r.vertices for r in c.remainder]) for c in cands]
+    return [(c.placement.vertices, c.placement.mirrored, c.angle_name, [r.vertices for r in c.remainder])
+            for c in cands]
 
 
 @pytest.mark.parametrize("tile, sides, allow_mirror, nodes", [
@@ -191,20 +189,23 @@ def _summary(cands):
     (ISO, [5 * SQRT3] * 3, True, 75),
 ], ids=["357-eq15", "357-eq15-direct", "357-15,25,35", "iso-eq4sqrt3", "357-eq30-budget", "iso-eq5sqrt3"])
 def test_frames_match_the_per_node_construction(monkeypatch, tile, sides, allow_mirror, nodes):
-    # every region the search expands, under both fit and mirror settings
+    # every region the search expands, under both mirror settings, one
+    # geometry each; every triangle the fit test sees, fitting or not, is
+    # one the per-node construction builds, in its order, and the fitting
+    # ones are the candidates
     expanded = []
     expand = engine.candidate_placements
 
-    def recorded(region, corner, geom, **kwargs):
+    def recorded(region, corner, geom):
         expanded.append((region, corner))
-        return expand(region, corner, geom, **kwargs)
+        return expand(region, corner, geom)
 
     monkeypatch.setattr(engine, "candidate_placements", recorded)
     config = SearchConfig(allow_mirror=allow_mirror, node_budget=nodes)
     s = TilingSearch(tile, triangle_spec(tile, sides), config)
     assert s.run().stats.nodes == nodes
-    geom = TileGeometry(tile)
-    rows = []
+    geoms = {mirror: TileGeometry(tile, mirror) for mirror in (True, False)}
+    tested = []
     fit = placements.fit
 
     def shared_rows_checked(region, tri, flush, ray):
@@ -213,19 +214,24 @@ def test_frames_match_the_per_node_construction(monkeypatch, tile, sides, allow_
         verts = region.vertices
         assert flush == geometry.sides(tri[0], tri[1], verts)
         assert ray == geometry.sides(tri[2], tri[0], verts)
-        rows.append(tri)
-        return fit(region, tri, flush, ray)
+        touch = fit(region, tri, flush, ray)
+        tested.append((tri, touch is not None))
+        return touch
 
     monkeypatch.setattr(placements, "fit", shared_rows_checked)
+    verdicts = set()
     for region, corner in expanded:
-        for check_fit in (True, False):
-            for mirror in (True, False):
-                got = candidate_placements(region, corner, geom, allow_mirror=mirror, check_fit=check_fit)
-                want = _reference_candidates(region, corner, geom, mirror, check_fit)
-                assert _summary(got) == want, (region, corner, check_fit, mirror)
-    assert rows
+        for mirror, geom in geoms.items():
+            tested.clear()
+            got = candidate_placements(region, corner, geom)
+            want = _reference_candidates(region, corner, geom, mirror)
+            assert tested == [(tri, rest is not None) for tri, _, _, rest in want], (region, corner, mirror)
+            assert _summary(got) == [w for w in want if w[3] is not None], (region, corner, mirror)
+            verdicts.update(fits for _, fits in tested)
+    # the isosceles searches never backtrack: every triangle fits
+    assert verdicts == ({True} if tile is ISO else {True, False})
     if tile is ISO:  # directions at multiples of 30 degrees: vertical edges too
-        assert any(on_y for _, on_y, _ in geom._frames.values())
+        assert any(on_y for _, on_y, _ in geoms[True]._frames.values())
 
 
 def test_one_square_root_per_frame(monkeypatch):
@@ -253,30 +259,56 @@ def test_one_square_root_per_frame(monkeypatch):
     assert calls == []
 
 
-def test_one_shape_list_per_corner_kind(monkeypatch):
-    frames, expansions = [], []
-    real_frame, expand = TileGeometry.frame, engine.candidate_placements
+def _count_table_misses(monkeypatch):
+    """The corner kinds `TileGeometry.shapes` builds a shape list for, and
+    the corners of every expansion, as the search meets them."""
+    misses, expansions = [], []
+    real_miss, expand = TileGeometry._shape_list, engine.candidate_placements
 
-    def counted_frame(self, a, b):
-        frames.append((a, b))
-        return real_frame(self, a, b)
+    def counted_miss(self, d, theta, next_reflex):
+        misses.append(d)
+        return real_miss(self, d, theta, next_reflex)
 
-    def counted_expand(region, corner, geom, **kwargs):
+    def counted_expand(region, corner, geom):
         expansions.append(corner)
-        return expand(region, corner, geom, **kwargs)
+        return expand(region, corner, geom)
 
-    monkeypatch.setattr(TileGeometry, "frame", counted_frame)
+    monkeypatch.setattr(TileGeometry, "_shape_list", counted_miss)
     monkeypatch.setattr(engine, "candidate_placements", counted_expand)
+    return misses, expansions
+
+
+def test_one_shape_list_per_corner_kind(monkeypatch):
+    misses, expansions = _count_table_misses(monkeypatch)
     s = TilingSearch(T357, triangle_spec(T357, [QRoot3(15)] * 3), SearchConfig())
     assert s.geom._shapes == {}  # filled on first use: set-up builds none
     out = s.run()
     assert (out.status, out.stats.nodes) == ("exhausted", 380)
-    # one frame per table miss, and far fewer corner kinds than expansions
-    assert 0 < len(frames) == len(s.geom._shapes) < len(expansions)
+    # one shape list per table miss, and far fewer corner kinds than expansions
+    assert 0 < len(misses) == len(s.geom._shapes) < len(expansions)
     # split mode ships the search, table included, to spawned workers
     copy = pickle.loads(pickle.dumps(s))
     assert copy.geom._shapes == s.geom._shapes
-    frames.clear()
+    misses.clear()
     again = copy.run()
     assert (again.status, again.stats.nodes) == ("exhausted", 380)
-    assert frames == [] and len(copy.geom._shapes) == len(s.geom._shapes)
+    assert misses == [] and len(copy.geom._shapes) == len(s.geom._shapes)
+
+
+def test_a_no_mirror_table_holds_no_mirrored_shape(monkeypatch):
+    misses, _ = _count_table_misses(monkeypatch)
+    s = TilingSearch(T357, triangle_spec(T357, [QRoot3(15)] * 3), SearchConfig(allow_mirror=False))
+    assert s.geom.allow_mirror is False
+    out = s.run()
+    assert (out.status, out.stats.nodes) == ("exhausted", 9)
+    options = [o for shapes in s.geom._shapes.values() for _, opts in shapes for o in opts]
+    assert options and not any(mirrored for _, _, mirrored in options)
+    # the frames keep both chiralities: the table drops the mirrored ones
+    assert any(o[3] for _, _, angles in s.geom._frames.values() for *_, opts in angles for o in opts)
+    # the copy split mode ships to its workers keeps the rule and the table
+    copy = pickle.loads(pickle.dumps(s))
+    assert copy.geom.allow_mirror is False and copy.geom._shapes == s.geom._shapes
+    misses.clear()
+    again = copy.run()
+    assert (again.status, again.stats.nodes) == ("exhausted", 9)
+    assert misses == []

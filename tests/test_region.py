@@ -51,12 +51,12 @@ def test_polygon_rejects_clockwise():
 
 def test_interior_angle():
     p = sq(0, 0, 2, 2)
-    ang = p.interior_angle(0)
+    ang = p.angles[0]
     assert not ang.is_reflex()
-    assert ang == p.interior_angle(1)
+    assert ang == p.angles[1]
     # L-shape has one reflex corner
     ell = Polygon.from_points([pt(0, 0), pt(2, 0), pt(2, 1), pt(1, 1), pt(1, 2), pt(0, 2)])
-    reflex = [i for i in range(len(ell)) if ell.interior_angle(i).is_reflex()]
+    reflex = [i for i in range(len(ell)) if ell.angles[i].is_reflex()]
     assert [ell.vertices[i] for i in reflex] == [pt(1, 1)]
 
 
@@ -220,34 +220,44 @@ ISO = tile_from_sides(1, 1, SQRT3)
     (ISO, [5 * SQRT3] * 3, ("found", 75)),
 ])
 def test_cut_matches_all_pairs_reference(monkeypatch, tile, sides, expected):
-    # at every expansion of the search, every candidate before the fit
-    # filter gets the reference fit verdict, and every fitting one carries
-    # the reference remainder; the search keeps exactly the fitting ones
+    # at every expansion of the search, every triangle the fit test sees
+    # gets the reference fit verdict, the search keeps exactly the fitting
+    # ones, and every one it keeps carries the reference remainder
     expanded = []
+    tested = []
+    real_fit = placements.fit
 
-    def record_expand(region, corner, geom, **kwargs):
-        cands = candidate_placements(region, corner, geom, **kwargs)
-        expanded.append((region, corner, geom, kwargs, cands))
+    def spied_fit(region, tri, flush, ray):
+        touch = real_fit(region, tri, flush, ray)
+        tested.append((tri, touch is not None))
+        return touch
+
+    def record_expand(region, corner, geom):
+        tested.clear()
+        cands = candidate_placements(region, corner, geom)
+        expanded.append((region, list(tested), cands))
         return cands
 
+    monkeypatch.setattr(placements, "fit", spied_fit)
     monkeypatch.setattr(engine, "candidate_placements", record_expand)
     budget = expected[1] if expected[0] == "budget" else SearchConfig().node_budget
     out = run_search(tile, triangle_spec(tile, sides), SearchConfig(node_budget=budget))
     assert (out.status, out.stats.nodes) == expected
     # the root, and every node but one that completes a tiling
     assert len(expanded) == out.stats.nodes + (0 if out.status == "found" else 1)
-    for region, corner, geom, kwargs, cands in expanded:
-        unfiltered = candidate_placements(region, corner, geom, check_fit=False, **kwargs)
-        for cand in unfiltered:
+    if tile is T357:  # the isosceles searches never backtrack: every triangle fits
+        assert any(not fits for _, seen, _ in expanded for _, fits in seen)
+    for region, seen, cands in expanded:
+        for tri, fits in seen:
+            assert fits == _ref_fits(region, tri)
+        assert [c.placement.vertices for c in cands] == [tri for tri, fits in seen if fits]
+        for cand in cands:
             tri = cand.placement.vertices
-            assert (cand.remainder is not None) == _ref_fits(region, tri)
-            if cand.remainder is not None:
-                got = [[p.lex_key() for p in poly.vertices] for poly in cand.remainder]
-                want = [[p.lex_key() for p in poly.vertices] for poly in _ref_subtract(region, tri)]
-                assert got == want
-                # carried or measured, every angle is the one its vertices give
-                assert all(list(poly.angles) == _fresh_angles(poly) for poly in cand.remainder)
-        assert [c for c in unfiltered if c.remainder is not None] == cands
+            got = [[p.lex_key() for p in poly.vertices] for poly in cand.remainder]
+            want = [[p.lex_key() for p in poly.vertices] for poly in _ref_subtract(region, tri)]
+            assert got == want
+            # carried or measured, every angle is the one its vertices give
+            assert all(list(poly.angles) == _fresh_angles(poly) for poly in cand.remainder)
 
 
 def _fresh_angles(poly):
