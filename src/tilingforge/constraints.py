@@ -55,12 +55,13 @@ def enumerate_vertex_splits(
 ) -> list[VertexSplit]:
     """All (P, Q, R) with R <= 1, P + Q >= 4 and the angle sum exact.
 
-    ``alpha_over_pi`` is the exact value of alpha/pi, or None when alpha is
-    not a rational multiple of pi (then only the coefficientwise solution
-    (3,3,0) survives).  Always contains (3,3,0).
+    ``alpha_over_pi`` is the exact value of alpha/pi, in (0, 1/6] (the tile
+    keeps a <= b, and the isosceles tile has alpha = pi/6 exactly), or None
+    when alpha is not a rational multiple of pi (then only the
+    coefficientwise solution (3,3,0) survives).  Always contains (3,3,0).
     """
-    if alpha_over_pi is not None and not (0 < alpha_over_pi < Fraction(1, 6)):
-        raise ConstraintError("alpha must lie strictly between 0 and pi/6")
+    if alpha_over_pi is not None and not (0 < alpha_over_pi <= Fraction(1, 6)):
+        raise ConstraintError("alpha must lie in (0, pi/6]")
     out = []
     for R in (0, 1):
         for P in range(0, bound + 1):

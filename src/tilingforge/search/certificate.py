@@ -3,14 +3,17 @@ exact checker, and extraction of edge relations from valid certificates.
 
 Certificate coordinates are canonical: the target triangle has its longest
 side X on the x-axis from (0, 0) to (X, 0) and its apex above the axis.
-The checker shares only these vertices (`TriangleSpec.vertices`) and the
-exact geometric predicates with the search engine; it never looks at search
-state.  Interior disjointness is decided exactly on the placement pairs
-whose bounding boxes overlap, found by a sweep over exact x; every other
-pair is separated by an axis-parallel line.  A tested pair is disjoint iff
-the line of one of its own edges separates it (the separating-axis test),
-and containment is read off the target's three edge lines, each line one
-`sides` row over the points it tests.
+The checker owns the placement record `Placement`, its JSON and its
+congruence test `placement_chirality`; the search imports them from here.
+It shares only the target's vertices (`TriangleSpec.vertices`) and the
+exact geometric predicates with the search engine, imports nothing of the
+candidate generator, the region code or the engine, and never looks at
+search state.  Interior disjointness is decided exactly on the placement
+pairs whose bounding boxes overlap, found by a sweep over exact x; every
+other pair is separated by an axis-parallel line.  A tested pair is
+disjoint iff the line of one of its own edges separates it (the
+separating-axis test), and containment is read off the target's three
+edge lines, each line one `sides` row over the points it tests.
 """
 
 from __future__ import annotations
@@ -32,9 +35,52 @@ from ..geometry import (
     squared_distance,
 )
 from ..tilealgebra import EdgeRelation, RelationKind, TileShape
-from .placements import Placement, placement_chirality
 
 SCHEMA = "v1"
+
+
+@dataclass(frozen=True)
+class Placement:
+    """One congruent copy of the tile: ccw vertices, chirality flag."""
+
+    vertices: tuple[Point, Point, Point]
+    mirrored: bool
+
+    def to_json(self):
+        return {"v": [v.to_json() for v in self.vertices], "mirrored": self.mirrored}
+
+    @staticmethod
+    def from_json(obj) -> "Placement":
+        verts = tuple(Point.from_json(v) for v in obj["v"])
+        if len(verts) != 3:
+            raise ValueError("placement needs exactly three vertices")
+        mirrored = obj["mirrored"]
+        if not isinstance(mirrored, bool):
+            raise ValueError(f"mirrored must be a JSON boolean, not {mirrored!r}")
+        return Placement(verts, mirrored)
+
+
+def placement_chirality(tile: TileShape, p: Placement) -> Optional[bool]:
+    """False for a direct copy, True for a mirrored one, None if the
+    placement is not congruent to the tile.
+
+    A direct copy lists its edge lengths counterclockwise as a rotation of
+    (c, a, b) (starting at the alpha vertex); a mirrored one as (b, a, c).
+    Lengths are positive, so their squares are compared, with no square
+    root taken.  For an isosceles tile the two orders agree and direct is
+    reported.
+    """
+    v = p.vertices
+    if orientation(*v) <= 0:
+        return None
+    sq = tuple(squared_distance(v[i], v[(i + 1) % 3]) for i in range(3))
+    rotations = (sq, sq[1:] + sq[:1], sq[2:] + sq[:2])
+    a2, b2, c2 = tile.side_squares
+    if (c2, a2, b2) in rotations:
+        return False
+    if (b2, a2, c2) in rotations:
+        return True
+    return None
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from ..constraints import TriangleSpec, area_count
 from ..tilealgebra import TileShape
 from .certificate import Certificate, check_certificate, write_json
 from .placements import Candidate, TileGeometry, candidate_placements, select_corner
-from .region import Polygon
+from .region import Polygon, splice
 
 CHECKPOINT_SCHEMA = "v1"
 CHECKPOINT_INTERVAL = 100_000  # nodes between periodic checkpoints
@@ -43,13 +43,8 @@ class SearchConfig:
     checkpoint_path: Optional[str] = None
 
     def to_json(self) -> dict:
-        return {
-            "node_budget": self.node_budget,
-            "workers": self.workers,
-            "split_depth": self.split_depth,
-            "allow_mirror": self.allow_mirror,
-            "paper_pruning": self.paper_pruning,
-        }
+        """The settings that define the tree, all that a resume reads."""
+        return {"allow_mirror": self.allow_mirror, "paper_pruning": self.paper_pruning}
 
 
 @dataclass
@@ -96,7 +91,6 @@ class TilingSearch:
         n = area_count(tile, target)
         if n.denominator != 1 or n <= 0:
             raise InvalidInstance(f"area quotient {n} is not a positive integer")
-        self.n = int(n)
         if not all(self.geom.length_representable(s) for s in target.sides()):
             raise InvalidInstance("no boundary composition exists for this instance")
         corners = target.vertices()
@@ -123,10 +117,10 @@ class TilingSearch:
                      or (c.angle_name != "gamma" and used[c.angle_name] < 3)]
         return cands
 
-    @staticmethod
-    def _apply(regions: tuple[Polygon, ...], cand: Candidate) -> tuple[Polygon, ...]:
+    def _apply(self, regions: tuple[Polygon, ...], cand: Candidate) -> tuple[Polygon, ...]:
         # the candidate's remainder is spliced here, when the search enters it
-        merged = cand.remainder + list(regions[1:])
+        merged = splice(regions[0], cand.placement.vertices, cand.touch, self.geom.area2)
+        merged += regions[1:]
         merged.sort(key=lambda p: p.vertices[0].lex_key())
         return tuple(merged)
 

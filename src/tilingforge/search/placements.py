@@ -27,61 +27,33 @@ chirality test or filter is run per node.
 The fit test is passed its `sides` rows of the flush line (the outgoing
 edge) and of the ray line (shared by both edge orders of a tile angle),
 taken once per corner and once per angle, so a candidate takes only its
-far edge's row.  A candidate keeps what the fit test found and builds its
-remainder on first use, checked against the tile's exact area: the
-search splices only the candidates it enters.
+far edge's row.  A candidate keeps its placement, its tile angle and the
+points where the fit test found the boundaries meet; the search splices
+its remainder from them when it enters it (`TilingSearch._apply`), so
+only the candidates it enters are spliced.  The placement record and its
+congruence test `placement_chirality` belong to the certificate checker
+and are imported from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import gcd
-from typing import Optional
 
 from ..constraints import side_compositions, tile_angle_sums
 from ..exactnum import QRoot3
-from ..geometry import AngleVec, Point, _of_form, orientation, segment_length, sides, squared_distance
+from ..geometry import AngleVec, Point, _of_form, segment_length, sides
 from ..tilealgebra import TileShape
-from .region import Polygon, fit, place, splice
-
-
-@dataclass(frozen=True)
-class Placement:
-    """One congruent copy of the tile: ccw vertices, chirality flag."""
-
-    vertices: tuple[Point, Point, Point]
-    mirrored: bool
-
-    def to_json(self):
-        return {"v": [v.to_json() for v in self.vertices], "mirrored": self.mirrored}
-
-    @staticmethod
-    def from_json(obj) -> "Placement":
-        verts = tuple(Point.from_json(v) for v in obj["v"])
-        if len(verts) != 3:
-            raise ValueError("placement needs exactly three vertices")
-        mirrored = obj["mirrored"]
-        if not isinstance(mirrored, bool):
-            raise ValueError(f"mirrored must be a JSON boolean, not {mirrored!r}")
-        return Placement(verts, mirrored)
+from .certificate import Placement, placement_chirality
+from .region import Polygon, fit, place
 
 
 @dataclass(frozen=True)
 class Candidate:
     placement: Placement  # its first vertex is the corner
     angle_name: str  # which tile angle sits at the corner
-    # the region it is placed in, the points where their boundaries meet
-    # (`fit`) and twice the tile's area
-    region: Polygon = field(compare=False, repr=False)
+    # the points where the boundaries of the region and the tile meet (`fit`)
     touch: list = field(compare=False, repr=False)
-    area2: QRoot3 = field(compare=False, repr=False)
-
-    @cached_property
-    def remainder(self) -> list[Polygon]:
-        """The region left once the placement is made, spliced on first
-        use."""
-        return splice(self.region, self.placement.vertices, self.touch, self.area2)
 
 
 class TileGeometry:
@@ -195,29 +167,6 @@ class TileGeometry:
         return (u.y if on_y else u.x).inverse(), on_y, angles
 
 
-def placement_chirality(tile: TileShape, p: Placement) -> Optional[bool]:
-    """False for a direct copy, True for a mirrored one, None if the
-    placement is not congruent to the tile.
-
-    A direct copy lists its edge lengths counterclockwise as a rotation of
-    (c, a, b) (starting at the alpha vertex); a mirrored one as (b, a, c).
-    Lengths are positive, so their squares are compared, with no square
-    root taken.  For an isosceles tile the two orders agree and direct is
-    reported.
-    """
-    v = p.vertices
-    if orientation(*v) <= 0:
-        return None
-    sq = tuple(squared_distance(v[i], v[(i + 1) % 3]) for i in range(3))
-    rotations = (sq, sq[1:] + sq[:1], sq[2:] + sq[:2])
-    a2, b2, c2 = tile.side_squares
-    if (c2, a2, b2) in rotations:
-        return False
-    if (b2, a2, c2) in rotations:
-        return True
-    return None
-
-
 def select_corner(region: Polygon) -> int:
     """Index of the corner with the smallest interior angle; ties broken by
     lexicographic vertex order."""
@@ -246,11 +195,11 @@ def candidate_placements(region: Polygon, corner: int, geom: TileGeometry) -> li
     a representable remainder (or the far corner is reflex and the tile
     overhangs it, which the exact containment check then vets), the copy is
     direct if the search allows no mirrored one, and the tile lies inside
-    the region (`fit`).  Each candidate builds its remainder when first
-    asked.  The shapes that pass the angle, length and mirror filters, with
-    their chirality, come from the corner's kind (`TileGeometry.shapes`): a
-    candidate costs two point sums and the fit test, which takes its far
-    edge's `sides` row.
+    the region (`fit`).  The search splices a candidate's remainder when it
+    enters it.  The shapes that pass the angle, length and mirror filters,
+    with their chirality, come from the corner's kind
+    (`TileGeometry.shapes`): a candidate costs two point sums and the fit
+    test, which takes its far edge's `sides` row.
     """
     verts, angles = region.vertices, region.angles
     v = verts[corner]
@@ -268,5 +217,5 @@ def candidate_placements(region: Polygon, corner: int, geom: TileGeometry) -> li
                 ray_row = sides(tri[2], v, verts)
             touch = fit(region, tri, flush_row, ray_row)
             if touch is not None:
-                out.append(Candidate(Placement(tri, mirrored), name, region, touch, geom.area2))
+                out.append(Candidate(Placement(tri, mirrored), name, touch))
     return out

@@ -103,7 +103,6 @@ from ..geometry import (
     orientation,
     polygon_area_twice,
     sides,
-    sort_along,
 )
 
 
@@ -259,10 +258,12 @@ def fit(region: Polygon, tri: tuple[Point, Point, Point], flush: list[int], ray:
             inner = [k for k, both in enumerate(_VERTEX_LINES) if apart & both == both and not o[k]]
         else:
             inner = []
-        if len(inner) > 1:  # both ends of the tile edge on the edge's line
-            pts = [tri[k] for k in inner]
-            sort_along(pts, c, d)
-            inner = [tri.index(q) for q in pts]
+        if len(inner) > 1:
+            # all of tile edge k, on line k: if the tile fits, the edge runs
+            # its way (else a shared-piece or a later check returns None),
+            # so vertex k comes first
+            k = on.bit_length() - 1
+            inner = [k, (k + 1) % 3]
         touch += [(2 * i, tri[k], _VERTEX_LINES[k]) for k in inner]
         if not out_d:
             touch.append((2 * i + 1, d, 7 & ~in_d))

@@ -1,3 +1,4 @@
+import ast
 import copy
 import functools
 import pickle
@@ -34,9 +35,11 @@ from tilingforge.search.certificate import (
     check_certificate,
     extract_edge_relations,
     _relation_from_counts,
+    Placement,
+    placement_chirality,
 )
+from tilingforge.search import placements as pmod
 from tilingforge.search.engine import SearchConfig, TilingSearch, run_search
-from tilingforge.search.placements import Placement, placement_chirality
 from tilingforge.search.region import Polygon
 from tilingforge.tilealgebra import EdgeRelation, RelationKind, tile_from_sides
 
@@ -497,3 +500,26 @@ def test_a_vertex_on_a_target_edge_is_not_outside():
     on_edges = {v for p in cert.placements for v in p.vertices
                 if point_in_polygon(v, corners) == "on" and v not in corners}
     assert len(on_edges) >= 3 and check_certificate(cert) == []
+
+
+def test_the_checker_imports_nothing_of_the_search():
+    # the checker owns the placement record and its congruence test; it
+    # imports no candidate, region or engine code
+    with open(cmod.__file__) as fh:
+        tree = ast.parse(fh.read())
+    package = cmod.__name__.split(".")[:-1]  # tilingforge.search
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            imported.add(module)
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+    assert "tilingforge.geometry" in imported
+    search = [f"tilingforge.search.{m}" for m in ("placements", "region", "engine")]
+    assert not [name for name in imported for m in search if name == m or name.startswith(m + ".")]
+    # the candidate generator uses the checker's record, and still binds
+    # the congruence test under its own name
+    assert pmod.Placement is Placement and pmod.placement_chirality is placement_chirality

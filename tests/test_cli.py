@@ -86,6 +86,16 @@ def test_constraints_derive(runner):
     assert len(data["dmatrices"]) == 27
 
 
+def test_constraints_derive_isosceles_tile_at_alpha_pi_over_6(runner):
+    # the isosceles tile has alpha = pi/6 exactly: P + Q = 6 with R = 0
+    res = runner.invoke(main, ["constraints", "derive", "--sides", "1,1,sqrt3",
+                               "--target", "equilateral:sqrt3"])
+    assert res.exit_code == 0, res.output
+    data = json.loads(res.output)
+    assert data["N"] == "3"
+    assert sorted(data["splits"]) == [[p, 6 - p, 0] for p in range(7)]
+
+
 def test_lemmas_verify_selected(runner):
     res = runner.invoke(main, ["lemmas", "verify", "--id", "norm-table-15,norm-table-9"])
     assert res.exit_code == 0

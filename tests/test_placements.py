@@ -16,7 +16,7 @@ from tilingforge.search.placements import (
     placement_chirality,
     select_corner,
 )
-from tilingforge.search.region import Polygon, place
+from tilingforge.search.region import Polygon, place, splice
 from tilingforge.tilealgebra import TileShape, tile_from_sides
 
 T357 = tile_from_sides(3, 5, 7)
@@ -175,8 +175,10 @@ def _reference_candidates(region, corner, geom, allow_mirror):
     return out
 
 
-def _summary(cands):
-    return [(c.placement.vertices, c.placement.mirrored, c.angle_name, [r.vertices for r in c.remainder])
+def _summary(region, geom, cands):
+    """Each candidate with the remainder its touch points splice to."""
+    return [(c.placement.vertices, c.placement.mirrored, c.angle_name,
+             [r.vertices for r in splice(region, c.placement.vertices, c.touch, geom.area2)])
             for c in cands]
 
 
@@ -226,7 +228,7 @@ def test_frames_match_the_per_node_construction(monkeypatch, tile, sides, allow_
             got = candidate_placements(region, corner, geom)
             want = _reference_candidates(region, corner, geom, mirror)
             assert tested == [(tri, rest is not None) for tri, _, _, rest in want], (region, corner, mirror)
-            assert _summary(got) == [w for w in want if w[3] is not None], (region, corner, mirror)
+            assert _summary(region, geom, got) == [w for w in want if w[3] is not None], (region, corner, mirror)
             verdicts.update(fits for _, fits in tested)
     # the isosceles searches never backtrack: every triangle fits
     assert verdicts == ({True} if tile is ISO else {True, False})

@@ -27,6 +27,7 @@ from tilingforge.search.region import (
     Polygon,
     _faces,
     place,
+    splice,
     subtract_triangle,
     triangle_ccw,
 )
@@ -253,11 +254,12 @@ def test_cut_matches_all_pairs_reference(monkeypatch, tile, sides, expected):
         assert [c.placement.vertices for c in cands] == [tri for tri, fits in seen if fits]
         for cand in cands:
             tri = cand.placement.vertices
-            got = [[p.lex_key() for p in poly.vertices] for poly in cand.remainder]
+            rest = splice(region, tri, cand.touch, tile.area * 2)
+            got = [[p.lex_key() for p in poly.vertices] for poly in rest]
             want = [[p.lex_key() for p in poly.vertices] for poly in _ref_subtract(region, tri)]
             assert got == want
             # carried or measured, every angle is the one its vertices give
-            assert all(list(poly.angles) == _fresh_angles(poly) for poly in cand.remainder)
+            assert all(list(poly.angles) == _fresh_angles(poly) for poly in rest)
 
 
 def _fresh_angles(poly):
@@ -584,6 +586,23 @@ SPIKES = Polygon.from_points([pt(0, 0), pt(8, 0), pt(8, 8), pt(5, 8), pt(4, 2), 
 def test_splice_matches_reference(region, tri, faces):
     assert _ref_fits(region, tri)
     assert len(_assert_remainder_matches_reference(region, tri)) == faces
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_a_region_edge_holding_a_whole_tile_edge(k):
+    # tile edge k runs from (1, 0) to (3, 0), strictly inside a region edge
+    # on y = 0: both its vertices are cut into that edge, vertex k first
+    base = (pt(1, 0), pt(3, 0), pt(2, 1))
+    tri = tuple(base[(j - k) % 3] for j in range(3))
+    # the edge runs the tile edge's way: the tile fits, notching the square
+    above = sq(0, 0, 4, 4)
+    rest = _assert_remainder_matches_reference(above, tri)
+    assert [p.vertices for p in rest] == [Polygon.from_points(
+        [pt(0, 0), pt(1, 0), pt(2, 1), pt(3, 0), pt(4, 0), pt(4, 4), pt(0, 4)]).vertices]
+    # the edge runs the other way: the tile lies outside the square below
+    below = sq(0, -4, 4, 0)
+    assert not _ref_fits(below, tri)
+    assert place(below, tri) is None
 
 
 # -- the corner rule against a naive enumerator --------------------------------

@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from tilingforge.cli import parse_sides, parse_target
-from tilingforge.constraints import tile_angle_sums, triangle_spec
+from tilingforge.constraints import area_count, tile_angle_sums, triangle_spec
 from tilingforge.exactnum import QRoot3, SQRT3
 from tilingforge.geometry import Point
 from tilingforge.search import engine, region
@@ -105,6 +105,36 @@ def test_resume_matches_direct_partial_state(tmp_path):
     assert d1["nodes"] == d2["nodes"]
 
 
+def test_a_checkpoint_keeps_only_the_settings_that_define_its_tree(tmp_path):
+    ck = str(tmp_path / "ck.json")
+    cfg = SearchConfig(node_budget=120, allow_mirror=False, paper_pruning=True, checkpoint_path=ck)
+    TilingSearch(T357, tri_eq(T357, QRoot3(30)), cfg).run()
+    assert json.load(open(ck))["config"] == {"allow_mirror": False, "paper_pruning": True}
+
+
+def test_a_checkpoint_with_the_run_settings_still_resumes(tmp_path):
+    # earlier checkpoints also held node_budget, workers and split_depth;
+    # a resume ignores them and continues bit-identically
+    tri = tri_eq(T357, QRoot3(15))
+    old, new, direct = (str(tmp_path / f"{name}.json") for name in ("old", "new", "direct"))
+    TilingSearch(T357, tri, SearchConfig(node_budget=120, checkpoint_path=old)).run()
+    data = json.load(open(old))
+    data["config"] = {"node_budget": 120, "workers": 1, "split_depth": 0,
+                      "allow_mirror": True, "paper_pruning": False}
+    with open(old, "w") as fh:
+        json.dump(data, fh)
+    with open(new, "w") as fh:
+        json.dump({**data, "config": {"allow_mirror": True, "paper_pruning": False}}, fh)
+    for path in (old, new):
+        assert resume_from_checkpoint(path, SearchConfig(node_budget=260, checkpoint_path=path)).status == "budget"
+    TilingSearch(T357, tri, SearchConfig(node_budget=260, checkpoint_path=direct)).run()
+    saved = [json.load(open(path)) for path in (old, new, direct)]
+    assert saved[0] == saved[1] == saved[2]
+    assert saved[0]["nodes"] == 260 and saved[0]["config"] == {"allow_mirror": True, "paper_pruning": False}
+    resumed = resume_from_checkpoint(old, SearchConfig())
+    assert (resumed.status, resumed.stats.nodes) == ("exhausted", 380)
+
+
 def test_periodic_checkpoint_interval(tmp_path, monkeypatch):
     monkeypatch.setattr(engine, "CHECKPOINT_INTERVAL", 50)
     tri = tri_eq(T357, QRoot3(15))
@@ -189,13 +219,15 @@ def test_area_conservation_along_a_branch():
     # (N - placed) * tile area
     tri = tri_eq(T357, QRoot3(15))
     s = TilingSearch(T357, tri, SearchConfig())
+    n = area_count(T357, tri)
+    assert n == 15
     regions = (s.initial,)
     placements = []
     while regions:
         total = QRoot3(0)
         for r in regions:
             total = total + r.area()
-        assert total == (s.n - len(placements)) * T357.area
+        assert total == (n - len(placements)) * T357.area
         cands = s._expand(regions, placements)
         if not cands:
             break
@@ -211,7 +243,7 @@ def test_splitting_cap_counts_the_placements(monkeypatch):
     corner, inner = s.target.vertices()[0], Point(QRoot3(1), QRoot3(1))
 
     def cand(p, name):  # a candidate with its corner p, never placed
-        return Candidate(Placement((p, p, p), False), name, None, None, None)
+        return Candidate(Placement((p, p, p), False), name, None)
 
     synthetic = [cand(p, name) for p in (corner, inner) for name in ("alpha", "beta", "gamma")]
     monkeypatch.setattr(engine, "candidate_placements", lambda *args, **kwargs: synthetic)
@@ -259,13 +291,14 @@ def test_unspliced_candidates_and_frontier_frames_pickle():
     s = TilingSearch(T357, tri_eq(T357, QRoot3(15)), SearchConfig())
     frame = engine._subtree_prefixes(s, 2)[0][0][0]
     cand = frame.cands[0]
-    assert "remainder" not in vars(cand)
+    assert set(vars(cand)) == {"placement", "angle_name", "touch"}
     copy = pickle.loads(pickle.dumps(cand))
-    assert copy == cand and "remainder" not in vars(copy)
-    assert copy.remainder == cand.remainder and copy.remainder
+    assert copy == cand and copy.touch == cand.touch
+    assert s._apply(frame.regions, copy) == s._apply(frame.regions, cand) != ()
     frame_copy = pickle.loads(pickle.dumps(frame))
     assert frame_copy.regions == frame.regions and frame_copy.cands == frame.cands
-    assert [c.remainder for c in frame_copy.cands] == [c.remainder for c in frame.cands]
+    assert ([s._apply(frame_copy.regions, c) for c in frame_copy.cands]
+            == [s._apply(frame.regions, c) for c in frame.cands])
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
