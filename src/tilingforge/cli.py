@@ -1,7 +1,8 @@
 """tiling-forge command line interface.
 
 Exact numbers on the command line: INT, INT/INT, sqrt3, and rational
-multiples like 3/2*sqrt3.  Targets: equilateral:SIDE or triangle:X,Y,Z.
+multiples like 3/2*sqrt3, in the grammar of the certificate files.
+Targets: equilateral:SIDE or triangle:X,Y,Z.
 
 Exit codes: search 0=found, 3=budget exhausted, 4=tree exhausted with no
 tiling, 2=invalid instance; check 0=valid, 1=violations, 2=parse error;
@@ -14,7 +15,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from fractions import Fraction
 
 import click
 
@@ -50,15 +50,16 @@ from .tilealgebra import (
 
 
 def parse_exact(text: str) -> QRoot3:
-    """INT | INT/INT | sqrt3 | INT*sqrt3 | INT/INT*sqrt3."""
+    """R | sqrt3 | R*sqrt3, with surrounding whitespace stripped and R a
+    rational as certificates write it: -?digits or -?digits/digits."""
     s = text.strip()
     try:
         if s == "sqrt3":
             return QRoot3(0, 1)
         if s.endswith("*sqrt3"):
-            return QRoot3(0, Fraction(s[: -len("*sqrt3")]))
-        return QRoot3(Fraction(s), 0)
-    except (ValueError, ZeroDivisionError):
+            return QRoot3.from_json({"r": "0", "s": s[: -len("*sqrt3")]})
+        return QRoot3.from_json(s)
+    except ValueError:
         raise click.BadParameter(f"cannot parse exact number {text!r}") from None
 
 

@@ -184,36 +184,21 @@ class QRoot3:
     def sqrt(self) -> Optional["QRoot3"]:
         """Exact square root inside Q(sqrt3), or None.
 
-        Solves (u + v*sqrt3)^2 = r + s*sqrt3:  u^2 + 3 v^2 = r, 2uv = s.
+        (u + v*sqrt3)^2 = r + s*sqrt3 means u^2 + 3 v^2 = r and 2uv = s, so
+        u^2 - 3 v^2 = +-d with d^2 = r^2 - 3 s^2: u^2 is (r + d)/2 or
+        (r - d)/2 and v = s/(2u).  When u = 0, then s = 0 and 3 v^2 = r.
         """
-        if self.sign() < 0:
+        r, s = self.r, self.s
+        d = rational_sqrt(r * r - 3 * s * s)
+        if self.sign() < 0 or d is None:
             return None
-        if self.is_zero():
-            return QRoot3(0, 0)
-        if self.s == 0:
-            u = rational_sqrt(self.r)
-            if u is not None:
-                return QRoot3(u, 0)
-            v = rational_sqrt(self.r / 3)
-            if v is not None:
-                return QRoot3(0, v)
-            return None
-        disc = rational_sqrt(self.r * self.r - 3 * self.s * self.s)
-        if disc is None:
-            return None
-        for t in (disc, -disc):
-            v2 = (self.r + t) / 6
-            v = rational_sqrt(v2)
-            if v is None or v == 0:
-                continue
-            u = self.s / (2 * v)
-            cand = QRoot3(u, v)
-            if cand * cand == self and cand.sign() >= 0:
-                return cand
-            cand = -cand
-            if cand * cand == self and cand.sign() >= 0:
-                return cand
-        return None
+        for u2 in ((r + d) / 2, (r - d) / 2):
+            u = rational_sqrt(u2)
+            if u:
+                root = QRoot3(u, s / (2 * u))
+                return root if root.sign() >= 0 else -root
+        v = rational_sqrt(r / 3) if s == 0 else None
+        return None if v is None else QRoot3(0, v)
 
     def __float__(self) -> float:
         return (self.n1 + self.n3 * math.sqrt(3.0)) / self.den

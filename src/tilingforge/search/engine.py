@@ -77,7 +77,10 @@ class InvalidInstance(ValueError):
 
 @dataclass
 class _Frame:
+    """A search node: its region, the candidates placed to reach it, its
+    own candidates and the index of the last one explored."""
     regions: tuple[Polygon, ...]
+    placed: tuple[Candidate, ...]
     cands: list[Candidate]
     idx: int = -1
 
@@ -104,18 +107,19 @@ class TilingSearch:
 
     # -- candidate generation ---------------------------------------------------
 
-    def _expand(self, regions: tuple[Polygon, ...], placements: list[Candidate]) -> list[Candidate]:
-        """The candidates at the active corner of `regions`, the region left
-        by `placements`.  Under the vertex-splitting cap the target corners
-        take at most three alphas and three betas in all, and no gamma."""
+    def _node(self, regions: tuple[Polygon, ...], placed: tuple[Candidate, ...]) -> _Frame:
+        """The frame of the node that `placed` leaves with region `regions`,
+        holding the candidates at its active corner.  Under the
+        vertex-splitting cap the target corners take at most three alphas
+        and three betas in all, and no gamma."""
         region = regions[0]
         cands = candidate_placements(region, select_corner(region), self.geom)
         if self._pruning_active:
             keys = self._corner_keys
-            used = Counter(p.angle_name for p in placements if p.placement.vertices[0].lex_key() in keys)
+            used = Counter(p.angle_name for p in placed if p.placement.vertices[0].lex_key() in keys)
             cands = [c for c in cands if c.placement.vertices[0].lex_key() not in keys
                      or (c.angle_name != "gamma" and used[c.angle_name] < 3)]
-        return cands
+        return _Frame(regions, placed, cands)
 
     def _apply(self, regions: tuple[Polygon, ...], cand: Candidate) -> tuple[Polygon, ...]:
         # the candidate's remainder is spliced here, when the search enters it
@@ -126,75 +130,69 @@ class TilingSearch:
 
     # -- the depth-first cursor ----------------------------------------------------
 
-    def _stack_at(self, indices: list[int]) -> tuple[list[_Frame], list[Candidate]]:
-        """The frame stack and placements of the depth-first state named by a
-        candidate-index path: each frame's idx is set from the path, and every
-        frame but the last is descended into."""
-        regions = (self.initial,)
-        stack, placements = [_Frame(regions, self._expand(regions, []))], []
+    def _stack_at(self, indices: list[int]) -> list[_Frame]:
+        """The frame stack of the depth-first state named by a candidate-index
+        path: each frame's idx is set from the path, and every frame but the
+        last is descended into."""
+        stack = [self._node((self.initial,), ())]
         for idx in indices[:-1]:
             if not (0 <= idx < len(stack[-1].cands)):
                 raise InvalidInstance("checkpoint does not match this instance")
             stack[-1].idx = idx - 1
-            if next(self._walk(stack, placements)) is not None:
+            if next(self._walk(stack))[1]:
                 raise InvalidInstance("checkpoint replay ended in a completed tiling")
         if indices:
             if not (-1 <= indices[-1] < len(stack[-1].cands)):
                 raise InvalidInstance("checkpoint does not match this instance")
             stack[-1].idx = indices[-1]
-        return stack, placements
+        return stack
 
-    def _walk(self, stack: list[_Frame], placements: list[Candidate]):
-        """Advance one node at a time until the stack is empty, yielding after each
-        node `placements` if it completed a tiling, else None with its child frame
-        pushed (every frame's idx names its last explored candidate).  Both lists
-        change in place; a driver closes the top frame by putting an empty one there."""
+    def _walk(self, stack: list[_Frame]):
+        """Advance one node at a time until the stack is empty, yielding after
+        each node the candidates placed to reach it and whether they complete
+        a tiling; an incomplete node's frame is pushed before the yield, so a
+        driver may pop it to close it.  Every frame's idx names its last
+        explored candidate."""
         while stack:
             frame = stack[-1]
             frame.idx += 1
             if frame.idx >= len(frame.cands):
                 stack.pop()
-                if placements:
-                    placements.pop()
                 continue
             cand = frame.cands[frame.idx]
-            new_regions = self._apply(frame.regions, cand)
-            placements.append(cand)
-            if not new_regions:
-                yield placements
-                placements.pop()
-                continue
-            stack.append(_Frame(new_regions, self._expand(new_regions, placements)))
-            yield None
+            regions = self._apply(frame.regions, cand)
+            placed = frame.placed + (cand,)
+            if regions:
+                stack.append(self._node(regions, placed))
+            yield placed, not regions
 
     # -- sequential search --------------------------------------------------------
 
     def enumerate_all(self, limit: int = 10**6) -> list[Certificate]:
         """Every complete tiling in the canonical tree (validation aid)."""
         found: list[Certificate] = []
-        stack, placements = self._stack_at([])
-        for nodes, tiling in enumerate(self._walk(stack, placements), 1):
-            if tiling is not None:
-                found.append(self._certificate(tiling))
+        for nodes, (placed, complete) in enumerate(self._walk(self._stack_at([])), 1):
+            if complete:
+                found.append(self._certificate(placed))
             if nodes >= limit:
                 raise RuntimeError("enumeration limit hit")
         return found
 
     def run(self, resume_indices: Optional[list[int]] = None, start_nodes: int = 0) -> Outcome:
-        stack, placements = self._stack_at([])
+        stack = self._stack_at([])
         if resume_indices:
             # the root is expanded a second time here, as the replay always
             # has; perfbench's traced candidate_placements count expects it
-            stack, placements = self._stack_at(resume_indices)
-        return self._drive(stack, placements, start_nodes, self.config.node_budget)
+            stack = self._stack_at(resume_indices)
+        return self._drive(stack, start_nodes, self.config.node_budget)
 
-    def _drive(self, stack, placements, nodes: int, budget: int) -> Outcome:
+    def _drive(self, stack: list[_Frame], nodes: int, budget: int) -> Outcome:
         """Walk on from a stack state to a tiling, `budget` nodes or the end
         of the stack, checkpointing between nodes."""
         t0 = time.monotonic()
         stats = SearchStats(conditional_on_paper_lemmas=self._pruning_active)
         cfg = self.config
-        steps = self._walk(stack, placements)
+        steps = self._walk(stack)
         status, cert, path = "exhausted", None, None
         while True:
             # checkpoints are only written between nodes, where every frame's
@@ -204,20 +202,21 @@ class TilingSearch:
                 break
             if cfg.checkpoint_path and nodes % CHECKPOINT_INTERVAL == 0:
                 self._maybe_checkpoint(stack, nodes)
-            tiling = next(steps, False)  # False: the walk is over
-            if tiling is False:
+            step = next(steps, None)  # None: the walk is over
+            if step is None:
                 break
+            placed, complete = step
             nodes += 1
-            stats.max_depth = max(stats.max_depth, len(placements))
-            if tiling is not None:
-                status, cert = "found", self._certificate(tiling)
+            stats.max_depth = max(stats.max_depth, len(placed))
+            if complete:
+                status, cert = "found", self._certificate(placed)
                 break
         stats.nodes = nodes
         stats.elapsed = time.monotonic() - t0
         return Outcome(status, stats, certificate=cert, checkpoint_path=path)
 
-    def _certificate(self, placements: list[Candidate]) -> Certificate:
-        cert = Certificate(self.tile, self.target, tuple(c.placement for c in placements),
+    def _certificate(self, placed: tuple[Candidate, ...]) -> Certificate:
+        cert = Certificate(self.tile, self.target, tuple(c.placement for c in placed),
                            self.config.allow_mirror)
         violations = check_certificate(cert)
         if violations:
@@ -281,22 +280,22 @@ def _is_int(v) -> bool:
 def _subtree_prefixes(search: TilingSearch, depth: int):
     """Walk the tree down to `depth` placements, closing every frame there.
 
-    Returns the frontier (for each node at `depth` with a child frame, in
-    canonical order: that frame, the placements leading to it and the number
-    of other nodes before it in preorder), the number of other nodes walked,
-    their maximum depth and the first tiling met.  A tiling takes N
-    placements, so one is met only when depth >= N, with no frontier."""
-    stack, placements = search._stack_at([])
-    frontier: list[tuple[_Frame, list[Candidate], int]] = []
+    Returns the frontier (for each node at `depth` with a frame, in canonical
+    order: that frame, which holds the candidates placed to reach it, and the
+    number of other nodes before it in preorder), the number of other nodes
+    walked, their maximum depth and the first tiling met.  A frontier node is
+    closed by popping its frame off the stack, so the walk goes on with its
+    next sibling.  A tiling takes N placements, so one is met only when
+    depth >= N, with no frontier."""
+    stack = search._stack_at([])
+    frontier: list[tuple[_Frame, int]] = []
     nodes = max_depth = 0
-    for tiling in search._walk(stack, placements):
-        max_depth = max(max_depth, len(placements))
-        if tiling is not None:
-            return frontier, nodes + 1, max_depth, search._certificate(tiling)
-        if len(placements) == depth:
-            # the frontier keeps the child frame; the walk pops the empty one
-            frontier.append((stack[-1], list(placements), nodes))
-            stack[-1] = _Frame((), [])
+    for placed, complete in search._walk(stack):
+        max_depth = max(max_depth, len(placed))
+        if complete:
+            return frontier, nodes + 1, max_depth, search._certificate(placed)
+        if len(placed) == depth:
+            frontier.append((stack.pop(), nodes))
         else:
             nodes += 1
     return frontier, nodes, max_depth, None
@@ -304,15 +303,15 @@ def _subtree_prefixes(search: TilingSearch, depth: int):
 
 def _run_subtree(job) -> Outcome:
     """Search the subtree below one frontier node, counting the node itself."""
-    search, frame, placements, budget = job
-    return search._drive([frame], placements, 1, budget)
+    search, frame, budget = job
+    return search._drive([frame], 1, budget)
 
 
 def _merge(frontier, outcomes, stats: SearchStats) -> Outcome:
     """Add the subtree outcomes, in frontier order, to the prefix walk's
     `stats`, up to the first tiling."""
     status, walked = "exhausted", stats.nodes
-    for (_, _, before), out in zip(frontier, outcomes):
+    for (_, before), out in zip(frontier, outcomes):
         stats.nodes += out.stats.nodes
         stats.max_depth = max(stats.max_depth, out.stats.max_depth)
         if out.status == "found":
@@ -350,7 +349,7 @@ def run_search(tile: TileShape, target: TriangleSpec, config: Optional[SearchCon
         stats.elapsed = time.monotonic() - t0
         return Outcome("found" if cert else "exhausted", stats, certificate=cert)
     per_budget = max(1, cfg.node_budget // len(frontier))
-    jobs = [(search, frame, placements, per_budget) for frame, placements, _ in frontier]
+    jobs = [(search, frame, per_budget) for frame, _ in frontier]
     if cfg.workers <= 1:
         outcome = _merge(frontier, map(_run_subtree, jobs), stats)
     else:

@@ -3,6 +3,7 @@ import json
 from dataclasses import replace
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ def test_parse_exact():
     assert parse_exact("sqrt3") == QRoot3(0, 1)
     assert parse_exact("3/2*sqrt3") == QRoot3(0, Fraction(3, 2))
     assert parse_exact("2*sqrt3") == QRoot3(0, 2)
+    assert parse_exact(" -3/2*sqrt3 ") == QRoot3(0, Fraction(-3, 2))  # surrounding space is stripped
     with pytest.raises(Exception):
         parse_exact("sqrt2")
     with pytest.raises(Exception):
@@ -526,6 +528,27 @@ def test_check_render_and_resume_reject_numbers_rat_to_str_does_not_write(runner
     assert res.exit_code == 2 and _clean_exit(res), res.output
     number = doc["target"]["X"]
     assert res.stderr == f"invalid instance: malformed checkpoint: not an exact number: {number!r}\n"
+
+
+@pytest.mark.parametrize("text", NOT_WRITTEN)
+def test_command_line_numbers_follow_the_file_grammar(runner, tmp_path, text):
+    # a number on the command line is read as the files are, once the space
+    # around it is stripped, so here the space goes inside the number; the
+    # exponent is refused before any arithmetic on it
+    number = text if text == text.strip() else text.strip().replace("/", " /")
+    for args, shown in (
+        (["search", "--sides", "3,5,7", "--target", f"equilateral:{number}",
+          "--cert-out", str(tmp_path / "c.json"), "--stats-out", str(tmp_path / "s.json")], number),
+        (["tile", "analyze", "--sides", f"3,5,{number}"], number),
+        (["tile", "analyze", "--sides", f"3,5,{number}*sqrt3"], f"{number}*sqrt3"),
+        (["constraints", "derive", "--sides", "3,5,7", "--target", f"equilateral:{number}"], number),
+    ):
+        t0 = time.monotonic()
+        res = runner.invoke(main, args)
+        assert time.monotonic() - t0 < 5
+        assert res.exit_code == 2 and _clean_exit(res), res.output
+        assert f"cannot parse exact number {shown!r}" in res.stderr
+    assert not list(tmp_path.iterdir())
 
 
 def _rewritten(doc):

@@ -100,6 +100,12 @@ def test_qroot3_sqrt():
     assert QRoot3(-1, 0).sqrt() is None
     # (675/49) = (15 sqrt3 / 7)^2
     assert QRoot3(Fraction(675, 49), 0).sqrt() == QRoot3(0, Fraction(15, 7))
+    # both signs of the discriminant, and the negated root
+    assert QRoot3(7, 4).sqrt() == QRoot3(2, 1)
+    assert QRoot3(7, -4).sqrt() == QRoot3(2, -1)
+    assert QRoot3(4, -2).sqrt() == QRoot3(-1, 1)
+    assert QRoot3(2, 1).sqrt() is None  # its root (sqrt6 + sqrt2)/2 lies outside Q(sqrt3)
+    assert QRoot3(0).sqrt() == QRoot3(0)
 
 
 @settings(max_examples=60)

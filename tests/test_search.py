@@ -221,18 +221,18 @@ def test_area_conservation_along_a_branch():
     s = TilingSearch(T357, tri, SearchConfig())
     n = area_count(T357, tri)
     assert n == 15
-    regions = (s.initial,)
-    placements = []
+    regions, placed = (s.initial,), ()
     while regions:
         total = QRoot3(0)
         for r in regions:
             total = total + r.area()
-        assert total == (n - len(placements)) * T357.area
-        cands = s._expand(regions, placements)
-        if not cands:
+        assert total == (n - len(placed)) * T357.area
+        frame = s._node(regions, placed)
+        assert frame.regions == regions and frame.placed == placed
+        if not frame.cands:
             break
-        regions = s._apply(regions, cands[0])
-        placements.append(cands[0])
+        regions = s._apply(regions, frame.cands[0])
+        placed += (frame.cands[0],)
 
 
 def test_splitting_cap_counts_the_placements(monkeypatch):
@@ -249,7 +249,8 @@ def test_splitting_cap_counts_the_placements(monkeypatch):
     monkeypatch.setattr(engine, "candidate_placements", lambda *args, **kwargs: synthetic)
 
     def allowed(placed):
-        return {(c.placement.vertices[0] == corner, c.angle_name) for c in s._expand((s.initial,), placed)}
+        frame = s._node((s.initial,), tuple(placed))
+        return {(c.placement.vertices[0] == corner, c.angle_name) for c in frame.cands}
 
     at = {name: cand(corner, name) for name in ("alpha", "beta", "gamma")}
     off = cand(inner, "alpha")
@@ -261,7 +262,7 @@ def test_splitting_cap_counts_the_placements(monkeypatch):
     assert allowed([at["alpha"]] * 3 + [at["beta"]] * 4) == anywhere
     # with the cap off every candidate is kept
     s._pruning_active = False
-    assert len(s._expand((s.initial,), [at["alpha"]] * 3)) == len(synthetic)
+    assert len(s._node((s.initial,), (at["alpha"],) * 3).cands) == len(synthetic)
 
 
 @pytest.mark.parametrize("tile, side, budget, expected", [
@@ -299,6 +300,38 @@ def test_unspliced_candidates_and_frontier_frames_pickle():
     assert frame_copy.regions == frame.regions and frame_copy.cands == frame.cands
     assert ([s._apply(frame_copy.regions, c) for c in frame_copy.cands]
             == [s._apply(frame.regions, c) for c in frame.cands])
+
+
+def test_replayed_frames_carry_their_path(tmp_path):
+    # each frame of a resumed stack holds the candidates that lead to it:
+    # the ones its ancestors' indices name
+    ck = str(tmp_path / "ck.json")
+    s = TilingSearch(T357, tri_eq(T357, QRoot3(30)), SearchConfig(node_budget=400, checkpoint_path=ck))
+    assert s.run().status == "budget"
+    with open(ck) as fh:
+        indices = json.load(fh)["indices"]
+    stack = s._stack_at(indices)
+    assert [f.idx for f in stack] == indices and len(stack) > 10
+    for k, frame in enumerate(stack):
+        assert frame.placed == tuple(stack[i].cands[stack[i].idx] for i in range(k))
+
+
+@pytest.mark.parametrize("tile, side", [(ISO, 2 * SQRT3), (T357, QRoot3(15))])
+def test_a_pickled_frontier_frame_keeps_its_path(tile, side):
+    # a worker gets the frame alone: the candidates placed to reach it
+    # travel with it and go into the certificate it finds
+    s = TilingSearch(tile, tri_eq(tile, side), SearchConfig())
+    frontier = engine._subtree_prefixes(s, 2)[0]
+    assert frontier
+    outcomes = set()
+    for frame, _ in frontier:
+        assert len(frame.placed) == 2
+        copy = pickle.loads(pickle.dumps(frame))
+        assert copy.placed == frame.placed and copy.idx == frame.idx == -1
+        outcome = _summary(engine._run_subtree((s, copy, 10**6)))
+        assert outcome == _summary(engine._run_subtree((s, frame, 10**6)))
+        outcomes.add(outcome[0])
+    assert outcomes == ({"found", "exhausted"} if tile is ISO else {"exhausted"})
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
