@@ -3,6 +3,7 @@
 from .qfield import (
     SQRT3,
     QRoot3,
+    order_keys,
     qr3_sign,
     rat_to_str,
     rational_sqrt,
@@ -24,6 +25,7 @@ from .numth import euler_phi, is_prime, multiplicative_order, niven_classify, pr
 __all__ = [
     "QRoot3",
     "SQRT3",
+    "order_keys",
     "qr3_sign",
     "rational_sqrt",
     "rat_to_str",

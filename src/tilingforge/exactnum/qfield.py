@@ -4,6 +4,9 @@ QRoot3 is the coordinate field of everything geometric in this package:
 tile sides, placement vertices, direction cosines.  All comparisons are
 decided by exact sign case analysis, never by floating point.
 
+`order_keys` maps a list of values to plain ints in the same order, so a
+sort or a sweep over many values compares ints, not QRoot3s.
+
 The identity checks that need sqrt2 (sines of pi/12 and pi/4) run in
 Q(zeta_24), which contains Q(sqrt2, sqrt3); see ``cyclo.sin_value``.
 """
@@ -26,7 +29,7 @@ _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # what rat_to_str writes
 
 
 def rat_to_str(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    return _part(v.numerator, v.denominator)
 
 
 def rational_sqrt(v: Fraction) -> Optional[Fraction]:
@@ -205,13 +208,13 @@ class QRoot3:
 
     def __repr__(self) -> str:
         if self.n3 == 0:
-            return rat_to_str(self.r)
+            return _part(self.n1, self.den)
         if self.n1 == 0:
-            return f"{rat_to_str(self.s)}*sqrt3"
-        return f"{rat_to_str(self.r)}+{rat_to_str(self.s)}*sqrt3"
+            return f"{_part(self.n3, self.den)}*sqrt3"
+        return f"{_part(self.n1, self.den)}+{_part(self.n3, self.den)}*sqrt3"
 
     def to_json(self) -> dict:
-        return {"r": rat_to_str(self.r), "s": rat_to_str(self.s)}
+        return {"r": _part(self.n1, self.den), "s": _part(self.n3, self.den)}
 
     @staticmethod
     def from_json(obj) -> "QRoot3":
@@ -225,6 +228,13 @@ class QRoot3:
         if not (d1 and d3):
             raise ValueError(f"not an exact number: {obj!r}")
         return QRoot3._raw(n1 * d3, n3 * d1, d1 * d3)
+
+
+def _part(n: int, den: int) -> str:
+    """The string of the rational n/den, den > 0, in lowest terms: n, or
+    n/den; one gcd and no Fraction."""
+    g = math.gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
 def _ratio(v) -> tuple[int, int]:
@@ -262,6 +272,38 @@ def _sign(r: int, s: int) -> int:
     if r * r > 3 * s * s:
         return 1 if r > 0 else -1
     return 1 if s > 0 else -1
+
+
+def order_keys(values) -> list[int]:
+    """Plain-int keys of the QRoot3 values, in their exact order: for any
+    two values v, w of the list, key(v) < key(w) iff v < w, and equal keys
+    iff equal values.  A sort or a sweep then compares ints.
+
+    Let m be the largest bit length of any |n1|, |n3| or den in the list,
+    and k = 4m + 4.  The key of v = (n1 + n3*sqrt3)/den is floor(v * 2^k),
+    which is floor((n1*2^k + t)/den) with t = floor(sqrt3 * n3 * 2^k):
+    isqrt(3 * n3^2 * 4^k) for n3 >= 0, and -isqrt(...) - 1 for n3 < 0,
+    because sqrt3 * n3 * 2^k is irrational when n3 != 0.  No float is
+    involved.
+
+    Why the order holds: for distinct v, w of the list,
+    v - w = (A + B*sqrt3)/(den_v * den_w) with |A|, |B| < 2^(2m+1).  The
+    norm A^2 - 3 B^2 = (A + B*sqrt3)(A - B*sqrt3) is a nonzero integer, so
+    |A + B*sqrt3| >= 1/|A - B*sqrt3| >= 1/(|A| + 2|B|) > 2^-(2m+3), and
+    |v - w| > 2^-(2m+3) / 2^(2m) = 2^-(4m+3).  Scaled by 2^k the two values
+    are more than 2 apart, so their floors differ in the same direction,
+    while equal values get equal floors.
+    """
+    bits = 0  # has the largest bit length of any part
+    for v in values:
+        bits |= abs(v.n1) | abs(v.n3) | v.den
+    k = 4 * bits.bit_length() + 4
+    keys = []
+    for v in values:
+        n3 = v.n3
+        t = math.isqrt(3 * n3 * n3 << 2 * k)
+        keys.append(((v.n1 << k) + (t if n3 >= 0 else -t - 1)) // v.den)
+    return keys
 
 
 def qr3_sign(x: QRoot3) -> int:

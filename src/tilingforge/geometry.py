@@ -73,9 +73,6 @@ class Point:
     def __sub__(self, other: "Point") -> "Point":
         return Point(self.x - other.x, self.y - other.y)
 
-    def scale(self, k) -> "Point":
-        return Point(self.x * k, self.y * k)
-
     def lex_key(self):
         return self.key
 

@@ -10,10 +10,15 @@ exact geometric predicates with the search engine, imports nothing of the
 candidate generator, the region code or the engine, and never looks at
 search state.  Interior disjointness is decided exactly on the placement
 pairs whose bounding boxes overlap, found by a sweep over exact x; every
-other pair is separated by an axis-parallel line.  A tested pair is
-disjoint iff the line of one of its own edges separates it (the
-separating-axis test), and containment is read off the target's three
-edge lines, each line one `sides` row over the points it tests.
+other pair is separated by an axis-parallel line.  The boxes and the
+sweep compare plain ints: one `order_keys` call maps all x coordinates,
+and one all y coordinates, to integer keys in their exact order.  A
+tested pair is disjoint iff the line of one of its own edges separates it
+(the separating-axis test), and containment is read off the target's
+three edge lines, each line one `sides` row over the points it tests.
+Edge relations group the tile edges by line, keyed by slope and
+intercept read off the points' integer forms, and order each line's
+edges by the integer keys of their ends.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..constraints import ConstraintError, TriangleSpec
-from ..exactnum import QRoot3
+from ..exactnum import QRoot3, order_keys
 from ..geometry import (
     GeometryError,
     Point,
@@ -206,12 +211,12 @@ def _box_pairs(tris) -> list[tuple[int, int]]:
     pair lies on the two closed sides of a line x = m or y = m, so their
     interiors are disjoint and one of their own edge lines separates them.
     The sweep scans in order of exact min x and stops at the first
-    min x >= the current max x."""
-    boxes = []
-    for t in tris:
-        xs = sorted(v.x for v in t)
-        ys = sorted(v.y for v in t)
-        boxes.append((xs[0], xs[-1], ys[0], ys[-1]))
+    min x >= the current max x.  The coordinates are compared by their
+    `order_keys`, which keep their exact order and equalities."""
+    xs = order_keys([v.x for t in tris for v in t])
+    ys = order_keys([v.y for t in tris for v in t])
+    boxes = [(min(xs[i:i + 3]), max(xs[i:i + 3]), min(ys[i:i + 3]), max(ys[i:i + 3]))
+             for i in range(0, len(xs), 3)]
     order = sorted(range(len(boxes)), key=lambda i: boxes[i][0])
     pairs = []
     for k, i in enumerate(order):
@@ -252,11 +257,19 @@ def _triangles_overlap(t1, t2, o1: int, o2: int) -> bool:
 
 def _line_key(p: Point, q: Point) -> tuple:
     """(slope, y-intercept) of the line through p != q, or (None, x) if the
-    line is vertical: one exact key per undirected line."""
-    if p.x == q.x:
+    line is vertical: one exact key per undirected line.  Both are read
+    off the points' integer forms, each normalised once: with
+    q - p = (u1 + u3*sqrt3, w1 + w3*sqrt3)/(pd*qd), the slope is
+    (w1 + w3*sqrt3)(u1 - u3*sqrt3)/(u1^2 - 3 u3^2)."""
+    px1, px3, py1, py3, pd = p.form
+    qx1, qx3, qy1, qy3, qd = q.form
+    u1, u3, w1, w3 = qx1 * pd - px1 * qd, qx3 * pd - px3 * qd, qy1 * pd - py1 * qd, qy3 * pd - py3 * qd
+    if not (u1 or u3):
         return (None, p.x)
-    slope = (q.y - p.y) / (q.x - p.x)
-    return (slope, p.y - slope * p.x)
+    # slope = (s1 + s3*sqrt3)/nrm; intercept = p.y - slope * p.x over nrm*pd
+    s1, s3, nrm = w1 * u1 - 3 * w3 * u3, w3 * u1 - w1 * u3, u1 * u1 - 3 * u3 * u3
+    return (QRoot3._raw(s1, s3, nrm),
+            QRoot3._raw(nrm * py1 - s1 * px1 - 3 * s3 * px3, nrm * py3 - s1 * px3 - s3 * px1, nrm * pd))
 
 
 def extract_edge_relations(cert: Certificate) -> list[EdgeRelation]:
@@ -300,10 +313,11 @@ def analyze_maximal_segments(cert: Certificate):
 
     out = []
     for (slope, _), edges in by_line.items():
+        # position along the line, as in geometry.sort_along, by exact integer keys
+        pos = order_keys([q.y if slope is None else q.x for a, b, _ in edges for q in (a, b)])
         events = []
-        for a, b, opp in edges:
-            # position along the line, as in geometry.sort_along
-            lo, hi = (a.y, b.y) if slope is None else (a.x, b.x)
+        for e, (a, b, opp) in enumerate(edges):
+            lo, hi = pos[2 * e], pos[2 * e + 1]
             side = orientation(a, b, opp)  # +1 tile on the left of a->b
             if hi < lo:
                 lo, hi, side = hi, lo, -side
@@ -311,7 +325,7 @@ def analyze_maximal_segments(cert: Certificate):
             if sq not in names:
                 raise GeometryError(f"tile edge of unexpected squared length {sq}")
             events.append((lo, hi, side, names[sq]))
-        # walk runs of contiguous coverage; QRoot3 sorts by exact value
+        # walk runs of contiguous coverage, on the keys
         events.sort(key=lambda e: (e[0], e[1]))
         runs = []
         cur = [events[0]]

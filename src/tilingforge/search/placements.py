@@ -19,10 +19,13 @@ with allow_mirror=False, it drops the mirrored ones.  A miss filters the
 frame of the edge's ray, kept per ray as offsets from the corner with
 their chirality and found by the integer direction that keys the table
 (no node looks a frame up), so the edge's length is one normalisation.
-That is exact: a translate has the same sides and orientation, so it is
-congruent with the same chirality, and an edge d on the ray of the unit
-vector u has |d| = d.x / u.x.  No square root, division, rotation,
-chirality test or filter is run per node.
+A frame is the tile's own frame, built once with its flush edges on the
+positive x-axis, each chirality tested once and repeated options dropped,
+turned onto the ray's unit vector u.  That is exact: a rotation and a
+translate keep lengths, orientation and distinctness, so each option is
+congruent with the same chirality and the same options repeat, and an
+edge d on the ray of u has |d| = d.x / u.x.  No square root, division,
+rotation, chirality test or filter is run per node.
 
 The fit test is passed its `sides` rows of the flush line (the outgoing
 edge) and of the ray line (shared by both edge orders of a tile angle),
@@ -60,9 +63,10 @@ class TileGeometry:
     """Derived exact data for one tile: twice its area, angle vectors,
     adjacent edge lengths, the rays of the tile-angle sums in (0, 2*pi)
     (from `tile_angle_sums`, for the rest of a corner), representable edge
-    lengths, one candidate frame per boundary direction and one list of
-    candidate shapes per corner kind (`shapes`), each built on first use;
-    with allow_mirror=False the shape lists hold no mirrored copy."""
+    lengths, the tile's own frame (`_axis`), one candidate frame per
+    boundary direction turned from it and one list of candidate shapes per
+    corner kind (`shapes`), these two built on first use; with
+    allow_mirror=False the shape lists hold no mirrored copy."""
 
     def __init__(self, tile: TileShape, allow_mirror: bool = True):
         self.tile = tile
@@ -75,6 +79,7 @@ class TileGeometry:
             cos_v, sin_v = tile.angle_vec(name)
             self.angles.append((name, cos_v, sin_v, e1, e2))
         self._angle_rays = frozenset(a.ray_key() for _, a in tile_angle_sums(tile))
+        self._axis = self._axis_frame()
         self._length_cache: dict[tuple, bool] = {}
         self._frames: dict[tuple, tuple] = {}
         self._shapes: dict[tuple, list] = {}
@@ -144,19 +149,18 @@ class TileGeometry:
                 out.append((name, kept))
         return out
 
-    def _frame(self, d: Point) -> tuple:
-        """(per_unit, on_y, angles) for the ray of d: an edge e on it is
-        e.x * per_unit long (e.y if on_y); repeated options are dropped."""
-        origin = Point(QRoot3(0), QRoot3(0))
-        length = segment_length(origin, d)
-        u = Point(d.x / length, d.y / length)
-        on_y = u.x.is_zero()
+    def _axis_frame(self) -> list:
+        """The tile's own frame, its flush edges on the positive x-axis: for
+        each tile angle (name, phi, cos, sin, options), each option
+        (flush_len, f, g, mirrored) the placement (0, f, g) with its
+        chirality; an option that repeats an earlier one is dropped."""
+        zero = QRoot3(0)
+        origin = Point(zero, zero)
         angles, seen = [], set()
         for name, cos_v, sin_v, e1, e2 in self.angles:
-            ray = Point(u.x * cos_v - u.y * sin_v, u.x * sin_v + u.y * cos_v)
             options = []
             for flush_len, other_len in ((e1, e2), (e2, e1)):
-                offs = (u.scale(flush_len), ray.scale(other_len))
+                offs = (Point(flush_len, zero), Point(cos_v * other_len, sin_v * other_len))
                 if offs not in seen:
                     seen.add(offs)
                     mirrored = placement_chirality(self.tile, Placement((origin,) + offs, False))
@@ -164,7 +168,31 @@ class TileGeometry:
                     options.append((flush_len, *offs, mirrored))
             if options:
                 angles.append((name, AngleVec(cos_v, sin_v), cos_v, sin_v, options))
+        return angles
+
+    def _frame(self, d: Point) -> tuple:
+        """(per_unit, on_y, angles) for the ray of d: an edge e on it is
+        e.x * per_unit long (e.y if on_y).  The options are the tile's own
+        frame (`_axis`) turned onto d's unit vector."""
+        length = segment_length(Point(QRoot3(0), QRoot3(0)), d)
+        u = Point(d.x / length, d.y / length)
+        on_y = u.x.is_zero()
+        angles = [(name, phi, cos_v, sin_v, [(flush_len, _turned(u, f), _turned(u, g), mirrored)
+                                             for flush_len, f, g, mirrored in options])
+                  for name, phi, cos_v, sin_v, options in self._axis]
         return (u.y if on_y else u.x).inverse(), on_y, angles
+
+
+def _turned(u: Point, p: Point) -> Point:
+    """p rotated by the angle of the unit vector u, (u.x p.x - u.y p.y,
+    u.y p.x + u.x p.y), on the integer forms."""
+    ux1, ux3, uy1, uy3, ud = u.form
+    px1, px3, py1, py3, pd = p.form
+    return _of_form(ux1 * px1 + 3 * ux3 * px3 - uy1 * py1 - 3 * uy3 * py3,
+                    ux1 * px3 + ux3 * px1 - uy1 * py3 - uy3 * py1,
+                    uy1 * px1 + 3 * uy3 * px3 + ux1 * py1 + 3 * ux3 * py3,
+                    uy1 * px3 + uy3 * px1 + ux1 * py3 + ux3 * py1,
+                    ud * pd)
 
 
 def select_corner(region: Polygon) -> int:

@@ -48,8 +48,11 @@ inside or wholly outside the simple region.  A near edge on tile line k
 with a piece whose ends both lie in the closed tile shares a piece of
 positive length with tile edge k, which settles the side: the region lies
 left of the edge and the tile left of its edge, so the tile is inside if
-the edge runs the tile edge's way (the opposite tile vertex strictly on its
-left, one orientation) and outside if it runs the other way.  Only a tile
+the edge runs the tile edge's way and outside if it runs the other way.
+The table gives the way when the edge's ends lie on different sides of
+line k - 1 or k + 1 (`_along`), as the search's flush edge, which starts
+at tile vertex 0, always does; otherwise one orientation decides (the
+opposite tile vertex strictly on the edge's left).  Only a tile
 that shares no piece with the region's boundary is decided by one
 interior point, the probe `_locate` on an integer form.  Each candidate of
 the search has its flush edge on the region's outgoing edge, so the
@@ -272,10 +275,11 @@ def fit(region: Polygon, tri: tuple[Point, Point, Point], flush: list[int], ray:
         if on:
             # on tile line k, a piece with both ends in the closed tile lies
             # on tile edge k: the tile is inside the region if the edge runs
-            # the tile edge's way (the opposite tile vertex on its left),
-            # outside if it runs the other way
+            # the tile edge's way (by the codes of its ends, else the
+            # opposite tile vertex on its left), outside if it runs the other way
             if not inside and any(not (p | q) & 7 for p, q in zip(ends, ends[1:])):
-                if orientation(c, d, tri[(on.bit_length() + 1) % 3]) < 0:
+                k = on.bit_length() - 1
+                if (_along(code[i - 1], code[i], k) or orientation(c, d, tri[(k + 2) % 3])) < 0:
                     return None
                 inside = True
             continue
@@ -301,6 +305,21 @@ def fit(region: Polygon, tri: tuple[Point, Point, Point], flush: list[int], ray:
         if _locate(_mid(forms[0], _mid(forms[1], forms[2])), verts) != "inside":
             return None
     return touch
+
+
+def _along(c: int, d: int, k: int) -> int:
+    """+1 if the region edge from the vertex of code c to the vertex of code
+    d, both on tile line k, runs tile edge k's way (from tile vertex k to
+    k + 1), -1 if it runs the other way, 0 if the codes leave it open.
+    Along line k the side of line k - 1, through vertex k, rises from
+    vertex k to vertex k + 1, and the side of line k + 1, through vertex
+    k + 1, falls: two ends on different sides of either line decide."""
+    for line, way in (((k + 2) % 3, 1), ((k + 1) % 3, -1)):
+        sc = (c >> line + 3 & 1) - (c >> line & 1)
+        sd = (d >> line + 3 & 1) - (d >> line & 1)
+        if sc != sd:
+            return way if sc < sd else -way
+    return 0
 
 
 def splice(region: Polygon, tri: tuple[Point, Point, Point], touch: list, area2: QRoot3) -> list[Polygon]:

@@ -1,7 +1,10 @@
 import ast
 import copy
 import functools
+import hashlib
+import json
 import pickle
+from pathlib import Path
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -29,6 +32,7 @@ import tilingforge.search.certificate as cmod
 from tilingforge.search.certificate import (
     Certificate,
     _box_pairs,
+    _line_key,
     analyze_maximal_segments,
     certificate_warnings,
     Violation,
@@ -169,14 +173,16 @@ def _sorted_pair(left: dict, right: dict) -> tuple:
     return tuple(sorted((tuple(sorted(left.items())), tuple(sorted(right.items())))))
 
 
-def test_shared_line_groups_its_edges_into_one_run():
-    # four (3,5,7) copies on the line y = sqrt3 (edges to group, not a
-    # tiling): two b-edges on [0, 5] and [5, 10] above it, an a-edge on
-    # [0, 3] and a c-edge on [3, 10] below it
+def _shared_line_certificate(turned: bool = False) -> Certificate:
+    """Four (3,5,7) copies on the line y = sqrt3 (edges to group, not a
+    tiling): two b-edges on [0, 5] and [5, 10] above it, an a-edge on
+    [0, 3] and a c-edge on [3, 10] below it; turned by 90 degrees, on the
+    vertical line x = -sqrt3."""
     tri = triangle_spec(T357, [QRoot3(30)] * 3)
 
     def xy(x, y):  # the point (x, y * sqrt3)
-        return Point(QRoot3(Fraction(x)), QRoot3(0, Fraction(y)))
+        x, y = QRoot3(Fraction(x)), QRoot3(0, Fraction(y))
+        return Point(-y, x) if turned else Point(x, y)
 
     def tile_at(*v):
         assert orientation(*v) > 0
@@ -189,7 +195,11 @@ def test_shared_line_groups_its_edges_into_one_run():
         tile_at(xy(3, 1), xy(Fraction(107, 14), Fraction(-1, 14)), xy(10, 1)),
     )
     assert all(p.mirrored is not None for p in placements)
-    cert = Certificate(T357, tri, placements, True)
+    return Certificate(T357, tri, placements, True)
+
+
+def test_shared_line_groups_its_edges_into_one_run():
+    cert = _shared_line_certificate()
     got = Counter(_sorted_pair(left, right) for left, right in analyze_maximal_segments(cert))
     shared = _sorted_pair({"a": 1, "c": 1}, {"b": 2})
     # every other edge is alone on its line
@@ -331,6 +341,119 @@ def mutated_certificates(draw):
 @given(mutated_certificates())
 def test_sweep_matches_all_pairs_on_mutated_certificates(cert):
     assert check_certificate(cert) == all_pairs_check(cert)
+
+
+def qroot3_box_pairs(tris):
+    """The bounding-box sweep deciding every comparison on QRoot3 values:
+    the reference for the sweep on integer keys."""
+    boxes = []
+    for t in tris:
+        xs = sorted(v.x for v in t)
+        ys = sorted(v.y for v in t)
+        boxes.append((xs[0], xs[-1], ys[0], ys[-1]))
+    order = sorted(range(len(boxes)), key=lambda i: boxes[i][0])
+    pairs = []
+    for k, i in enumerate(order):
+        x0, x1, y0, y1 = boxes[i]
+        for j in order[k + 1:]:
+            u0, u1, v0, v1 = boxes[j]
+            if u0 >= x1:
+                break
+            if x0 < u1 and y0 < v1 and v0 < y1:
+                pairs.append((i, j) if i < j else (j, i))
+    return sorted(pairs)
+
+
+def qroot3_segments(cert):
+    """analyze_maximal_segments ordering each line's edges by their QRoot3
+    positions, not by integer keys."""
+    with mock.patch.object(cmod, "order_keys", list):
+        return analyze_maximal_segments(cert)
+
+
+def _segments_or_error(analyze, cert):
+    try:
+        return analyze(cert)
+    except GeometryError as err:  # a mutated edge of unexpected length
+        return str(err)
+
+
+@pytest.mark.parametrize("tile_name, sides", FOUND, ids=["iso-27", "iso-48", "357-15-25-35"])
+def test_integer_keys_match_the_qroot3_sweep_on_found_certificates(tile_name, sides):
+    cert = found_certificate(tile_name, sides)
+    tris = [p.vertices for p in cert.placements]
+    assert _box_pairs(tris) == qroot3_box_pairs(tris)
+    assert analyze_maximal_segments(cert) == qroot3_segments(cert)
+
+
+@pytest.mark.parametrize("turned", [False, True], ids=["horizontal", "vertical"])
+def test_integer_keys_match_the_qroot3_runs_on_a_shared_line(turned):
+    # unequal sides, so a flipped side or a split run would show: the
+    # b-edges lie left of the line, facing increasing x (increasing y when
+    # turned)
+    cert = _shared_line_certificate(turned)
+    runs = analyze_maximal_segments(cert)
+    assert runs == qroot3_segments(cert)
+    assert ({"b": 2}, {"a": 1, "c": 1}) in runs
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_certificates())
+def test_integer_keys_match_the_qroot3_sweep_on_mutated_certificates(cert):
+    tris = [p.vertices for p in cert.placements]
+    assert _box_pairs(tris) == qroot3_box_pairs(tris)
+    assert _segments_or_error(analyze_maximal_segments, cert) == _segments_or_error(qroot3_segments, cert)
+
+
+def test_the_sweeps_make_no_qroot3_comparison(monkeypatch):
+    cert = found_certificate("iso", (5 * SQRT3,) * 3)
+    calls = []
+    real = QRoot3._order
+    monkeypatch.setattr(QRoot3, "_order", lambda self, other: calls.append(1) or real(self, other))
+    assert _box_pairs([p.vertices for p in cert.placements])
+    assert analyze_maximal_segments(cert)
+    assert calls == []
+    assert SQRT3 > 1 and calls == [1]  # the spy is in place
+
+
+def qroot3_line_key(p, q):
+    """The line key by QRoot3 arithmetic: the reference for the key read
+    off the integer forms."""
+    if p.x == q.x:
+        return (None, p.x)
+    slope = (q.y - p.y) / (q.x - p.x)
+    return (slope, p.y - slope * p.x)
+
+
+coords = st.builds(QRoot3, st.fractions(-50, 50, max_denominator=60), st.fractions(-50, 50, max_denominator=60))
+
+
+@settings(max_examples=400)
+@given(coords, coords, coords, coords, st.booleans())
+def test_line_key_matches_the_qroot3_formula(px, py, qx, qy, vertical):
+    p, q = Point(px, py), Point(px if vertical else qx, qy)
+    if p != q:
+        assert _line_key(p, q) == qroot3_line_key(p, q) == qroot3_line_key(q, p) == _line_key(q, p)
+
+
+# ---------------------------------------------------------------------------
+# the certificate bytes the benchmark pins
+
+PINS = json.loads((Path(__file__).parents[1] / "perfbench" / "pins.json").read_text())
+
+
+@pytest.mark.parametrize("tile_name, sides, pin", [
+    ("iso", (4 * SQRT3,) * 3, PINS["certify-iso"]["iso-4r3"]),
+    ("357", (QRoot3(15), QRoot3(25), QRoot3(35)), PINS["settle-357"]["tri-15-25-35"]),
+], ids=["iso-48", "357-15-25-35"])
+def test_saved_certificates_have_the_pinned_bytes(tmp_path, tile_name, sides, pin):
+    cert = found_certificate(tile_name, sides)
+    assert cert.n == pin["check"]["n"]
+    cert.save(tmp_path / "cert.json")
+    saved = (tmp_path / "cert.json").read_bytes()
+    assert hashlib.sha256(saved).hexdigest() == pin["certificate_sha256"]
+    Certificate.load(tmp_path / "cert.json").save(tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == saved
 
 
 # the isosceles tile with its long side on the x-axis: box [0, sqrt3] x [0, 1/2]

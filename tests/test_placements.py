@@ -23,6 +23,10 @@ T357 = tile_from_sides(3, 5, 7)
 ISO = tile_from_sides(1, 1, SQRT3)
 
 
+def _scaled(p, k):
+    return Point(p.x * k, p.y * k)
+
+
 def _scaled_tile_region(tile, k):
     """Triangle with the tile's alpha angle at the origin, legs k*b and k*c."""
     cos_a, sin_a = tile.angle_vec("alpha")
@@ -161,7 +165,7 @@ def _reference_candidates(region, corner, geom, allow_mirror):
                 continue
             if flush_len < boundary_len and not geom.length_representable(boundary_len - flush_len):
                 continue
-            tri = (v, v + u_hat.scale(flush_len), v + ray_dir.scale(other_len))
+            tri = (v, v + _scaled(u_hat, flush_len), v + _scaled(ray_dir, other_len))
             key = tuple(sorted(p.lex_key() for p in tri))
             if key in seen:
                 continue
@@ -175,14 +179,8 @@ def _reference_candidates(region, corner, geom, allow_mirror):
     return out
 
 
-def _summary(region, geom, cands):
-    """Each candidate with the remainder its touch points splice to."""
-    return [(c.placement.vertices, c.placement.mirrored, c.angle_name,
-             [r.vertices for r in splice(region, c.placement.vertices, c.touch, geom.area2)])
-            for c in cands]
-
-
-@pytest.mark.parametrize("tile, sides, allow_mirror, nodes", [
+# the benchmark's searches, each to its pinned node count
+PINNED_SEARCHES = pytest.mark.parametrize("tile, sides, allow_mirror, nodes", [
     (T357, [QRoot3(15)] * 3, True, 380),
     (T357, [QRoot3(15)] * 3, False, 9),
     (T357, [QRoot3(15), QRoot3(25), QRoot3(35)], True, 814),
@@ -190,6 +188,16 @@ def _summary(region, geom, cands):
     (T357, [QRoot3(30)] * 3, True, 400),
     (ISO, [5 * SQRT3] * 3, True, 75),
 ], ids=["357-eq15", "357-eq15-direct", "357-15,25,35", "iso-eq4sqrt3", "357-eq30-budget", "iso-eq5sqrt3"])
+
+
+def _summary(region, geom, cands):
+    """Each candidate with the remainder its touch points splice to."""
+    return [(c.placement.vertices, c.placement.mirrored, c.angle_name,
+             [r.vertices for r in splice(region, c.placement.vertices, c.touch, geom.area2)])
+            for c in cands]
+
+
+@PINNED_SEARCHES
 def test_frames_match_the_per_node_construction(monkeypatch, tile, sides, allow_mirror, nodes):
     # every region the search expands, under both mirror settings, one
     # geometry each; every triangle the fit test sees, fitting or not, is
@@ -234,6 +242,58 @@ def test_frames_match_the_per_node_construction(monkeypatch, tile, sides, allow_
     assert verdicts == ({True} if tile is ISO else {True, False})
     if tile is ISO:  # directions at multiples of 30 degrees: vertical edges too
         assert any(on_y for _, on_y, _ in geoms[True]._frames.values())
+
+
+def _per_ray_frame(geom, d):
+    """The frame of d's ray built on the ray itself, as `_frame` did before
+    it turned the tile's own frame: the unit vector, one rotation per tile
+    angle, a chirality test per option and a set of offsets against
+    repeats."""
+    origin = pt(0, 0)
+    length = segment_length(origin, d)
+    u = Point(d.x / length, d.y / length)
+    on_y = u.x.is_zero()
+    angles, seen = [], set()
+    for name, cos_v, sin_v, e1, e2 in geom.angles:
+        ray = Point(u.x * cos_v - u.y * sin_v, u.x * sin_v + u.y * cos_v)
+        options = []
+        for flush_len, other_len in ((e1, e2), (e2, e1)):
+            offs = (_scaled(u, flush_len), _scaled(ray, other_len))
+            if offs not in seen:
+                seen.add(offs)
+                mirrored = placement_chirality(geom.tile, Placement((origin,) + offs, False))
+                assert mirrored is not None
+                options.append((flush_len, *offs, mirrored))
+        if options:
+            angles.append((name, geometry.AngleVec(cos_v, sin_v), cos_v, sin_v, options))
+    return (u.y if on_y else u.x).inverse(), on_y, angles
+
+
+@PINNED_SEARCHES
+def test_turned_frames_match_the_per_ray_construction(monkeypatch, tile, sides, allow_mirror, nodes):
+    # every ray the search meets: the frame turned from the tile's own
+    # frame is the one built on the ray, and turning it tests no chirality
+    rays, chirality_calls = [], []
+    real_frame, real_chirality = TileGeometry._frame, placements.placement_chirality
+
+    def recorded(geom, d):
+        before = len(chirality_calls)
+        fr = real_frame(geom, d)
+        assert len(chirality_calls) == before
+        rays.append((geom, d, fr))
+        return fr
+
+    # the tile's own frame is built with the search, one chirality test per option
+    s = TilingSearch(tile, triangle_spec(tile, sides), SearchConfig(allow_mirror=allow_mirror, node_budget=nodes))
+    monkeypatch.setattr(TileGeometry, "_frame", recorded)
+    monkeypatch.setattr(placements, "placement_chirality",
+                        lambda *args: chirality_calls.append(1) or real_chirality(*args))
+    assert s.run().stats.nodes == nodes
+    assert chirality_calls == [] and 0 < len(rays) == len(s.geom._frames)
+    for geom, d, fr in rays:
+        assert fr == _per_ray_frame(geom, d), d
+    if tile is ISO:  # the repeated beta options are dropped, as on the ray
+        assert [name for name, *_ in s.geom._axis] == ["alpha", "gamma"]
 
 
 def test_one_square_root_per_frame(monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from tilingforge.exactnum import (
     SQRT3,
     QRoot3,
+    order_keys,
     qr3_sign,
     rat_to_str,
     rational_sqrt,
@@ -145,3 +146,70 @@ def test_from_json_rejects_what_rat_to_str_does_not_write(part):
     for obj in ({"r": part, "s": "0"}, {"r": "0", "s": part}):
         with pytest.raises(ValueError, match="not an exact number"):
             QRoot3.from_json(obj)
+
+
+# ---------------------------------------------------------------------------
+# integer order keys against the exact comparison
+
+
+def _pell(n):
+    """(x, y) with x^2 - 3 y^2 = 1 from (2 + sqrt3)^n: x/y is within
+    1/(2 sqrt3 y^2) of sqrt3."""
+    x, y = 1, 0
+    for _ in range(n):
+        x, y = 2 * x + 3 * y, x + 2 * y
+    return x, y
+
+
+# sqrt3 against its convergents, and a convergent with numerators of about 300 bits
+PELL_300 = _pell(158)
+NEAR = [SQRT3, -SQRT3, QRoot3(Fraction(1351, 780)), QRoot3(Fraction(18817, 10864)),
+        QRoot3(Fraction(-18817, 10864)), QRoot3(Fraction(*PELL_300)), QRoot3(0),
+        QRoot3(Fraction(*PELL_300), -1), QRoot3(Fraction(1, 2**300), Fraction(-1, 3**190))]
+big = st.integers(-(2**300), 2**300)
+
+
+def big_qroot3s():
+    return st.builds(lambda n1, n3, den: QRoot3._raw(n1, n3, den), big, big, st.integers(1, 2**300))
+
+
+def _assert_keys_keep_the_order(values):
+    keys = order_keys(values)
+    assert len(keys) == len(values) and all(type(k) is int for k in keys)
+    for a, ka in zip(values, keys):
+        for b, kb in zip(values, keys):
+            assert (ka > kb) - (ka < kb) == a._order(b), (a, b)
+
+
+def test_pell_convergents_are_near_ties():
+    x, y = PELL_300
+    assert x * x - 3 * y * y == 1 and 290 < x.bit_length() < 310
+    assert 0 < (QRoot3(Fraction(x, y)) - SQRT3).sign()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(qroot3s(), big_qroot3s(), st.sampled_from(NEAR)), min_size=1, max_size=12))
+def test_order_keys_keep_the_exact_order(values):
+    _assert_keys_keep_the_order(values)
+
+
+@pytest.mark.parametrize("values", [
+    NEAR,
+    [QRoot3(Fraction(1351, 780)), SQRT3, QRoot3(Fraction(18817, 10864))],
+    [SQRT3, SQRT3, QRoot3(0, Fraction(2, 2)), -SQRT3],  # equal values
+    [QRoot3(0), QRoot3(0, 0), QRoot3(-1), QRoot3(0, -1)],  # zero and negatives
+    [QRoot3(Fraction(-7, 3), 2)],  # one value
+    [QRoot3._raw(*PELL_300, 1), QRoot3._raw(PELL_300[0] + 1, PELL_300[1], 1), QRoot3._raw(-PELL_300[0], -PELL_300[1], 1)],
+], ids=["near", "convergents", "equal", "zero-and-negative", "one", "300-bit"])
+def test_order_keys_on_chosen_lists(values):
+    _assert_keys_keep_the_order(values)
+    assert order_keys([]) == []
+
+
+@given(qroot3s())
+def test_number_strings_are_the_fraction_parts(x):
+    # Fraction's own str is n or n/d in lowest terms, what rat_to_str writes
+    r, s = str(Fraction(x.n1, x.den)), str(Fraction(x.n3, x.den))
+    assert (r, s) == (rat_to_str(x.r), rat_to_str(x.s))
+    assert x.to_json() == {"r": r, "s": s}
+    assert repr(x) == (r if x.n3 == 0 else f"{s}*sqrt3" if x.n1 == 0 else f"{r}+{s}*sqrt3")

@@ -511,7 +511,8 @@ def _spy_on_fit(monkeypatch):
     return tally
 
 
-@pytest.mark.parametrize("tile, sides, allow_mirror, budget, expected", [
+# the benchmark's searches, each with its pinned verdict and node count
+PINNED_SEARCHES = pytest.mark.parametrize("tile, sides, allow_mirror, budget, expected", [
     (T357, [QRoot3(15)] * 3, True, None, ("exhausted", 380)),
     (T357, [QRoot3(15)] * 3, False, None, ("exhausted", 9)),
     (T357, [QRoot3(15), QRoot3(25), QRoot3(35)], True, None, ("found", 814)),
@@ -519,6 +520,9 @@ def _spy_on_fit(monkeypatch):
     (ISO, [4 * SQRT3] * 3, True, None, ("found", 48)),
     (ISO, [5 * SQRT3] * 3, True, None, ("found", 75)),
 ], ids=["357-eq15", "357-eq15-direct", "357-15,25,35", "357-eq30-budget", "iso-eq4sqrt3", "iso-eq5sqrt3"])
+
+
+@PINNED_SEARCHES
 def test_the_benchmark_searches_make_no_probe(monkeypatch, tile, sides, allow_mirror, budget, expected):
     # every candidate's flush edge shares a piece with the region's
     # outgoing edge, running its way, so no fit test probes
@@ -528,6 +532,19 @@ def test_the_benchmark_searches_make_no_probe(monkeypatch, tile, sides, allow_mi
     assert (out.status, out.stats.nodes) == expected
     assert tally["fits"] == tally["shared"] > 0
     assert tally["probes"] == 0
+
+
+@PINNED_SEARCHES
+def test_the_benchmark_searches_read_the_flush_edge_off_the_signs(monkeypatch, tile, sides, allow_mirror, budget,
+                                                                    expected):
+    # the flush edge starts at tile vertex 0, on the ray line, so the sign
+    # table gives its direction and the fit test takes no orientation
+    calls = []
+    monkeypatch.setattr(region_module, "orientation", lambda *args: calls.append(args) or orientation(*args))
+    config = SearchConfig(allow_mirror=allow_mirror, node_budget=budget or SearchConfig().node_budget)
+    out = run_search(tile, triangle_spec(tile, sides), config)
+    assert (out.status, out.stats.nodes) == expected
+    assert calls == []
 
 
 @pytest.mark.parametrize("poly", [CONVEX, NON_CONVEX], ids=["convex", "non-convex"])
