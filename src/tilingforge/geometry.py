@@ -111,15 +111,6 @@ def midpoint(a: Point, b: Point) -> Point:
     return _of_form(*_mid(a.form, b.form))
 
 
-def sort_along(points: list[Point], a: Point, b: Point) -> None:
-    """Sort points of the line through a != b in place, from a towards b,
-    by the coordinate in which a and b differ."""
-    if a.x != b.x:
-        points.sort(key=lambda p: p.x, reverse=b.x < a.x)
-    else:
-        points.sort(key=lambda p: p.y, reverse=b.y < a.y)
-
-
 # ---------------------------------------------------------------------------
 # fraction-free kernel on integer forms
 
@@ -200,12 +191,6 @@ def segments_properly_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
         return False
     o = _orient(fc, fd, fa)
     return o != 0 and _orient(fc, fd, fb) == -o
-
-
-def strictly_inside_triangle(p: Point, tri: Sequence[Point]) -> bool:
-    """p lies in the open interior of the counterclockwise triangle tri."""
-    fp, fa, fb, fc = p.form, tri[0].form, tri[1].form, tri[2].form
-    return _orient(fa, fb, fp) > 0 and _orient(fb, fc, fp) > 0 and _orient(fc, fa, fp) > 0
 
 
 def squared_distance(a: Point, b: Point) -> QRoot3:

@@ -313,7 +313,7 @@ def analyze_maximal_segments(cert: Certificate):
 
     out = []
     for (slope, _), edges in by_line.items():
-        # position along the line, as in geometry.sort_along, by exact integer keys
+        # position along the line by x, or by y on a vertical line, as exact integer keys
         pos = order_keys([q.y if slope is None else q.x for a, b, _ in edges for q in (a, b)])
         events = []
         for e, (a, b, opp) in enumerate(edges):

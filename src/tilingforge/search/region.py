@@ -17,7 +17,7 @@ row (the region's outgoing edge) once per corner and the ray line's once
 per tile angle.  A region edge is *far* when both its ends lie strictly
 outside the same tile line: it can neither cross the tile, nor pass
 through a tile vertex, nor share a piece with a tile edge, so no test
-looks at it.  On the other, *near* edges three rules read the table:
+looks at it.  On the other, *near* edges three rules read the sign table:
 
 - *Cuts.*  A simple polygon has no vertex inside its own edges, and
   neither has a triangle, so a near edge is cut at the tile vertices
@@ -57,6 +57,21 @@ that shares no piece with the region's boundary is decided by one
 interior point, the probe `_locate` on an integer form.  Each candidate of
 the search has its flush edge on the region's outgoing edge, so the
 search never probes.
+
+What these rules decide about a near edge is a function of the codes of
+its two ends (6 bits each: bit k when the end lies strictly outside tile
+line k, bit k + 3 when strictly inside), except for an edge strictly
+across two tile lines.  So `fit` reads each near edge's rule from a table
+keyed by the codes, `cc << 6 | cd`: either the tile cannot fit, or (the
+tile vertices cut into the edge, the tile lines of its end when that lies
+on the tile's boundary, the shared piece's way and opposite tile vertex).
+For an edge strictly across two tile lines (68 of the 512 near code
+pairs) the rule says instead that the tile's signs decide: the `sides`
+row of the tile's vertices against the edge's line extends the key, and a
+second lookup gives one of the other two kinds.  `_rule` builds each rule
+the first time its key is met, so a search builds a few dozen; only the
+orientation fallback for a shared piece's way and the probe `_locate`
+look at the geometry again.
 
 Once the tile fits, the remainder is fixed by the *contacts*, the
 connected pieces of the region's boundary on the tile's: the boundary
@@ -184,13 +199,6 @@ class Polygon:
         return self.corner_angles
 
 
-def triangle_ccw(a: Point, b: Point, c: Point) -> tuple[Point, Point, Point]:
-    s = orientation(a, b, c)
-    if s == 0:
-        raise GeometryError("degenerate triangle")
-    return (a, b, c) if s > 0 else (a, c, b)
-
-
 def _arc(seq: tuple, start: int, stop: int) -> tuple:
     """seq[start:stop] read around the cycle, for start <= len(seq) and
     stop - start <= len(seq)."""
@@ -205,6 +213,18 @@ _VERTEX_CODE = (0b010 << 3, 0b100 << 3, 0b001 << 3)
 # the place on the tile's boundary of a point on the tile lines of a mask:
 # 2k at tile vertex k, 2k + 1 inside tile edge k (vertex k to vertex k + 1)
 _TILE_POS = {0b001: 1, 0b010: 3, 0b100: 5, 0b101: 0, 0b011: 2, 0b110: 4}
+# the code bit of a side against tile line k, by `sides` value: none on
+# it, bit k + 3 strictly inside, bit k strictly outside (index -1)
+_B0, _B1, _B2 = [(0, 8 << k, 1 << k) for k in range(3)]
+# the rule of a near region edge by the codes of its ends, cc << 6 | cd,
+# and, for an edge strictly across two tile lines, by (that key, the
+# `sides` row of the tile's vertices against the edge's line); filled on
+# first use.  A rule depends on its key alone, so one table serves every
+# region, tile and search in the process, and it holds at most 512 pair
+# entries and 27 sign rows for each of the 68 pairs that need them
+_RULES: dict = {}
+_NO_FIT = "the tile cannot fit"
+_ACROSS = "strictly across two tile lines: the tile's signs decide"
 
 
 def place(region: Polygon, tri: tuple[Point, Point, Point]) -> Optional[list[Polygon]]:
@@ -234,70 +254,44 @@ def fit(region: Polygon, tri: tuple[Point, Point, Point], flush: list[int], ray:
     `sides` rows of the region's vertices against the tile lines
     tri[0] -> tri[1] and tri[2] -> tri[0]."""
     verts = region.vertices
-    n = len(verts)
     # code[i]: bit k set when region vertex i lies strictly outside tile
     # line k, bit k + 3 when it lies strictly inside
-    code = [(s0 < 0) | (s1 < 0) << 1 | (s2 < 0) << 2 | (s0 > 0) << 3 | (s1 > 0) << 4 | (s2 > 0) << 5
-            for s0, s1, s2 in zip(flush, sides(tri[1], tri[2], verts), ray)]
-    # the edges that are not far; edge i runs from vertex i - 1 to vertex i
-    near = [i for i in range(n) if not code[i - 1] & code[i] & 7]
-
+    code = [_B0[s0] | _B1[s1] | _B2[s2] for s0, s1, s2 in zip(flush, sides(tri[1], tri[2], verts), ray)]
+    rules = _RULES
     # the points of the region's boundary on the tile's, if the tile fits,
     # in the region's order: (place on the region's boundary, 2i inside
     # edge i and 2i + 1 at vertex i; the point; its tile lines as a mask)
     touch = []
     inside = False  # a shared piece has shown the tile inside the region
-    for i in near:
-        c, d = verts[i - 1], verts[i]
-        out_c, out_d, in_c, in_d = code[i - 1] & 7, code[i] & 7, code[i - 1] >> 3, code[i] >> 3
-        apart = out_c & in_d | in_c & out_d  # the tile lines that c and d lie strictly apart on
-        on = 7 & ~(out_c | in_c | out_d | in_d)  # the tile lines that both lie on
-        # the tile vertices inside the edge; tile vertex k is on lines k - 1 and k
-        o = None  # the sides of the tile's vertices against the edge's line
-        if on:  # on one of vertex k's lines and strictly across the other
-            inner = [k for k, both in enumerate(_VERTEX_LINES) if on & both and apart & both]
-        elif apart & (apart - 1):  # strictly across both of vertex k's lines, and through it
-            o = sides(c, d, tri)
-            inner = [k for k, both in enumerate(_VERTEX_LINES) if apart & both == both and not o[k]]
-        else:
-            inner = []
-        if len(inner) > 1:
-            # all of tile edge k, on line k: if the tile fits, the edge runs
-            # its way (else a shared-piece or a later check returns None),
-            # so vertex k comes first
-            k = on.bit_length() - 1
-            inner = [k, (k + 1) % 3]
-        touch += [(2 * i, tri[k], _VERTEX_LINES[k]) for k in inner]
-        if not out_d:
-            touch.append((2 * i + 1, d, 7 & ~in_d))
-        # the codes of the ends of the edge's pieces, cut at the tile vertices
-        ends = [code[i - 1], *[_VERTEX_CODE[k] for k in inner], code[i]]
-        if on:
-            # on tile line k, a piece with both ends in the closed tile lies
-            # on tile edge k: the tile is inside the region if the edge runs
-            # the tile edge's way (by the codes of its ends, else the
-            # opposite tile vertex on its left), outside if it runs the other way
-            if not inside and any(not (p | q) & 7 for p, q in zip(ends, ends[1:])):
-                k = on.bit_length() - 1
-                if (_along(code[i - 1], code[i], k) or orientation(c, d, tri[(k + 2) % 3])) < 0:
-                    return None
-                inside = True
-            continue
-        if in_c | in_d != 7:
-            continue  # on the closed outer side of a tile line: it keeps out of the tile
-        if o is None:
-            # strictly across one tile line and outside no other at either
-            # end, it crosses that tile edge properly; across none, it runs
-            # inside the tile
+    # edge i runs from vertex i - 1 to vertex i
+    for i, cc, cd in zip(range(len(verts)), [code[-1], *code], code):
+        if cc & cd & 7:
+            continue  # far
+        key = cc << 6 | cd
+        rule = rules.get(key)
+        if rule is None:
+            rule = rules[key] = _rule(cc, cd)
+        if rule is _ACROSS:
+            o = sides(verts[i - 1], verts[i], tri)
+            key = (key, *o)
+            rule = rules.get(key)
+            if rule is None:
+                rule = rules[key] = _rule(cc, cd, o)
+        if rule is _NO_FIT:
             return None
-        if any(apart >> k & 1 and o[k] and o[(k + 1) % 3] == -o[k] for k in range(3)):
-            return None  # proper crossing: tile edge k's ends lie strictly apart on the edge's line
-        # a piece keeps out of the open tile if it is strictly across a tile
-        # line, which it meets outside the closed tile; otherwise its
-        # midpoint is strictly inside when each tile line has an end
-        # strictly inside it and none strictly outside
-        if any(not (p | q) & 7 and (p | q) >> 3 == 7 for p, q in zip(ends, ends[1:])):
-            return None
+        inner, d_lines, shared = rule
+        if inner:
+            touch += [(2 * i, tri[k], lines) for k, lines in inner]
+        if d_lines is not None:
+            touch.append((2 * i + 1, verts[i], d_lines))
+        if shared and not inside:
+            # the tile is inside the region if the edge runs the tile
+            # edge's way (by the codes of its ends, else the opposite tile
+            # vertex on its left), outside if it runs the other way
+            way, opposite = shared
+            if (way or orientation(verts[i - 1], verts[i], tri[opposite])) < 0:
+                return None
+            inside = True
     if not inside:
         # no boundary point in the open tile and no shared piece: one
         # interior point decides
@@ -305,6 +299,59 @@ def fit(region: Polygon, tri: tuple[Point, Point, Point], flush: list[int], ray:
         if _locate(_mid(forms[0], _mid(forms[1], forms[2])), verts) != "inside":
             return None
     return touch
+
+
+def _rule(cc: int, cd: int, o: Optional[list[int]] = None):
+    """The rule of a near region edge whose ends have codes cc and cd:
+    `_NO_FIT`; or (the tile vertices cut into the edge, in order, each with
+    its tile lines; the tile lines of its end d if d lies on the tile's
+    boundary, else None; (the shared piece's `_along` way, the tile vertex
+    opposite its line) if the edge shares a piece with a tile edge, else
+    None); or, without `o`, `_ACROSS` for an edge that needs the row `o`
+    of the tile's vertices against its line (see the module docstring)."""
+    out_c, out_d, in_c, in_d = cc & 7, cd & 7, cc >> 3, cd >> 3
+    apart = out_c & in_d | in_c & out_d  # the tile lines that c and d lie strictly apart on
+    on = 7 & ~(out_c | in_c | out_d | in_d)  # the tile lines that both lie on
+    # the tile vertices inside the edge; tile vertex k is on lines k - 1 and k
+    if on:  # on one of vertex k's lines and strictly across the other
+        inner = [k for k, both in enumerate(_VERTEX_LINES) if on & both and apart & both]
+    elif apart & (apart - 1):  # strictly across both of vertex k's lines, and through it
+        if o is None:
+            return _ACROSS
+        inner = [k for k, both in enumerate(_VERTEX_LINES) if apart & both == both and not o[k]]
+    else:
+        inner = []
+    if len(inner) > 1:
+        # all of tile edge k, on line k: if the tile fits, the edge runs
+        # its way (else a shared-piece or a later check rules it out), so
+        # vertex k comes first
+        k = on.bit_length() - 1
+        inner = [k, (k + 1) % 3]
+    # the codes of the ends of the edge's pieces, cut at the tile vertices
+    ends = [cc, *[_VERTEX_CODE[k] for k in inner], cd]
+    pieces = list(zip(ends, ends[1:]))
+    shared = None
+    if on:
+        # on tile line k, a piece with both ends in the closed tile lies
+        # on tile edge k
+        if any(not (p | q) & 7 for p, q in pieces):
+            k = on.bit_length() - 1
+            shared = (_along(cc, cd, k), (k + 2) % 3)
+    elif in_c | in_d == 7:  # else on the closed outer side of a tile line: it keeps out of the tile
+        if o is None:
+            # strictly across one tile line and outside no other at either
+            # end, it crosses that tile edge properly; across none, it runs
+            # inside the tile
+            return _NO_FIT
+        if any(apart >> k & 1 and o[k] and o[(k + 1) % 3] == -o[k] for k in range(3)):
+            return _NO_FIT  # proper crossing: tile edge k's ends lie strictly apart on the edge's line
+        # a piece keeps out of the open tile if it is strictly across a tile
+        # line, which it meets outside the closed tile; otherwise its
+        # midpoint is strictly inside when each tile line has an end
+        # strictly inside it and none strictly outside
+        if any(not (p | q) & 7 and (p | q) >> 3 == 7 for p, q in pieces):
+            return _NO_FIT
+    return tuple((k, _VERTEX_LINES[k]) for k in inner), None if out_d else 7 & ~in_d, shared
 
 
 def _along(c: int, d: int, k: int) -> int:

@@ -26,7 +26,6 @@ from tilingforge.geometry import (
     point_in_polygon,
     pt,
     segments_properly_cross,
-    strictly_inside_triangle,
 )
 import tilingforge.search.certificate as cmod
 from tilingforge.search.certificate import (
@@ -46,6 +45,8 @@ from tilingforge.search import placements as pmod
 from tilingforge.search.engine import SearchConfig, TilingSearch, run_search
 from tilingforge.search.region import Polygon
 from tilingforge.tilealgebra import EdgeRelation, RelationKind, tile_from_sides
+
+from reference_geometry import strictly_inside_triangle
 
 T357 = tile_from_sides(3, 5, 7)
 ISO = tile_from_sides(1, 1, SQRT3)

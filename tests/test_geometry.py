@@ -8,7 +8,10 @@ vector) and are kept only here.  Points are drawn with mixed
 denominators and nonzero sqrt3 parts on both axes, and the strategies
 force the degenerate cases the search meets: collinear triples, points
 at segment endpoints, shared vertices, points on polygon edges and
-vertices, and horizontal edges at the height of the crossing ray.
+vertices, and horizontal edges at the height of the crossing ray.  The
+reference helpers `sort_along` and `strictly_inside_triangle`, which the
+region and checker oracles use, are checked here against the same
+formulas.
 """
 
 import pickle
@@ -30,11 +33,11 @@ from tilingforge.geometry import (
     polygon_area_twice,
     segments_properly_cross,
     sides,
-    sort_along,
-    strictly_inside_triangle,
 )
 from tilingforge.search.placements import TileGeometry
 from tilingforge.tilealgebra import tile_from_sides
+
+from reference_geometry import sort_along, strictly_inside_triangle
 
 # -- QRoot3 reference formulas ---------------------------------------------------
 

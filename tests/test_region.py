@@ -1,12 +1,17 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from tilingforge.cli import parse_target
 from tilingforge.constraints import triangle_spec
 from tilingforge.exactnum import QRoot3, SQRT3
 from tilingforge.geometry import (
     GeometryError,
     Point,
+    _locate,
+    _mid,
     angle_at,
     midpoint,
     on_open_segment,
@@ -16,8 +21,7 @@ from tilingforge.geometry import (
     pt,
     segment_length,
     segments_properly_cross,
-    sort_along,
-    strictly_inside_triangle,
+    sides,
 )
 from tilingforge.search import engine, placements
 from tilingforge.search import region as region_module
@@ -25,13 +29,17 @@ from tilingforge.search.engine import SearchConfig, TilingSearch, run_search
 from tilingforge.search.placements import Placement, candidate_placements, placement_chirality, tile_fits_in_region
 from tilingforge.search.region import (
     Polygon,
+    _VERTEX_CODE,
+    _VERTEX_LINES,
+    _along,
     _faces,
     place,
     splice,
     subtract_triangle,
-    triangle_ccw,
 )
 from tilingforge.tilealgebra import tile_from_sides
+
+from reference_geometry import sort_along, strictly_inside_triangle, triangle_ccw
 
 
 def sq(x1, y1, x2, y2):
@@ -581,6 +589,29 @@ def test_cut_rules_match_reference(poly, tri, fits):
     assert _assert_verdict_matches_reference(poly, tri) is fits
 
 
+# a tower of width 1 on a slab, and a square with a notch of width 1 up
+# into it from its bottom edge
+TOWER = Polygon.from_points([pt(0, 0), pt(5, 0), pt(5, 2), pt(3, 2), pt(3, 4), pt(2, 4), pt(2, 2), pt(0, 2)])
+NOTCHED = Polygon.from_points([pt(0, 0), pt(4, 0), pt(4, 2), pt(5, 2), pt(5, 0), pt(9, 0), pt(9, 9), pt(0, 9)])
+
+
+@pytest.mark.parametrize("poly, tri, edge, fits", [
+    # the tower's top edge runs against the tile's base: outside
+    pytest.param(TOWER, (pt(1, 4), pt(4, 4), pt(2, 6)), (pt(3, 4), pt(2, 4)), False, id="against-the-tile-edge"),
+    # the notch's top edge runs along the tile's base: inside
+    pytest.param(NOTCHED, (pt(3, 2), pt(6, 2), pt(4, 4)), (pt(4, 2), pt(5, 2)), True, id="along-the-tile-edge"),
+])
+def test_a_shared_piece_strictly_inside_a_tile_edge_takes_one_orientation(monkeypatch, poly, tri, edge, fits):
+    # both ends of the region edge that shares a piece with the tile's base
+    # lie strictly inside that tile edge, so their codes give no way and
+    # the apex decides
+    assert _assert_verdict_matches_reference(poly, tri) is fits
+    calls = []
+    monkeypatch.setattr(region_module, "orientation", lambda *args: calls.append(args) or orientation(*args))
+    assert (place(poly, tri) is not None) is fits
+    assert calls == [(*edge, tri[2])]
+
+
 L_SHAPE = Polygon.from_points([pt(0, 0), pt(2, 0), pt(2, 1), pt(1, 1), pt(1, 2), pt(0, 2)])
 # a square with two spikes down from its top edge, to (4, 2) and (2, 4)
 SPIKES = Polygon.from_points([pt(0, 0), pt(8, 0), pt(8, 8), pt(5, 8), pt(4, 2), pt(3, 8), pt(2, 4),
@@ -620,6 +651,177 @@ def test_a_region_edge_holding_a_whole_tile_edge(k):
     below = sq(0, -4, 4, 0)
     assert not _ref_fits(below, tri)
     assert place(below, tri) is None
+
+
+# -- the rule table against the branchy fit test --------------------------------
+
+def _branchy_fit(region, tri, flush, ray):
+    """The fit test as it was before its rule table: each near edge's cuts,
+    pieces, crossings and shared piece worked out from the codes of its
+    ends, and the tile's signs where it is strictly across two tile lines,
+    every time the edge is met."""
+    verts = region.vertices
+    n = len(verts)
+    code = [(s0 < 0) | (s1 < 0) << 1 | (s2 < 0) << 2 | (s0 > 0) << 3 | (s1 > 0) << 4 | (s2 > 0) << 5
+            for s0, s1, s2 in zip(flush, sides(tri[1], tri[2], verts), ray)]
+    near = [i for i in range(n) if not code[i - 1] & code[i] & 7]
+    touch = []
+    inside = False
+    for i in near:
+        c, d = verts[i - 1], verts[i]
+        out_c, out_d, in_c, in_d = code[i - 1] & 7, code[i] & 7, code[i - 1] >> 3, code[i] >> 3
+        apart = out_c & in_d | in_c & out_d
+        on = 7 & ~(out_c | in_c | out_d | in_d)
+        o = None
+        if on:
+            inner = [k for k, both in enumerate(_VERTEX_LINES) if on & both and apart & both]
+        elif apart & (apart - 1):
+            o = sides(c, d, tri)
+            inner = [k for k, both in enumerate(_VERTEX_LINES) if apart & both == both and not o[k]]
+        else:
+            inner = []
+        if len(inner) > 1:
+            k = on.bit_length() - 1
+            inner = [k, (k + 1) % 3]
+        touch += [(2 * i, tri[k], _VERTEX_LINES[k]) for k in inner]
+        if not out_d:
+            touch.append((2 * i + 1, d, 7 & ~in_d))
+        ends = [code[i - 1], *[_VERTEX_CODE[k] for k in inner], code[i]]
+        if on:
+            if not inside and any(not (p | q) & 7 for p, q in zip(ends, ends[1:])):
+                k = on.bit_length() - 1
+                if (_along(code[i - 1], code[i], k) or orientation(c, d, tri[(k + 2) % 3])) < 0:
+                    return None
+                inside = True
+            continue
+        if in_c | in_d != 7:
+            continue
+        if o is None:
+            return None
+        if any(apart >> k & 1 and o[k] and o[(k + 1) % 3] == -o[k] for k in range(3)):
+            return None
+        if any(not (p | q) & 7 and (p | q) >> 3 == 7 for p, q in zip(ends, ends[1:])):
+            return None
+    if not inside:
+        forms = [t.form for t in tri]
+        if _locate(_mid(forms[0], _mid(forms[1], forms[2])), verts) != "inside":
+            return None
+    return touch
+
+
+def _check_against_branchy_fit(monkeypatch):
+    """Wrap the fit test where `place` and `candidate_placements` call it,
+    so that every call must return what `_branchy_fit` returns; returns the
+    tallies of fitting and rejected tiles."""
+    tally = {"fits": 0, "rejected": 0}
+    real_fit = region_module.fit
+
+    def checked(poly, tri, flush, ray):
+        got = real_fit(poly, tri, flush, ray)
+        assert got == _branchy_fit(poly, tri, flush, ray)
+        tally["rejected" if got is None else "fits"] += 1
+        return got
+
+    monkeypatch.setattr(region_module, "fit", checked)
+    monkeypatch.setattr(placements, "fit", checked)
+    return tally
+
+
+@PINNED_SEARCHES
+def test_the_benchmark_searches_match_the_branchy_fit(monkeypatch, tile, sides, allow_mirror, budget, expected):
+    tally = _check_against_branchy_fit(monkeypatch)
+    config = SearchConfig(allow_mirror=allow_mirror, node_budget=budget or SearchConfig().node_budget)
+    out = run_search(tile, triangle_spec(tile, sides), config)
+    assert (out.status, out.stats.nodes) == expected
+    assert tally["fits"] > 0
+    if tile is T357:
+        assert tally["rejected"] > 0
+
+
+def test_a_search_with_no_benchmark_pin_matches_the_branchy_fit(monkeypatch):
+    # (3,5,7) against the triangle with sides 24, 21, 15, as CI runs it
+    tally = _check_against_branchy_fit(monkeypatch)
+    out = run_search(T357, parse_target("triangle:24,21,15", T357), SearchConfig())
+    assert (out.status, out.stats.nodes, out.stats.max_depth) == ("exhausted", 1929, 21)
+    assert tally["fits"] > 0 and tally["rejected"] > 0
+
+
+@pytest.mark.parametrize("poly", [CONVEX, NON_CONVEX, BENT, SPIKES, L_SHAPE],
+                         ids=["convex", "non-convex", "bent", "spikes", "l-shape"])
+def test_lattice_sweep_matches_the_branchy_fit(monkeypatch, poly):
+    # every shape at every lattice offset from two units left of and below
+    # the region to two units right of and above it, with a fresh table
+    monkeypatch.setattr(region_module, "_RULES", {})
+    xs, ys = [int(v.x.n1) for v in poly.vertices], [int(v.y.n1) for v in poly.vertices]
+    verts = poly.vertices
+    seen = set()
+    for dx in range(min(xs) - 2, max(xs) + 3):
+        for dy in range(min(ys) - 2, max(ys) + 3):
+            for shape in SHAPES:
+                tri = triangle_ccw(*[pt(p.x + dx, p.y + dy) for p in shape])
+                rows = sides(tri[0], tri[1], verts), sides(tri[2], tri[0], verts)
+                got = region_module.fit(poly, tri, *rows)
+                assert got == _branchy_fit(poly, tri, *rows)
+                seen.add(got is not None)
+    assert seen == {True, False}
+    rules = region_module._RULES.values()
+    assert region_module._NO_FIT in rules and region_module._ACROSS in rules
+
+
+def _all_codes():
+    """The 27 codes of a point: per tile line, strictly outside, on it or
+    strictly inside."""
+    return [o | i << 3 for o in range(8) for i in range(8) if not o & i]
+
+
+def test_the_rule_keys_are_the_near_code_pairs():
+    # 512 pairs of codes with no tile line strictly outside at both ends;
+    # 68 of them, strictly across two or three tile lines and on none,
+    # take the tile's signs, and a row of signs gives no further `_ACROSS`
+    near = [(cc, cd) for cc in _all_codes() for cd in _all_codes() if not cc & cd & 7]
+    across = [(cc, cd) for cc, cd in near if region_module._rule(cc, cd) is region_module._ACROSS]
+    assert len(near) == 512 and len(across) == 68
+    signs = [(a, b, c) for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)]
+    assert all(region_module._rule(cc, cd, o) is not region_module._ACROSS for cc, cd in across for o in signs)
+
+
+def test_the_rule_table_fills_on_first_use():
+    code = "from tilingforge.search import region; print(len(region._RULES))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "0"
+
+
+def test_the_rule_table_keeps_its_rejecting_rules(monkeypatch):
+    # a second identical search builds no rule, the "cannot fit" ones included
+    monkeypatch.setattr(region_module, "_RULES", {})
+    built = []
+    real_rule = region_module._rule
+    monkeypatch.setattr(region_module, "_rule", lambda *args: built.append(args) or real_rule(*args))
+    target = triangle_spec(T357, [QRoot3(30)] * 3)
+    first = run_search(T357, target, SearchConfig(node_budget=400))
+    assert built and region_module._NO_FIT in region_module._RULES.values()
+    built.clear()
+    second = run_search(T357, target, SearchConfig(node_budget=400))
+    assert (first.status, first.stats.nodes) == (second.status, second.stats.nodes) == ("budget", 400)
+    assert built == []
+
+
+def test_the_rule_table_holds_only_pair_and_across_entries():
+    # after a search, and whatever else ran in this process, each entry is
+    # keyed by a near code pair, or by an across pair and a row of signs
+    near = {cc << 6 | cd for cc in _all_codes() for cd in _all_codes() if not cc & cd & 7}
+    signs = {-1, 0, 1}
+    run_search(T357, triangle_spec(T357, [QRoot3(15)] * 3), SearchConfig())
+    rules = region_module._RULES
+    pairs = [key for key in rules if isinstance(key, int)]
+    extended = [key for key in rules if not isinstance(key, int)]
+    assert set(pairs) <= near
+    for key in extended:
+        base, *o = key
+        assert rules[base] is region_module._ACROSS and len(o) == 3 and set(o) <= signs
+        assert rules[key] is not region_module._ACROSS
+    assert len(rules) <= 512 + len(extended)
 
 
 # -- the corner rule against a naive enumerator --------------------------------
