@@ -27,15 +27,20 @@ congruent with the same chirality and the same options repeat, and an
 edge d on the ray of u has |d| = d.x / u.x.  No square root, division,
 rotation, chirality test or filter is run per node.
 
-The fit test is passed its `sides` rows of the flush line (the outgoing
-edge) and of the ray line (shared by both edge orders of a tile angle),
-taken once per corner and once per angle, so a candidate takes only its
-far edge's row.  A candidate keeps its placement, its tile angle and the
-points where the fit test found the boundaries meet; the search splices
-its remainder from them when it enters it (`TilingSearch._apply`), so
-only the candidates it enters are spliced.  The placement record and its
-congruence test `placement_chirality` belong to the certificate checker
-and are imported from it.
+A backtracking search meets the same triangle at the same corner of many
+regions, so `TileGeometry` keeps each placed triangle, keyed by the
+`Point.key` of the corner and of the shape option's two offsets: its
+three points, built the first time, and its code table for the fit test
+(`region.fit`).  A candidate met before costs no point sum, and its fit
+test takes the signs only of the vertices its table misses; the table is
+exact, so the verdicts and the tree are those of fresh signs.
+
+A candidate keeps its placement, its tile angle and the points where the
+fit test found the boundaries meet; the search splices its remainder from
+them when it enters it (`TilingSearch._apply`), so only the candidates it
+enters are spliced.  The placement record and its congruence test
+`placement_chirality` belong to the certificate checker and are imported
+from it.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from math import gcd
 
 from ..constraints import side_compositions, tile_angle_sums
 from ..exactnum import QRoot3
-from ..geometry import AngleVec, Point, _of_form, segment_length, sides
+from ..geometry import AngleVec, Point, _of_form, segment_length
 from ..tilealgebra import TileShape
 from .certificate import Placement, placement_chirality
 from .region import Polygon, fit, place
@@ -65,8 +70,9 @@ class TileGeometry:
     (from `tile_angle_sums`, for the rest of a corner), representable edge
     lengths, the tile's own frame (`_axis`), one candidate frame per
     boundary direction turned from it and one list of candidate shapes per
-    corner kind (`shapes`), these two built on first use; with
-    allow_mirror=False the shape lists hold no mirrored copy."""
+    corner kind (`shapes`), these two built on first use, and the table of
+    placed triangles (`candidate_placements`); with allow_mirror=False the
+    shape lists hold no mirrored copy."""
 
     def __init__(self, tile: TileShape, allow_mirror: bool = True):
         self.tile = tile
@@ -83,6 +89,7 @@ class TileGeometry:
         self._length_cache: dict[tuple, bool] = {}
         self._frames: dict[tuple, tuple] = {}
         self._shapes: dict[tuple, list] = {}
+        self._placed: dict[tuple, tuple] = {}
 
     # -- representable corner angles and edge lengths ---------------------------
 
@@ -226,24 +233,23 @@ def candidate_placements(region: Polygon, corner: int, geom: TileGeometry) -> li
     the region (`fit`).  The search splices a candidate's remainder when it
     enters it.  The shapes that pass the angle, length and mirror filters,
     with their chirality, come from the corner's kind
-    (`TileGeometry.shapes`): a candidate costs two point sums and the fit
-    test, which takes its far edge's `sides` row.
+    (`TileGeometry.shapes`), and each candidate's triangle and code table
+    from the table of placed triangles, built on first sight.
     """
     verts, angles = region.vertices, region.angles
     v = verts[corner]
     j = (corner + 1) % len(verts)
     shapes = geom.shapes(v, verts[j], angles[corner], angles[j].is_reflex())
-    if not shapes:
-        return []
-    flush_row = sides(v, verts[j], verts)  # every flush edge runs along the outgoing edge
+    placed = geom._placed
     out: list[Candidate] = []
     for name, options in shapes:
-        ray_row = None
         for f_off, g_off, mirrored in options:
-            tri = (v, v + f_off, v + g_off)
-            if ray_row is None:  # both edge orders end on the angle's ray
-                ray_row = sides(tri[2], v, verts)
-            touch = fit(region, tri, flush_row, ray_row)
+            key = (v.key, f_off.key, g_off.key)
+            hit = placed.get(key)
+            if hit is None:
+                hit = placed[key] = ((v, v + f_off, v + g_off), {})
+            tri, codes = hit
+            touch = fit(region, tri, codes)
             if touch is not None:
                 out.append(Candidate(Placement(tri, mirrored), name, touch))
     return out

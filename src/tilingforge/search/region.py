@@ -8,16 +8,18 @@ points where the two boundaries meet, or None, and `splice` builds the
 rest from them.  The search splices only the candidates it enters.
 
 The fit test takes the side of every region vertex against each of the
-three tile-edge lines (one `sides` row per line), and decides from that
-sign table, not from new determinants, wherever it can (exact geometric
-computation; Yap, CGTA 7, 1997).  The caller passes the rows of the two
-lines through tri[0], which are required arguments: `place` takes both
-for its one triangle, and `candidate_placements` takes the flush line's
-row (the region's outgoing edge) once per corner and the ray line's once
-per tile angle.  A region edge is *far* when both its ends lie strictly
-outside the same tile line: it can neither cross the tile, nor pass
-through a tile vertex, nor share a piece with a tile edge, so no test
-looks at it.  On the other, *near* edges three rules read the sign table:
+three tile-edge lines, and decides from that sign table, not from new
+determinants, wherever it can (exact geometric computation; Yap, CGTA 7,
+1997).  The caller passes the triangle's code table, each point's signs
+as its code (see below) keyed by `Point.key`; the fit test computes the
+codes of the vertices missing from it, one `sides` row per tile line over
+those vertices only, and adds them.  `place` passes an empty table; the
+search keeps one table per placed triangle (`TileGeometry`), so it takes
+each sign once however often it meets the triangle again.  A region edge
+is *far* when both its ends lie strictly outside the same tile line: it
+can neither cross the tile, nor pass through a tile vertex, nor share a
+piece with a tile edge, so no test looks at it.  On the other, *near*
+edges three rules read the sign table:
 
 - *Cuts.*  A simple polygon has no vertex inside its own edges, and
   neither has a triangle, so a near edge is cut at the tile vertices
@@ -242,21 +244,27 @@ def place(region: Polygon, tri: tuple[Point, Point, Point]) -> Optional[list[Pol
     is when the triangle touches the region's boundary nowhere or at one
     point only (a hole).
     """
-    verts = region.vertices
-    touch = fit(region, tri, sides(tri[0], tri[1], verts), sides(tri[2], tri[0], verts))
+    touch = fit(region, tri, {})
     return None if touch is None else splice(region, tri, touch, polygon_area_twice(tri))
 
 
-def fit(region: Polygon, tri: tuple[Point, Point, Point], flush: list[int], ray: list[int]) -> Optional[list]:
+def fit(region: Polygon, tri: tuple[Point, Point, Point], codes: dict) -> Optional[list]:
     """The fit test of `place`: None if the counterclockwise triangle does
     not lie in the region, else the points where the region's boundary
-    meets the tile's, in the region's order.  `flush` and `ray` are the
-    `sides` rows of the region's vertices against the tile lines
-    tri[0] -> tri[1] and tri[2] -> tri[0]."""
+    meets the tile's, in the region's order.  `codes` is the triangle's
+    code table, the code of each point by `Point.key` (bit k set when the
+    point lies strictly outside tile line k, bit k + 3 when strictly
+    inside); the codes of region vertices missing from it are computed,
+    one `sides` row per tile line over those vertices only, and added."""
     verts = region.vertices
-    # code[i]: bit k set when region vertex i lies strictly outside tile
-    # line k, bit k + 3 when it lies strictly inside
-    code = [_B0[s0] | _B1[s1] | _B2[s2] for s0, s1, s2 in zip(flush, sides(tri[1], tri[2], verts), ray)]
+    keys = [v.key for v in verts]
+    code = list(map(codes.get, keys))
+    if None in code:
+        miss = [i for i, c in enumerate(code) if c is None]
+        new = [verts[i] for i in miss]
+        rows = zip(sides(tri[0], tri[1], new), sides(tri[1], tri[2], new), sides(tri[2], tri[0], new))
+        for i, (s0, s1, s2) in zip(miss, rows):
+            code[i] = codes[keys[i]] = _B0[s0] | _B1[s1] | _B2[s2]
     rules = _RULES
     # the points of the region's boundary on the tile's, if the tile fits,
     # in the region's order: (place on the region's boundary, 2i inside

@@ -1,13 +1,16 @@
 import pickle
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from tilingforge import geometry
+from tilingforge.cli import parse_target
 from tilingforge.constraints import triangle_spec
 from tilingforge.exactnum import QRoot3, SQRT3
 from tilingforge.geometry import Point, pt, segment_length
 from tilingforge.search import engine, placements
+from tilingforge.search import region as region_module
 from tilingforge.search.engine import SearchConfig, TilingSearch
 from tilingforge.search.placements import (
     Placement,
@@ -190,6 +193,21 @@ PINNED_SEARCHES = pytest.mark.parametrize("tile, sides, allow_mirror, nodes", [
 ], ids=["357-eq15", "357-eq15-direct", "357-15,25,35", "iso-eq4sqrt3", "357-eq30-budget", "iso-eq5sqrt3"])
 
 
+def _point_of_key(key):
+    """The point whose `Point.key` is key."""
+    x1, x3, xd, y1, y3, yd = key
+    return Point(QRoot3(Fraction(x1, xd), Fraction(x3, xd)), QRoot3(Fraction(y1, yd), Fraction(y3, yd)))
+
+
+def _fresh_code(tri, key):
+    """The fit code of the point with `Point.key` key against the tile lines
+    of tri, from three fresh `sides` rows: bit k set when it lies strictly
+    outside tile line k, bit k + 3 when strictly inside."""
+    p = _point_of_key(key)
+    signs = [geometry.sides(tri[k], tri[(k + 1) % 3], [p])[0] for k in range(3)]
+    return sum((s < 0) << k | (s > 0) << k + 3 for k, s in enumerate(signs))
+
+
 def _summary(region, geom, cands):
     """Each candidate with the remainder its touch points splice to."""
     return [(c.placement.vertices, c.placement.mirrored, c.angle_name,
@@ -218,17 +236,17 @@ def test_frames_match_the_per_node_construction(monkeypatch, tile, sides, allow_
     tested = []
     fit = placements.fit
 
-    def shared_rows_checked(region, tri, flush, ray):
-        # the flush row, taken once per corner, and the ray row, once per
-        # tile angle, are the rows of this candidate's own lines
-        verts = region.vertices
-        assert flush == geometry.sides(tri[0], tri[1], verts)
-        assert ray == geometry.sides(tri[2], tri[0], verts)
-        touch = fit(region, tri, flush, ray)
+    def tables_checked(region, tri, codes):
+        # after the fit test, the code table kept with this candidate's
+        # triangle holds every region vertex, each with the code that
+        # fresh rows of this triangle's own lines give
+        touch = fit(region, tri, codes)
+        assert all(code == _fresh_code(tri, key) for key, code in codes.items())
+        assert {v.key for v in region.vertices} <= codes.keys()
         tested.append((tri, touch is not None))
         return touch
 
-    monkeypatch.setattr(placements, "fit", shared_rows_checked)
+    monkeypatch.setattr(placements, "fit", tables_checked)
     verdicts = set()
     for region, corner in expanded:
         for mirror, geom in geoms.items():
@@ -374,3 +392,72 @@ def test_a_no_mirror_table_holds_no_mirrored_shape(monkeypatch):
     again = copy.run()
     assert (again.status, again.stats.nodes) == ("exhausted", 9)
     assert misses == []
+
+
+# -- the table of placed triangles ------------------------------------------------
+
+def _assert_placed_table_exact(geom):
+    """Every placed triangle is (v, v + f_off, v + g_off) built afresh from
+    its key, and every code in its table is the one three fresh `sides`
+    rows give."""
+    assert geom._placed
+    for key, (tri, codes) in geom._placed.items():
+        v, f, g = map(_point_of_key, key)
+        assert tri == (v, Point(v.x + f.x, v.y + f.y), Point(v.x + g.x, v.y + g.y))
+        assert codes  # every triangle was fit-tested
+        assert all(code == _fresh_code(tri, p) for p, code in codes.items()), tri
+
+
+@PINNED_SEARCHES
+def test_the_placed_triangles_are_exact(tile, sides, allow_mirror, nodes):
+    s = TilingSearch(tile, triangle_spec(tile, sides), SearchConfig(allow_mirror=allow_mirror, node_budget=nodes))
+    assert s.geom._placed == {}  # filled on first use: set-up builds none
+    assert s.run().stats.nodes == nodes
+    _assert_placed_table_exact(s.geom)
+
+
+def test_the_placed_triangles_are_exact_off_the_benchmark_pins():
+    # (3,5,7) against the triangle with sides 24, 21, 15, as CI runs it
+    s = TilingSearch(T357, parse_target("triangle:24,21,15", T357), SearchConfig())
+    out = s.run()
+    assert (out.status, out.stats.nodes, out.stats.max_depth) == ("exhausted", 1929, 21)
+    _assert_placed_table_exact(s.geom)
+
+
+def test_a_search_takes_each_sign_once(monkeypatch):
+    # (3,5,7) on side 30 to 400 nodes: no side of a point against a tile
+    # line of a placed triangle is taken twice, every one taken is kept in
+    # that triangle's table, and each placed triangle costs at most two
+    # point sums
+    fits, signs, sums = [], Counter(), []
+    real_fit, real_sides, real_add = placements.fit, region_module.sides, Point.__add__
+
+    def recorded_fit(region, tri, codes):
+        fits.append(tri)
+        return real_fit(region, tri, codes)
+
+    def counted_sides(a, b, points):
+        tri = fits[-1]
+        if points is not tri:  # else the tile's vertices against a region edge
+            k = next(k for k in range(3) if a is tri[k] and b is tri[(k + 1) % 3])
+            signs.update((tuple(t.key for t in tri), k, p.key) for p in points)
+        return real_sides(a, b, points)
+
+    monkeypatch.setattr(placements, "fit", recorded_fit)
+    monkeypatch.setattr(region_module, "sides", counted_sides)
+    monkeypatch.setattr(Point, "__add__", lambda p, q: sums.append(1) or real_add(p, q))
+    s = TilingSearch(T357, triangle_spec(T357, [QRoot3(30)] * 3), SearchConfig(node_budget=400))
+    out = s.run()
+    assert (out.status, out.stats.nodes) == ("budget", 400)
+    tables = s.geom._placed.values()
+    assert max(signs.values()) == 1
+    assert len(signs) == 3 * sum(len(codes) for _, codes in tables)
+    assert len(sums) <= 2 * len(tables) < len(fits)
+    # split mode ships the search, table included, to spawned workers: the
+    # copy takes no sign and builds no triangle
+    copy = pickle.loads(pickle.dumps(s))
+    signs.clear()
+    sums.clear()
+    again = copy.run()
+    assert (again.status, again.stats.nodes) == ("budget", 400)
+    assert not signs and not sums

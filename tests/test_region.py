@@ -236,8 +236,8 @@ def test_cut_matches_all_pairs_reference(monkeypatch, tile, sides, expected):
     tested = []
     real_fit = placements.fit
 
-    def spied_fit(region, tri, flush, ray):
-        touch = real_fit(region, tri, flush, ray)
+    def spied_fit(region, tri, codes):
+        touch = real_fit(region, tri, codes)
         tested.append((tri, touch is not None))
         return touch
 
@@ -496,9 +496,9 @@ def _spy_on_fit(monkeypatch):
         tally["probes"] += 1
         return real_locate(fp, vertices)
 
-    def spied(poly, tri, *rows):
+    def spied(poly, tri, codes):
         probes = tally["probes"]
-        got = real_fit(poly, tri, *rows)
+        got = real_fit(poly, tri, codes)
         tally["fits"] += 1
         shared = _shared_pieces(poly, tri)
         if not shared:
@@ -655,15 +655,17 @@ def test_a_region_edge_holding_a_whole_tile_edge(k):
 
 # -- the rule table against the branchy fit test --------------------------------
 
-def _branchy_fit(region, tri, flush, ray):
-    """The fit test as it was before its rule table: each near edge's cuts,
-    pieces, crossings and shared piece worked out from the codes of its
-    ends, and the tile's signs where it is strictly across two tile lines,
-    every time the edge is met."""
+def _branchy_fit(region, tri):
+    """The fit test as it was before its rule table: the codes of the
+    region's vertices from three fresh `sides` rows, then each near edge's
+    cuts, pieces, crossings and shared piece worked out from the codes of
+    its ends, and the tile's signs where it is strictly across two tile
+    lines, every time the edge is met."""
     verts = region.vertices
     n = len(verts)
     code = [(s0 < 0) | (s1 < 0) << 1 | (s2 < 0) << 2 | (s0 > 0) << 3 | (s1 > 0) << 4 | (s2 > 0) << 5
-            for s0, s1, s2 in zip(flush, sides(tri[1], tri[2], verts), ray)]
+            for s0, s1, s2 in zip(sides(tri[0], tri[1], verts), sides(tri[1], tri[2], verts),
+                                  sides(tri[2], tri[0], verts))]
     near = [i for i in range(n) if not code[i - 1] & code[i] & 7]
     touch = []
     inside = False
@@ -716,9 +718,9 @@ def _check_against_branchy_fit(monkeypatch):
     tally = {"fits": 0, "rejected": 0}
     real_fit = region_module.fit
 
-    def checked(poly, tri, flush, ray):
-        got = real_fit(poly, tri, flush, ray)
-        assert got == _branchy_fit(poly, tri, flush, ray)
+    def checked(poly, tri, codes):
+        got = real_fit(poly, tri, codes)
+        assert got == _branchy_fit(poly, tri)
         tally["rejected" if got is None else "fits"] += 1
         return got
 
@@ -750,18 +752,17 @@ def test_a_search_with_no_benchmark_pin_matches_the_branchy_fit(monkeypatch):
                          ids=["convex", "non-convex", "bent", "spikes", "l-shape"])
 def test_lattice_sweep_matches_the_branchy_fit(monkeypatch, poly):
     # every shape at every lattice offset from two units left of and below
-    # the region to two units right of and above it, with a fresh table
+    # the region to two units right of and above it, with a fresh rule
+    # table, each tile with an empty code table
     monkeypatch.setattr(region_module, "_RULES", {})
     xs, ys = [int(v.x.n1) for v in poly.vertices], [int(v.y.n1) for v in poly.vertices]
-    verts = poly.vertices
     seen = set()
     for dx in range(min(xs) - 2, max(xs) + 3):
         for dy in range(min(ys) - 2, max(ys) + 3):
             for shape in SHAPES:
                 tri = triangle_ccw(*[pt(p.x + dx, p.y + dy) for p in shape])
-                rows = sides(tri[0], tri[1], verts), sides(tri[2], tri[0], verts)
-                got = region_module.fit(poly, tri, *rows)
-                assert got == _branchy_fit(poly, tri, *rows)
+                got = region_module.fit(poly, tri, {})
+                assert got == _branchy_fit(poly, tri)
                 seen.add(got is not None)
     assert seen == {True, False}
     rules = region_module._RULES.values()
