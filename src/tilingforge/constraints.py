@@ -48,12 +48,13 @@ class VertexSplit:
 # exceed pi) the workable enumeration constraint is P + Q >= 4, which keeps
 # (0,4,0) and drops the similar-triangle splitting (1,1,1).
 _MIN_PQ = 4
+# the largest P and Q enumerated
+_SPLIT_BOUND = 12
 
 
-def enumerate_vertex_splits(
-    alpha_over_pi: Optional[Fraction], bound: int = 12
-) -> list[VertexSplit]:
-    """All (P, Q, R) with R <= 1, P + Q >= 4 and the angle sum exact.
+def enumerate_vertex_splits(alpha_over_pi: Optional[Fraction]) -> list[VertexSplit]:
+    """All (P, Q, R) with R <= 1, P + Q >= 4, P, Q <= 12 and the angle sum
+    exact.
 
     ``alpha_over_pi`` is the exact value of alpha/pi, in (0, 1/6] (the tile
     keeps a <= b, and the isosceles tile has alpha = pi/6 exactly), or None
@@ -64,8 +65,8 @@ def enumerate_vertex_splits(
         raise ConstraintError("alpha must lie in (0, pi/6]")
     out = []
     for R in (0, 1):
-        for P in range(0, bound + 1):
-            for Q in range(0, bound + 1):
+        for P in range(0, _SPLIT_BOUND + 1):
+            for Q in range(0, _SPLIT_BOUND + 1):
                 if P + Q < _MIN_PQ:
                     continue
                 vs = VertexSplit(P, Q, R)
@@ -94,16 +95,16 @@ def tile_angle_sums(tile: TileShape) -> tuple[tuple[tuple[int, int, int], AngleV
     Enumerated once per tile: the target's corners, the search's candidate
     filter and the resume check all read the same tuple.
 
-    Each loop adds one tile angle as an exact rotation and stops when the
-    sum no longer compares larger: every tile angle lies in (0, pi) and
-    below 2*pi a sum only grows, so a sum that reached or passed 2*pi does
-    not compare larger than the one before it.
+    Each loop adds one tile angle, as the rotation by minus its conjugate,
+    and stops when the sum no longer compares larger: every tile angle
+    lies in (0, pi) and below 2*pi a sum only grows, so a sum that reached
+    or passed 2*pi does not compare larger than the one before it.
     """
-    def add(ang: AngleVec, step: tuple[QRoot3, QRoot3]) -> Optional[AngleVec]:
-        nxt = ang.minus_rotation(step[0], -step[1])
+    def add(ang: AngleVec, step: AngleVec) -> Optional[AngleVec]:
+        nxt = ang.minus_rotation(step)
         return nxt if ang.compare(nxt) < 0 else None
 
-    alpha, beta, gamma = (tile.angle_vec(name) for name in ("alpha", "beta", "gamma"))
+    alpha, beta, gamma = (AngleVec(c, -s) for c, s in map(tile.angle_vec, ("alpha", "beta", "gamma")))
     out = []
     by_k, k = AngleVec(QRoot3(1), QRoot3(0)), 0
     while by_k is not None:
@@ -220,30 +221,9 @@ def triangle_spec(tile: TileShape, sides: Sequence[QRoot3]) -> TriangleSpec:
 
 @dataclass(frozen=True)
 class DMatrix:
-    """Boundary composition: row * (a, b, c) = side, rows for X, Y, Z.
-    Entry names follow the fixed letter layout
-    (p, d, e / g, m, f / h, l, r)."""
+    """Boundary composition: row * (a, b, c) = side, rows for X, Y, Z."""
 
     rows: tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]
-
-    @property
-    def p(self): return self.rows[0][0]
-    @property
-    def d(self): return self.rows[0][1]
-    @property
-    def e(self): return self.rows[0][2]
-    @property
-    def g(self): return self.rows[1][0]
-    @property
-    def m(self): return self.rows[1][1]
-    @property
-    def f(self): return self.rows[1][2]
-    @property
-    def h(self): return self.rows[2][0]
-    @property
-    def l(self): return self.rows[2][1]
-    @property
-    def r(self): return self.rows[2][2]
 
     def reproduces(self, tile: TileShape, tri: TriangleSpec) -> bool:
         sides = tri.sides()
@@ -253,8 +233,8 @@ class DMatrix:
         return True
 
     def c_columns_positive(self) -> bool:
-        """Every target side carries at least one c edge (entries e, f, r)."""
-        return self.e > 0 and self.f > 0 and self.r > 0
+        """Every target side carries at least one c edge (column 2 of each row)."""
+        return all(row[2] > 0 for row in self.rows)
 
     def to_json(self) -> list:
         return [list(r) for r in self.rows]

@@ -11,9 +11,7 @@ geometric computation; Yap, CGTA 7, 1997).  `sides` takes one line's
 integer coefficients once for many points, and an `AngleVec` holds its
 angle as four ints with its band fixed at construction.  Sums and
 midpoints of points are taken on the forms, each coordinate normalised
-once, and the form-level kernels (`_mid`, `_locate`) test points that
-are never built.  No floating-point comparison participates in any
-decision.
+once.  No floating-point comparison participates in any decision.
 """
 
 from __future__ import annotations
@@ -108,7 +106,10 @@ def pt(x, y) -> Point:
 def midpoint(a: Point, b: Point) -> Point:
     """Midpoint of a and b, summed on the integer forms and normalised once
     per coordinate."""
-    return _of_form(*_mid(a.form, b.form))
+    ax1, ax3, ay1, ay3, ad = a.form
+    bx1, bx3, by1, by3, bd = b.form
+    return _of_form(ax1 * bd + bx1 * ad, ax3 * bd + bx3 * ad, ay1 * bd + by1 * ad, ay3 * bd + by3 * ad,
+                    2 * ad * bd)
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +142,6 @@ def _span(p: tuple, a: tuple, b: tuple) -> tuple[int, int]:
     d = _sign(by1 * ad - ay1 * bd, by3 * ad - ay3 * bd)
     return (d * _sign(py1 * ad - ay1 * pd, py3 * ad - ay3 * pd),
             d * _sign(by1 * pd - py1 * bd, by3 * pd - py3 * bd))
-
-
-def _mid(a: tuple, b: tuple) -> tuple:
-    """An integer form of the midpoint of the points with forms a and b."""
-    ax1, ax3, ay1, ay3, ad = a
-    bx1, bx3, by1, by3, bd = b
-    return (ax1 * bd + bx1 * ad, ax3 * bd + bx3 * ad, ay1 * bd + by1 * ad, ay3 * bd + by3 * ad, 2 * ad * bd)
 
 
 def orientation(a: Point, b: Point, c: Point) -> int:
@@ -220,12 +214,7 @@ def point_in_polygon(p: Point, vertices: Sequence[Point]) -> str:
     right.  An edge wholly above or below p can neither hold p nor cross
     the ray, so only edges that reach p's height are tested further.
     """
-    return _locate(p.form, vertices)
-
-
-def _locate(fp: tuple, vertices: Sequence[Point]) -> str:
-    """point_in_polygon for the point with integer form fp."""
-    px1, px3, py1, py3, pd = fp
+    px1, px3, py1, py3, pd = fp = p.form
     forms = [v.form for v in vertices]
     # sign of (vertex y - p.y), by vertex
     ys = [_sign(y1 * pd - py1 * d, y3 * pd - py3 * d) for _, _, y1, y3, d in forms]
@@ -287,8 +276,7 @@ class AngleVec:
     (c1 + c3*sqrt3, s1 + s3*sqrt3) of (cos(theta), sin(theta)) on plain
     ints.  Its rank in the order 0 < (0, pi) < pi < (pi, 2*pi) is fixed
     once, at construction; within the two open bands the sign of one cross
-    product decides.  Supports exact comparison and subtraction of
-    exactly-known rotations."""
+    product decides.  Supports exact comparison and subtraction."""
 
     __slots__ = ("c1", "c3", "s1", "s3", "rank")
 
@@ -306,22 +294,8 @@ class AngleVec:
         raise AttributeError("AngleVec is immutable")
 
     def __reduce__(self):
-        # pickle and copy rebuild through the constructor, not the slots
-        return AngleVec, (self.c, self.s)
-
-    @property
-    def c(self) -> QRoot3:
-        """The stored multiple of cos(theta)."""
-        return QRoot3._raw(self.c1, self.c3, 1)
-
-    @property
-    def s(self) -> QRoot3:
-        """The stored multiple of sin(theta)."""
-        return QRoot3._raw(self.s1, self.s3, 1)
-
-    def _band(self) -> int:
-        """0 for (0, pi), 1 for pi, 2 for (pi, 2*pi), 3 for 0 mod 2*pi."""
-        return (3, 0, 1, 2)[self.rank]
+        # pickle and copy rebuild from the four ints, not the slots
+        return AngleVec._of, (self.c1, self.c3, self.s1, self.s3)
 
     def is_zero_mod_2pi(self) -> bool:
         return self.rank == 0
@@ -338,7 +312,7 @@ class AngleVec:
         raise TypeError("AngleVec is not hashable; use ray_key()")
 
     def __repr__(self):
-        return f"AngleVec({self.c!r}, {self.s!r})"
+        return f"AngleVec._of({self.c1}, {self.c3}, {self.s1}, {self.s3})"
 
     def compare(self, other: "AngleVec") -> int:
         """-1, 0 or +1 as this angle is smaller than, equal to or larger
@@ -348,18 +322,17 @@ class AngleVec:
         return 0 if self.rank in (0, 2) else other._turn(self)
 
     def _turn(self, other: "AngleVec") -> int:
-        """Sign of cross((c, s), (other.c, other.s))."""
+        """Sign of the cross product of this vector and other's."""
         c1, c3, s1, s3 = self.c1, self.c3, self.s1, self.s3
         d1, d3, t1, t3 = other.c1, other.c3, other.s1, other.s3
         return _sign(c1 * t1 - s1 * d1 + 3 * (c3 * t3 - s3 * d3),
                      c1 * t3 + c3 * t1 - s1 * d3 - s3 * d1)
 
-    def minus_rotation(self, cos_phi: QRoot3, sin_phi: QRoot3) -> "AngleVec":
-        """Angle value minus phi, where (cos_phi, sin_phi) is exact: the
-        vector rotated by -phi, with (cos_phi, sin_phi) scaled by the
-        product of their denominators."""
-        p1, p3 = cos_phi.n1 * sin_phi.den, cos_phi.n3 * sin_phi.den
-        q1, q3 = sin_phi.n1 * cos_phi.den, sin_phi.n3 * cos_phi.den
+    def minus_rotation(self, phi: "AngleVec") -> "AngleVec":
+        """This angle minus phi: the vector rotated by -phi, with phi's
+        vector (p, q), a positive multiple of (cos phi, sin phi), as the
+        rotation."""
+        p1, p3, q1, q3 = phi.c1, phi.c3, phi.s1, phi.s3
         c1, c3, s1, s3 = self.c1, self.c3, self.s1, self.s3
         # (c, s) -> (c*cos + s*sin, s*cos - c*sin)
         return AngleVec._of(c1 * p1 + s1 * q1 + 3 * (c3 * p3 + s3 * q3),

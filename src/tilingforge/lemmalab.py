@@ -407,14 +407,16 @@ def _cos_ratio_via_scaled_tile(x: Fraction) -> Fraction:
     return num / den
 
 
-def verify_simpletrig(samples: Optional[list[Fraction]] = None) -> LemmaCheck:
-    if samples is None:
-        samples = [Fraction(1), Fraction(3, 5), Fraction(5, 16), Fraction(8, 7),
-                   Fraction(2, 9), Fraction(7, 3), Fraction(12, 35)]
+# the ratios a/b at which `verify_simpletrig` checks the cosine ratio
+_SIMPLETRIG_SAMPLES = (Fraction(1), Fraction(3, 5), Fraction(5, 16), Fraction(8, 7),
+                       Fraction(2, 9), Fraction(7, 3), Fraction(12, 35))
+
+
+def verify_simpletrig() -> LemmaCheck:
     entries = []
-    for x in samples:
+    for x in _SIMPLETRIG_SAMPLES:
         xi = (x + 2) / (2 * x + 1)
-        got = _cos_ratio_via_scaled_tile(Fraction(x))
+        got = _cos_ratio_via_scaled_tile(x)
         entries.append(_entry(f"cos ratio at a/b = {x} equals (x+2)/(2x+1)", xi, got))
     return _finish("simpletrig", entries)
 

@@ -129,8 +129,8 @@ class TileGeometry:
         the frame of the edge's integer direction d (b - a times the
         denominators of a and b, then their product).  The frame is kept
         per ray and built on first use (`_frame`); each tile angle gives
-        (name, phi, cos, sin, options), each edge order an option
-        (flush_len, f_off, g_off, mirrored) for the candidate
+        (name, phi, options), phi its `AngleVec`, and each edge order an
+        option (flush_len, f_off, g_off, mirrored) for the candidate
         (a, a + f_off, a + g_off)."""
         dx1, dx3, dy1, dy3, dd = d
         ray = AngleVec._of(dx1, dx3, dy1, dy3).ray_key()
@@ -142,10 +142,10 @@ class TileGeometry:
         p1, p3, pd = per_unit.n1, per_unit.n3, per_unit.den
         boundary_len = QRoot3._raw(n1 * p1 + 3 * n3 * p3, n1 * p3 + n3 * p1, dd * pd)
         out = []
-        for name, phi, cos_v, sin_v, options in angles:
+        for name, phi, options in angles:
             if theta.compare(phi) < 0:
                 continue
-            rest = theta.minus_rotation(cos_v, sin_v)
+            rest = theta.minus_rotation(phi)
             if not rest.is_zero_mod_2pi() and not self.angle_representable(rest):
                 continue
             kept = [(f_off, g_off, mirrored) for flush_len, f_off, g_off, mirrored in options
@@ -158,8 +158,8 @@ class TileGeometry:
 
     def _axis_frame(self) -> list:
         """The tile's own frame, its flush edges on the positive x-axis: for
-        each tile angle (name, phi, cos, sin, options), each option
-        (flush_len, f, g, mirrored) the placement (0, f, g) with its
+        each tile angle (name, phi, options), phi its `AngleVec`, each
+        option (flush_len, f, g, mirrored) the placement (0, f, g) with its
         chirality; an option that repeats an earlier one is dropped."""
         zero = QRoot3(0)
         origin = Point(zero, zero)
@@ -174,19 +174,20 @@ class TileGeometry:
                     assert mirrored is not None, "constructed placement must be congruent"
                     options.append((flush_len, *offs, mirrored))
             if options:
-                angles.append((name, AngleVec(cos_v, sin_v), cos_v, sin_v, options))
+                angles.append((name, AngleVec(cos_v, sin_v), options))
         return angles
 
     def _frame(self, d: Point) -> tuple:
         """(per_unit, on_y, angles) for the ray of d: an edge e on it is
-        e.x * per_unit long (e.y if on_y).  The options are the tile's own
-        frame (`_axis`) turned onto d's unit vector."""
+        e.x * per_unit long (e.y if on_y).  The angles are the tile's own
+        frame (`_axis`), (name, phi, options), with each option turned onto
+        d's unit vector."""
         length = segment_length(Point(QRoot3(0), QRoot3(0)), d)
         u = Point(d.x / length, d.y / length)
         on_y = u.x.is_zero()
-        angles = [(name, phi, cos_v, sin_v, [(flush_len, _turned(u, f), _turned(u, g), mirrored)
-                                             for flush_len, f, g, mirrored in options])
-                  for name, phi, cos_v, sin_v, options in self._axis]
+        angles = [(name, phi, [(flush_len, _turned(u, f), _turned(u, g), mirrored)
+                               for flush_len, f, g, mirrored in options])
+                  for name, phi, options in self._axis]
         return (u.y if on_y else u.x).inverse(), on_y, angles
 
 

@@ -56,9 +56,10 @@ line k - 1 or k + 1 (`_along`), as the search's flush edge, which starts
 at tile vertex 0, always does; otherwise one orientation decides (the
 opposite tile vertex strictly on the edge's left).  Only a tile
 that shares no piece with the region's boundary is decided by one
-interior point, the probe `_locate` on an integer form.  Each candidate of
-the search has its flush edge on the region's outgoing edge, so the
-search never probes.
+interior point, the probe: `point_in_polygon` of the midpoint of tile
+vertex 0 and the midpoint of the other two.  Each candidate of the search
+has its flush edge on the region's outgoing edge, so the search never
+probes.
 
 What these rules decide about a near edge is a function of the codes of
 its two ends (6 bits each: bit k when the end lies strictly outside tile
@@ -72,8 +73,8 @@ pairs) the rule says instead that the tile's signs decide: the `sides`
 row of the tile's vertices against the edge's line extends the key, and a
 second lookup gives one of the other two kinds.  `_rule` builds each rule
 the first time its key is met, so a search builds a few dozen; only the
-orientation fallback for a shared piece's way and the probe `_locate`
-look at the geometry again.
+orientation fallback for a shared piece's way and the probe look at the
+geometry again.
 
 Once the tile fits, the remainder is fixed by the *contacts*, the
 connected pieces of the region's boundary on the tile's: the boundary
@@ -93,7 +94,11 @@ from there back to its start it bounds a face of the region less the
 tile, whose inside no boundary point reaches.  So no other contact lies
 on that tile arc, and the contacts C1 ... Ck come in the same cyclic
 order on both boundaries: face i is the region arc from the end of Ci to
-the start of C(i+1), then the tile arc back to the end of Ci.  A point
+the start of C(i+1), then the tile arc back to the end of Ci.  In the
+touch points, read in the region's order, the end of Ci and the start of
+C(i+1) are a *gap*: two consecutive touch points with a region vertex
+between them, so not on one region edge (the last pair wraps round the
+vertex cycle); one face is built per gap.  A point
 contact pinches the region apart.  No contact, or one point contact
 (whose face would pass that point twice), leaves the tile a hole, which
 raises GeometryError; a contact that is the whole boundary leaves
@@ -116,11 +121,11 @@ from ..geometry import (
     AngleVec,
     GeometryError,
     Point,
-    _locate,
-    _mid,
     _span,
     angle_at,
+    midpoint,
     orientation,
+    point_in_polygon,
     polygon_area_twice,
     sides,
 )
@@ -303,8 +308,7 @@ def fit(region: Polygon, tri: tuple[Point, Point, Point], codes: dict) -> Option
     if not inside:
         # no boundary point in the open tile and no shared piece: one
         # interior point decides
-        forms = [t.form for t in tri]
-        if _locate(_mid(forms[0], _mid(forms[1], forms[2])), verts) != "inside":
+        if point_in_polygon(midpoint(tri[0], midpoint(tri[1], tri[2])), verts) != "inside":
             return None
     return touch
 
@@ -397,30 +401,17 @@ def _faces(region: Polygon, tri: tuple[Point, Point, Point], touch: list) -> lis
     """The faces of the region less the fitting tile, from the points where
     their boundaries meet (see the module docstring)."""
     verts, angles = region.vertices, region.angles
-    n, m = len(verts), len(touch)
-    if m < 2:
+    if len(touch) < 2:
         # no contact, or one point, which the face round the tile would pass twice
         raise GeometryError("the tile leaves a hole in the region")
-    # along[j]: the boundary runs on the tile from touch point j to the
-    # next, as it does when that lies on the same region edge
-    along = []
-    for j in range(m):
-        a, b = touch[j][0], touch[j + 1][0] if j + 1 < m else touch[0][0] + 2 * n
-        along.append(b // 2 == (a + 1) // 2)
-    if all(along):
-        return []  # the tile is the whole region
-    # the contacts, as (first, last) indices into touch, in the region's order
-    contacts = []
-    start = next(j for j in range(m) if not along[j - 1])
-    for j in range(start, start + m):
-        if not along[j % m]:
-            contacts.append((start % m, j % m))
-            start = j + 1
-    faces = []
-    for (_, last), (first, _) in zip(contacts, contacts[1:] + contacts[:1]):
-        (re, e, e_lines), (rs, s, s_lines) = touch[last], touch[first]
+    # each touch point with the next, the last with the first once round the vertex cycle
+    wrapped = (touch[0][0] + 2 * len(verts), *touch[0][1:])
+    faces = []  # none if there is no gap: the tile is the whole region
+    for (re, e, e_lines), (rs, s, s_lines) in zip(touch, [*touch[1:], wrapped]):
         # the region arc, its inner vertices with their angles carried over
-        lo, hi = (re + 1) // 2, (rs + (2 * n if first <= last else 0)) // 2
+        lo, hi = (re + 1) // 2, rs // 2
+        if lo == hi:
+            continue  # no gap: on one region edge, the boundary runs on the tile
         # the tile arc: the tile vertices strictly between the contacts
         te, ts = _TILE_POS[e_lines], _TILE_POS[s_lines]
         # (inside one tile edge, s lies behind e when s = e + t(end - e), t < 0)

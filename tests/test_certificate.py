@@ -249,7 +249,7 @@ def test_exact_values_pickle_and_deepcopy():
             assert type(copied) is type(value)
     for copied in (pickle.loads(pickle.dumps(angle)), copy.deepcopy(angle)):
         assert (copied.c1, copied.c3, copied.s1, copied.s3) == (angle.c1, angle.c3, angle.s1, angle.s3)
-        assert copied._band() == angle._band() == 2 and copied.ray_key() == angle.ray_key()
+        assert copied.rank == angle.rank == 3 and copied.ray_key() == angle.ray_key()
     for copied in (pickle.loads(pickle.dumps(with_angles)), copy.deepcopy(with_angles)):
         assert copied.corner_angles is not None  # the stored angles came along
         assert copied.angles == with_angles.angles

@@ -74,7 +74,7 @@ def test_dmatrices_equilateral_15():
     for m in mats:
         assert m.reproduces(T357, tri)
     flagged = [m for m in mats if m.c_columns_positive()]
-    assert all(m.e > 0 and m.f > 0 and m.r > 0 for m in flagged)
+    assert flagged == [m for m in mats if m.rows[0][2] > 0 and m.rows[1][2] > 0 and m.rows[2][2] > 0]
     assert any(not m.c_columns_positive() for m in mats)
 
 
@@ -170,16 +170,29 @@ def test_corner_angle_combos_iso():
     assert (6, 0, 0) not in combos  # pi exactly is not a corner
 
 
+def _minus_pair_rotation(ang, cos_phi, sin_phi):
+    """ang minus phi, with phi given by the exact pair (cos_phi, sin_phi),
+    which is scaled by the product of their denominators."""
+    p1, p3 = cos_phi.n1 * sin_phi.den, cos_phi.n3 * sin_phi.den
+    q1, q3 = sin_phi.n1 * cos_phi.den, sin_phi.n3 * cos_phi.den
+    c1, c3, s1, s3 = ang.c1, ang.c3, ang.s1, ang.s3
+    return AngleVec._of(c1 * p1 + s1 * q1 + 3 * (c3 * p3 + s3 * q3),
+                        c1 * p3 + c3 * p1 + s1 * q3 + s3 * q1,
+                        s1 * p1 - c1 * q1 + 3 * (s3 * p3 - c3 * q3),
+                        s1 * p3 + s3 * p1 - c1 * q3 - c3 * q1)
+
+
 def _sum_below_pi(steps):
     """The exact sum of the given angle steps if it lies in (0, pi): adding
-    them one by one never wraps past 2*pi and ends on a positive sine."""
+    them one by one, each (cos, sin) as the rotation by minus (cos, -sin),
+    never wraps past 2*pi and ends on a positive sine."""
     cur = AngleVec(QRoot3(1), QRoot3(0))
     for c, s in steps:
-        nxt = cur.minus_rotation(c, -s)
+        nxt = _minus_pair_rotation(cur, c, -s)
         if cur.compare(nxt) >= 0:
             return None
         cur = nxt
-    return cur if qr3_sign(cur.s) > 0 else None
+    return cur if qr3_sign(QRoot3(cur.s1, cur.s3)) > 0 else None
 
 
 def _naive_combos(tile):
@@ -214,6 +227,20 @@ def test_corner_angle_combos_exact():
         assert all(a == b for (_, a), (_, b) in zip(got, want))
     assert len(_corner_combos(T357)) == 29
     assert len(_corner_combos(ISO)) == 23
+
+
+def test_tile_angle_sums_have_the_ints_of_the_pair_chain():
+    # each sum, chained by AngleVec steps, holds the four ints that adding
+    # its angles as (cos, sin) pairs gives, gammas first, then alphas, then betas
+    for tile in (T357, ISO, tile_from_sides(6, 10, 14)):
+        alpha, beta, gamma = (tile.angle_vec(name) for name in ("alpha", "beta", "gamma"))
+        sums = tile_angle_sums(tile)
+        assert sums
+        for (i, j, k), got in sums:
+            want = AngleVec(QRoot3(1), QRoot3(0))
+            for c, s in [gamma] * k + [alpha] * i + [beta] * j:
+                want = _minus_pair_rotation(want, c, -s)
+            assert (got.c1, got.c3, got.s1, got.s3) == (want.c1, want.c3, want.s1, want.s3), (tile, i, j, k)
 
 
 def _rotate(u, v):

@@ -112,6 +112,11 @@ class RefAngle:
             return 1 if qr3_sign(self.c) < 0 else 3
         return 2
 
+    def rank(self) -> int:
+        """The place of the band in the order 0 < (0, pi) < pi < (pi, 2*pi):
+        the band is (3, 0, 1, 2)[rank]."""
+        return (1, 2, 3, 0)[self.band()]
+
     def turn(self, other: "RefAngle") -> int:
         return qr3_sign(self.c * other.s - self.s * other.c)
 
@@ -364,7 +369,7 @@ def test_angle_at(v, a, b):
     got = angle_at(v, a, b)
     u, w = a - v, b - v
     want = RefAngle(ref_dot(u, w), ref_cross(u, w))
-    assert got._band() == want.band()
+    assert got.rank == want.rank()
     assert got.ray_key() == want.ray_key()
     assert got == AngleVec(want.c, want.s)
 
@@ -382,7 +387,7 @@ def test_angle_turn(p, q):
 @given(angle_pairs(), angle_pairs(), st.sampled_from(POSITIVE))
 def test_angle_vec_matches_reference(p, q, k):
     a, b, ra, rb = AngleVec(*p), AngleVec(*q), RefAngle(*p), RefAngle(*q)
-    assert a._band() == ra.band()
+    assert a.rank == ra.rank()
     assert a.is_zero_mod_2pi() == (ra.band() == 3) and a.is_reflex() == (ra.band() == 2)
     assert (a.compare(b) < 0) == ra.less_than(rb)
     assert (b.compare(a) < 0) == rb.less_than(ra)
@@ -391,9 +396,9 @@ def test_angle_vec_matches_reference(p, q, k):
     assert a._turn(b) == ra.turn(rb)
     # the same angle from a positive multiple of the same vector
     scaled = AngleVec(p[0] * k, p[1] * k)
-    assert scaled == a and scaled.ray_key() == a.ray_key() and scaled._band() == a._band()
+    assert scaled == a and scaled.ray_key() == a.ray_key() and scaled.rank == a.rank
     assert scaled.compare(a) == 0 == a.compare(scaled)
-    assert RefAngle(scaled.c, scaled.s).equals(ra)
+    assert RefAngle(QRoot3(scaled.c1, scaled.c3), QRoot3(scaled.s1, scaled.s3)).equals(ra)
 
 
 @settings(max_examples=300, deadline=None)
@@ -409,13 +414,13 @@ def test_angle_compare_matches_reference(p, q, k):
 @settings(max_examples=300, deadline=None)
 @given(angle_pairs(), angle_pairs(), st.sampled_from(POSITIVE))
 def test_minus_rotation_matches_reference(p, q, k):
-    # (cos_phi, sin_phi) may be any positive multiple of a rotation
-    got = AngleVec(*p).minus_rotation(*q)
+    # phi's vector may be any positive multiple of (cos phi, sin phi)
+    got = AngleVec(*p).minus_rotation(AngleVec(*q))
     want = RefAngle(*p).minus_rotation(*q)
-    assert got._band() == want.band()
+    assert got.rank == want.rank()
     assert got.ray_key() == want.ray_key()
     assert got == AngleVec(want.c, want.s)
-    assert AngleVec(p[0] * k, p[1] * k).minus_rotation(q[0] * k, q[1] * k) == got
+    assert AngleVec(p[0] * k, p[1] * k).minus_rotation(AngleVec(q[0] * k, q[1] * k)) == got
 
 
 def test_minus_rotation_band_edges():
@@ -424,13 +429,13 @@ def test_minus_rotation_band_edges():
     for i, p in enumerate(DIRECTIONS):
         for j, q in enumerate(DIRECTIONS):
             for k in POSITIVE[:3]:
-                got = AngleVec(p[0] * k, p[1] * k).minus_rotation(*q)
+                got = AngleVec(p[0] * k, p[1] * k).minus_rotation(AngleVec(*q))
                 want = DIRECTIONS[(i - j) % 12]
                 assert got == AngleVec(*want)
                 assert got.ray_key() == RefAngle(*want).ray_key()
-                assert got._band() == RefAngle(*want).band()
+                assert got.rank == RefAngle(*want).rank()
                 assert got.is_zero_mod_2pi() == (i == j)
-                assert (got._band() == 1) == ((i - j) % 12 == 6)
+                assert (got.rank == 2) == ((i - j) % 12 == 6)
 
 
 @settings(max_examples=300, deadline=None)

@@ -157,9 +157,10 @@ def _reference_candidates(region, corner, geom, allow_mirror):
     next_angle_reflex = region.angles[(corner + 1) % len(region)].is_reflex()
     out, seen = [], set()
     for name, cos_v, sin_v, e1, e2 in geom.angles:
-        if theta.compare(geometry.AngleVec(cos_v, sin_v)) < 0:
+        phi = geometry.AngleVec(cos_v, sin_v)
+        if theta.compare(phi) < 0:
             continue
-        rest = theta.minus_rotation(cos_v, sin_v)
+        rest = theta.minus_rotation(phi)
         if not rest.is_zero_mod_2pi() and not geom.angle_representable(rest):
             continue
         ray_dir = Point(u_hat.x * cos_v - u_hat.y * sin_v, u_hat.x * sin_v + u_hat.y * cos_v)
@@ -283,7 +284,7 @@ def _per_ray_frame(geom, d):
                 assert mirrored is not None
                 options.append((flush_len, *offs, mirrored))
         if options:
-            angles.append((name, geometry.AngleVec(cos_v, sin_v), cos_v, sin_v, options))
+            angles.append((name, geometry.AngleVec(cos_v, sin_v), options))
     return (u.y if on_y else u.x).inverse(), on_y, angles
 
 

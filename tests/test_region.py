@@ -10,8 +10,6 @@ from tilingforge.exactnum import QRoot3, SQRT3
 from tilingforge.geometry import (
     GeometryError,
     Point,
-    _locate,
-    _mid,
     angle_at,
     midpoint,
     on_open_segment,
@@ -490,11 +488,11 @@ def _spy_on_fit(monkeypatch):
     agree with the interior probe.  Returns the tallies (fit tests, shared
     verdicts, shared verdicts by probe answer, probes made)."""
     tally = {"fits": 0, "shared": 0, "inside": 0, "outside": 0, "probes": 0}
-    real_fit, real_locate = region_module.fit, region_module._locate
+    real_fit, real_probe = region_module.fit, region_module.point_in_polygon
 
-    def counted_locate(fp, vertices):
+    def counted_probe(p, vertices):
         tally["probes"] += 1
-        return real_locate(fp, vertices)
+        return real_probe(p, vertices)
 
     def spied(poly, tri, codes):
         probes = tally["probes"]
@@ -513,21 +511,23 @@ def _spy_on_fit(monkeypatch):
             assert shared == [probe == "inside"] * len(shared)
         return got
 
-    monkeypatch.setattr(region_module, "_locate", counted_locate)
+    monkeypatch.setattr(region_module, "point_in_polygon", counted_probe)
     monkeypatch.setattr(region_module, "fit", spied)
     monkeypatch.setattr(placements, "fit", spied)
     return tally
 
 
 # the benchmark's searches, each with its pinned verdict and node count
-PINNED_SEARCHES = pytest.mark.parametrize("tile, sides, allow_mirror, budget, expected", [
+PINNED = [
     (T357, [QRoot3(15)] * 3, True, None, ("exhausted", 380)),
     (T357, [QRoot3(15)] * 3, False, None, ("exhausted", 9)),
     (T357, [QRoot3(15), QRoot3(25), QRoot3(35)], True, None, ("found", 814)),
     (T357, [QRoot3(30)] * 3, True, 400, ("budget", 400)),
     (ISO, [4 * SQRT3] * 3, True, None, ("found", 48)),
     (ISO, [5 * SQRT3] * 3, True, None, ("found", 75)),
-], ids=["357-eq15", "357-eq15-direct", "357-15,25,35", "357-eq30-budget", "iso-eq4sqrt3", "iso-eq5sqrt3"])
+]
+PINNED_SEARCHES = pytest.mark.parametrize("tile, sides, allow_mirror, budget, expected", PINNED, ids=[
+    "357-eq15", "357-eq15-direct", "357-15,25,35", "357-eq30-budget", "iso-eq4sqrt3", "iso-eq5sqrt3"])
 
 
 @PINNED_SEARCHES
@@ -705,8 +705,7 @@ def _branchy_fit(region, tri):
         if any(not (p | q) & 7 and (p | q) >> 3 == 7 for p, q in zip(ends, ends[1:])):
             return None
     if not inside:
-        forms = [t.form for t in tri]
-        if _locate(_mid(forms[0], _mid(forms[1], forms[2])), verts) != "inside":
+        if point_in_polygon(midpoint(tri[0], midpoint(tri[1], tri[2])), verts) != "inside":
             return None
     return touch
 
@@ -755,18 +754,57 @@ def test_lattice_sweep_matches_the_branchy_fit(monkeypatch, poly):
     # the region to two units right of and above it, with a fresh rule
     # table, each tile with an empty code table
     monkeypatch.setattr(region_module, "_RULES", {})
-    xs, ys = [int(v.x.n1) for v in poly.vertices], [int(v.y.n1) for v in poly.vertices]
     seen = set()
-    for dx in range(min(xs) - 2, max(xs) + 3):
-        for dy in range(min(ys) - 2, max(ys) + 3):
-            for shape in SHAPES:
-                tri = triangle_ccw(*[pt(p.x + dx, p.y + dy) for p in shape])
-                got = region_module.fit(poly, tri, {})
-                assert got == _branchy_fit(poly, tri)
-                seen.add(got is not None)
+    for tri in _sweep(poly):
+        got = region_module.fit(poly, tri, {})
+        assert got == _branchy_fit(poly, tri)
+        seen.add(got is not None)
     assert seen == {True, False}
     rules = region_module._RULES.values()
     assert region_module._NO_FIT in rules and region_module._ACROSS in rules
+
+
+def _sweep(poly):
+    """Every shape, counterclockwise, at every lattice offset from two units
+    left of and below the region to two units right of and above it."""
+    xs, ys = [int(v.x.n1) for v in poly.vertices], [int(v.y.n1) for v in poly.vertices]
+    for dx in range(min(xs) - 2, max(xs) + 3):
+        for dy in range(min(ys) - 2, max(ys) + 3):
+            for shape in SHAPES:
+                yield triangle_ccw(*[pt(p.x + dx, p.y + dy) for p in shape])
+
+
+def test_the_sweeps_and_searches_splice_three_faces_and_wrap_the_last_gap(monkeypatch):
+    # the gap walk of `_faces` on the lattice sweeps and the benchmark's
+    # searches: some splice gives three faces, and some splice of several
+    # faces takes its last from the gap that wraps round the vertex cycle;
+    # each of them gives the faces of _ref_subtract
+    kinds = {"three": 0, "wrapped": 0}
+    real_faces = region_module._faces
+
+    def counted(region, tri, touch):
+        faces = real_faces(region, tri, touch)
+        wraps = (touch[-1][0] + 1) // 2 != (touch[0][0] + 2 * len(region)) // 2
+        if len(faces) == 3 or len(faces) > 1 and wraps:
+            kinds["three"] += len(faces) == 3
+            kinds["wrapped"] += len(faces) > 1 and wraps
+            try:  # not swallowed by the sweep's `_place_verdict`
+                want = _ref_subtract(region, tri)
+            except GeometryError as err:
+                raise AssertionError("the reference finds no simple faces") from err
+            assert sorted([v.key for v in p.vertices] for p in faces) == sorted(
+                [v.key for v in p.vertices] for p in want)
+        return faces
+
+    monkeypatch.setattr(region_module, "_faces", counted)
+    for poly in (CONVEX, NON_CONVEX, BENT, SPIKES, L_SHAPE):
+        for tri in _sweep(poly):
+            _place_verdict(poly, tri)
+    for tile, sides, allow_mirror, budget, expected in PINNED:
+        config = SearchConfig(allow_mirror=allow_mirror, node_budget=budget or SearchConfig().node_budget)
+        out = run_search(tile, triangle_spec(tile, sides), config)
+        assert (out.status, out.stats.nodes) == expected
+    assert kinds["three"] > 0 and kinds["wrapped"] > 0, kinds
 
 
 def _all_codes():
