@@ -262,6 +262,15 @@ def search(sides, target_text, node_budget, workers, split_depth, no_mirror, pap
         if value and split_depth > 0:
             click.echo(f"{flag} cannot be combined with --split-depth > 0", err=True)
             sys.exit(2)
+    # a later write to a shared file would replace an earlier output
+    named = {}
+    for flag, value in (("--cert-out", cert_out), ("--stats-out", stats_out), ("--checkpoint", checkpoint_path)):
+        if value:
+            real = os.path.realpath(value)
+            if real in named:
+                click.echo(f"{named[real]} and {flag} name the same file {value!r}", err=True)
+                sys.exit(2)
+            named[real] = flag
     if resume_path:
         # the checkpoint sets the instance; a flag that would change it is refused
         for flag, given in (("--sides", sides is not None), ("--target", target_text is not None),

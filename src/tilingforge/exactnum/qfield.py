@@ -98,7 +98,10 @@ class QRoot3:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.n1, self.n3, self.den))
+        if self.n3:
+            return hash((self.n1, self.n3, self.den))
+        # a rational hashes as the int or Fraction it equals
+        return hash(self.n1) if self.den == 1 else hash(Fraction(self.n1, self.den))
 
     # -- ring/field operations ------------------------------------------------
 

@@ -98,7 +98,7 @@ class TilingSearch:
             raise InvalidInstance("no boundary composition exists for this instance")
         corners = target.vertices()
         self.initial = Polygon.from_points(list(corners))
-        self._corner_keys = {v.lex_key() for v in corners}
+        self._corner_keys = {v.key for v in corners}
         self._pruning_active = (
             self.config.paper_pruning
             and not tile.is_isosceles()
@@ -116,8 +116,8 @@ class TilingSearch:
         cands = candidate_placements(region, select_corner(region), self.geom)
         if self._pruning_active:
             keys = self._corner_keys
-            used = Counter(p.angle_name for p in placed if p.placement.vertices[0].lex_key() in keys)
-            cands = [c for c in cands if c.placement.vertices[0].lex_key() not in keys
+            used = Counter(p.angle_name for p in placed if p.placement.vertices[0].key in keys)
+            cands = [c for c in cands if c.placement.vertices[0].key not in keys
                      or (c.angle_name != "gamma" and used[c.angle_name] < 3)]
         return _Frame(regions, placed, cands)
 
@@ -125,7 +125,7 @@ class TilingSearch:
         # the candidate's remainder is spliced here, when the search enters it
         merged = splice(regions[0], cand.placement.vertices, cand.touch, self.geom.area2)
         merged += regions[1:]
-        merged.sort(key=lambda p: p.vertices[0].lex_key())
+        merged.sort(key=lambda p: p.vertices[0].key)
         return tuple(merged)
 
     # -- the depth-first cursor ----------------------------------------------------
@@ -278,7 +278,8 @@ def _is_int(v) -> bool:
 
 
 def _subtree_prefixes(search: TilingSearch, depth: int):
-    """Walk the tree down to `depth` placements, closing every frame there.
+    """Walk the tree down to `depth` placements, closing every frame there,
+    until the search's node budget is spent, frontier nodes included.
 
     Returns the frontier (for each node at `depth` with a frame, in canonical
     order: that frame, which holds the candidates placed to reach it, and the
@@ -298,6 +299,8 @@ def _subtree_prefixes(search: TilingSearch, depth: int):
             frontier.append((stack.pop(), nodes))
         else:
             nodes += 1
+        if nodes + len(frontier) >= search.config.node_budget:
+            break
     return frontier, nodes, max_depth, None
 
 
@@ -328,10 +331,12 @@ def run_search(tile: TileShape, target: TriangleSpec, config: Optional[SearchCon
     """Entry point: sequential when split_depth == 0, else partitioned into
     subtrees handled by a pool of `workers` processes.
 
-    Every subtree below split_depth gets an equal share of the node budget.
-    Results are taken in canonical order up to the first tiling, so unless
-    a subtree runs out of budget the status, node count, max_depth and
-    certificate are the sequential ones at every split depth and worker count.
+    The walk down to split_depth counts against the node budget, and each
+    subtree below it gets an equal share of what is left, so a run reports
+    at most node_budget nodes.  Results are taken in canonical order up to
+    the first tiling, so unless the walk or a subtree runs out of budget
+    the status, node count, max_depth and certificate are the sequential
+    ones at every split depth and worker count.
     Split mode writes no checkpoint, so a `checkpoint_path` with it is a
     ValueError.
     """
@@ -345,11 +350,14 @@ def run_search(tile: TileShape, target: TriangleSpec, config: Optional[SearchCon
     t0 = time.monotonic()
     stats = SearchStats(conditional_on_paper_lemmas=search._pruning_active)
     frontier, stats.nodes, stats.max_depth, cert = _subtree_prefixes(search, cfg.split_depth)
-    if cert is not None or not frontier:
+    rest = cfg.node_budget - stats.nodes - len(frontier)
+    if cert is not None or not frontier or rest <= 0:
+        stats.nodes += len(frontier)
         stats.elapsed = time.monotonic() - t0
-        return Outcome("found" if cert else "exhausted", stats, certificate=cert)
-    per_budget = max(1, cfg.node_budget // len(frontier))
-    jobs = [(search, frame, per_budget) for frame, _ in frontier]
+        status = "found" if cert else "budget" if rest <= 0 else "exhausted"
+        return Outcome(status, stats, certificate=cert)
+    # each subtree's budget counts its frontier node, already walked
+    jobs = [(search, frame, 1 + rest // len(frontier)) for frame, _ in frontier]
     if cfg.workers <= 1:
         outcome = _merge(frontier, map(_run_subtree, jobs), stats)
     else:

@@ -53,7 +53,7 @@ from ..exactnum import QRoot3
 from ..geometry import AngleVec, Point, _of_form, segment_length
 from ..tilealgebra import TileShape
 from .certificate import Placement, placement_chirality
-from .region import Polygon, fit, place
+from .region import Polygon, fit
 
 
 @dataclass(frozen=True)
@@ -216,10 +216,9 @@ def select_corner(region: Polygon) -> int:
 
 
 def tile_fits_in_region(region: Polygon, tri: tuple[Point, Point, Point]) -> bool:
-    """Exact containment: no proper edge crossing, no boundary portion
-    inside the tile, and an interior point of the tile inside the region
-    (the fit test of `place`)."""
-    return place(region, tri) is not None
+    """Whether the counterclockwise triangle lies in the region: the fit
+    test `fit`, which splices nothing, so a tile strictly inside fits."""
+    return fit(region, tri, {}) is not None
 
 
 def candidate_placements(region: Polygon, corner: int, geom: TileGeometry) -> list[Candidate]:

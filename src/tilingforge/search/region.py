@@ -1,11 +1,13 @@
 """Simple-polygon regions and exact placement of a triangle in them.
 
 The uncovered part of the target is a list of simple polygons with
-counterclockwise boundary (interior on the left of each directed edge).
-`place(region, tri)` decides whether a triangle lies in the region and,
-if it does, what is left of the region: the fit test `fit` returns the
-points where the two boundaries meet, or None, and `splice` builds the
-rest from them.  The search splices only the candidates it enters.
+counterclockwise boundary (interior on the left of each directed edge),
+each held with twice its area and its corner angles (`Polygon`).  The
+fit test `fit(region, tri, codes)` decides whether a triangle lies in the
+region and returns the points where the two boundaries meet, or None;
+`splice` builds what is left of the region from them.  The search runs
+the fit test on every candidate and splices only the candidates it
+enters; `subtract_triangle(region, tri)` runs the two in turn.
 
 The fit test takes the side of every region vertex against each of the
 three tile-edge lines, and decides from that sign table, not from new
@@ -13,13 +15,13 @@ determinants, wherever it can (exact geometric computation; Yap, CGTA 7,
 1997).  The caller passes the triangle's code table, each point's signs
 as its code (see below) keyed by `Point.key`; the fit test computes the
 codes of the vertices missing from it, one `sides` row per tile line over
-those vertices only, and adds them.  `place` passes an empty table; the
-search keeps one table per placed triangle (`TileGeometry`), so it takes
-each sign once however often it meets the triangle again.  A region edge
-is *far* when both its ends lie strictly outside the same tile line: it
-can neither cross the tile, nor pass through a tile vertex, nor share a
-piece with a tile edge, so no test looks at it.  On the other, *near*
-edges three rules read the sign table:
+those vertices only, and adds them.  `subtract_triangle` passes an empty
+table; the search keeps one table per placed triangle (`TileGeometry`),
+so it takes each sign once however often it meets the triangle again.  A
+region edge is *far* when both its ends lie strictly outside the same
+tile line: it can neither cross the tile, nor pass through a tile vertex,
+nor share a piece with a tile edge, so no test looks at it.  On the
+other, *near* edges three rules read the sign table:
 
 - *Cuts.*  A simple polygon has no vertex inside its own edges, and
   neither has a triangle, so a near edge is cut at the tile vertices
@@ -108,7 +110,6 @@ ends, tile vertices on a tile arc) are measured, merged when straight
 and checked for doubling back.  Each face's area is summed from its
 vertices, and with the tile's (a candidate's is the tile's exact area)
 they must add up to the region's.
-`subtract_triangle` is the remainder of `place` for a tile known to fit.
 """
 
 from __future__ import annotations
@@ -133,14 +134,21 @@ from ..geometry import (
 
 @dataclass(frozen=True, slots=True)
 class Polygon:
-    """Simple polygon, counterclockwise, no straight-angle vertices."""
+    """Simple polygon, counterclockwise, no straight-angle vertices, with
+    twice its area and the interior angle at each vertex: the ccw angle
+    from the outgoing edge direction to the incoming-reversed direction.
+    A polygon given its vertices alone measures both when it is built."""
 
     vertices: tuple[Point, ...]
-    # twice the area, kept from from_points; None: computed when asked for
-    area2: Optional[QRoot3] = field(default=None, compare=False, repr=False)
-    # interior angle at each vertex, kept from from_points; None: computed
-    # and kept on first use of `angles`
-    corner_angles: Optional[tuple[AngleVec, ...]] = field(default=None, compare=False, repr=False)
+    area2: QRoot3 = field(default=None, compare=False, repr=False)
+    angles: tuple[AngleVec, ...] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.area2 is None:
+            vs = self.vertices
+            object.__setattr__(self, "area2", polygon_area_twice(vs))
+            object.__setattr__(self, "angles", tuple(
+                angle_at(vs[i], vs[(i + 1) % len(vs)], vs[i - 1]) for i in range(len(vs))))
 
     @staticmethod
     def from_points(points: Sequence[Point]) -> "Polygon":
@@ -182,28 +190,9 @@ class Polygon:
     def __len__(self):
         return len(self.vertices)
 
-    def edge(self, i: int) -> tuple[Point, Point]:
-        return (self.vertices[i], self.vertices[(i + 1) % len(self.vertices)])
-
     def edges(self):
-        for i in range(len(self.vertices)):
-            yield self.edge(i)
-
-    def area_twice(self) -> QRoot3:
-        return self.area2 if self.area2 is not None else polygon_area_twice(self.vertices)
-
-    def area(self) -> QRoot3:
-        return self.area_twice() / 2
-
-    @property
-    def angles(self) -> tuple[AngleVec, ...]:
-        """Interior angle at each vertex: ccw angle from the outgoing edge
-        direction to the incoming-reversed direction."""
-        if self.corner_angles is None:
-            vs = self.vertices
-            object.__setattr__(self, "corner_angles", tuple(
-                angle_at(vs[i], vs[(i + 1) % len(vs)], vs[i - 1]) for i in range(len(vs))))
-        return self.corner_angles
+        vs = self.vertices
+        return zip(vs, vs[1:] + vs[:1])
 
 
 def _arc(seq: tuple, start: int, stop: int) -> tuple:
@@ -234,33 +223,15 @@ _NO_FIT = "the tile cannot fit"
 _ACROSS = "strictly across two tile lines: the tile's signs decide"
 
 
-def place(region: Polygon, tri: tuple[Point, Point, Point]) -> Optional[list[Polygon]]:
-    """Place a counterclockwise triangle in the region: the fit test
-    `fit`, then, if the triangle fits, the splice `splice`.
-
-    Returns None if the triangle does not lie in the region: a region edge
-    properly crosses a tile edge, a region sub-edge midpoint lies strictly
-    inside the tile, or else (the open tile then meets no boundary point,
-    so it lies wholly on one side of it) a region edge shares a piece with
-    a tile edge running the other way or, if none shares one, the interior
-    point midpoint(tri[0], midpoint(tri[1], tri[2])) lies outside.  Otherwise
-    returns the rest of the region as zero or more simple polygons, sorted
-    canonically; raises GeometryError if that rest is inconsistent, as it
-    is when the triangle touches the region's boundary nowhere or at one
-    point only (a hole).
-    """
-    touch = fit(region, tri, {})
-    return None if touch is None else splice(region, tri, touch, polygon_area_twice(tri))
-
-
 def fit(region: Polygon, tri: tuple[Point, Point, Point], codes: dict) -> Optional[list]:
-    """The fit test of `place`: None if the counterclockwise triangle does
-    not lie in the region, else the points where the region's boundary
-    meets the tile's, in the region's order.  `codes` is the triangle's
-    code table, the code of each point by `Point.key` (bit k set when the
-    point lies strictly outside tile line k, bit k + 3 when strictly
-    inside); the codes of region vertices missing from it are computed,
-    one `sides` row per tile line over those vertices only, and added."""
+    """The fit test: None if the counterclockwise triangle does not lie in
+    the region (by the rules of the module docstring), else the points
+    where the region's boundary meets the tile's, in the region's order.
+    `codes` is the triangle's code table, the code of each point by
+    `Point.key` (bit k set when the point lies strictly outside tile line
+    k, bit k + 3 when strictly inside); the codes of region vertices
+    missing from it are computed, one `sides` row per tile line over those
+    vertices only, and added."""
     verts = region.vertices
     keys = [v.key for v in verts]
     code = list(map(codes.get, keys))
@@ -389,8 +360,8 @@ def splice(region: Polygon, tri: tuple[Point, Point, Point], touch: list, area2:
     polys = _faces(region, tri, touch)
     total = area2
     for p in polys:
-        total = total + p.area_twice()
-    if total != region.area_twice():
+        total = total + p.area2
+    if total != region.area2:
         raise GeometryError("area not conserved by subtraction")
     if len(polys) > 1:  # faces pinched apart at their first vertex go by the next
         polys.sort(key=lambda p: [v.key for v in p.vertices])
@@ -424,10 +395,10 @@ def _faces(region: Polygon, tri: tuple[Point, Point, Point], touch: list) -> lis
 
 
 def subtract_triangle(region: Polygon, tri: tuple[Point, Point, Point]) -> list[Polygon]:
-    """Remove a triangle (given ccw, lying inside the region) from the
-    region: the remainder of `place`, which raises GeometryError if the
-    triangle does not fit."""
-    rest = place(region, tri)
-    if rest is None:
+    """The rest of the region once the counterclockwise triangle is placed
+    in it: the fit test, then the splice.  Raises GeometryError if the
+    triangle does not lie in the region or leaves a hole in it."""
+    touch = fit(region, tri, {})
+    if touch is None:
         raise GeometryError("triangle does not lie in the region")
-    return rest
+    return splice(region, tri, touch, polygon_area_twice(tri))

@@ -173,6 +173,12 @@ def test_search_budget_exit(runner, tmp_path):
     assert "checkpoint" in res.output
 
     # resume needs no --sides/--target: the checkpoint carries the instance
+    res = runner.invoke(main, ["search", "--resume", ck, "--node-budget", "200", "--checkpoint", ck,
+                               "--cert-out", str(tmp_path / "c.json"),
+                               "--stats-out", str(tmp_path / "s.json")])
+    # --resume and --checkpoint on one file continue the run in place
+    assert res.exit_code == 3
+    assert json.loads(Path(ck).read_text())["nodes"] == 200
     res = runner.invoke(main, ["search", "--resume", ck,
                                "--cert-out", str(tmp_path / "c.json"),
                                "--stats-out", str(tmp_path / "s.json")])
@@ -305,6 +311,24 @@ def test_search_rejects_checkpoint_with_split_depth(runner, tmp_path):
 
 
 # -- bad paths: a usage error (exit 2) before any search or render starts --
+
+@pytest.mark.parametrize("first, second", [("--cert-out", "--stats-out"), ("--cert-out", "--checkpoint"),
+                                           ("--stats-out", "--checkpoint")])
+def test_search_rejects_two_outputs_on_one_file_before_searching(runner, tmp_path, monkeypatch, first, second):
+    # the later write would replace the earlier output: a found certificate
+    # overwritten by the stats could no longer be checked
+    calls = []
+    monkeypatch.setattr(cli, "run_search", _never_called(calls))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    paths = {"--cert-out": "c.json", "--stats-out": "s.json", first: "out.json", second: "sub/../out.json"}
+    res = runner.invoke(main, ["search", "--sides", "1,1,sqrt3", "--target", "equilateral:sqrt3",
+                               *[x for kv in paths.items() for x in kv]])
+    assert res.exit_code == 2 and _clean_exit(res), res.output
+    assert res.stderr == f"{first} and {second} name the same file 'sub/../out.json'\n"
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
 
 def _never_called(calls):
     return lambda *args, **kwargs: calls.append(args)

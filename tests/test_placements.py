@@ -19,7 +19,7 @@ from tilingforge.search.placements import (
     placement_chirality,
     select_corner,
 )
-from tilingforge.search.region import Polygon, place, splice
+from tilingforge.search.region import Polygon, fit, splice, subtract_triangle
 from tilingforge.tilealgebra import TileShape, tile_from_sides
 
 T357 = tile_from_sides(3, 5, 7)
@@ -146,8 +146,8 @@ def _reference_candidates(region, corner, geom, allow_mirror):
     """The triangles the fit test is to see, built node by node: the edge's
     exact length, the unit direction by division, one rotation per tile
     angle, a chirality test per candidate, a set of vertex sets against
-    duplicates and `place` for the remainder; each as `_summary` gives it,
-    with remainder None if it does not fit."""
+    duplicates, the fit test and `subtract_triangle` for the remainder;
+    each as `_summary` gives it, with remainder None if it does not fit."""
     v = region.vertices[corner]
     nxt = region.vertices[(corner + 1) % len(region)]
     theta = region.angles[corner]
@@ -177,7 +177,7 @@ def _reference_candidates(region, corner, geom, allow_mirror):
             assert mirrored is not None
             if mirrored and not allow_mirror:
                 continue
-            remainder = place(region, tri)
+            remainder = None if fit(region, tri, {}) is None else subtract_triangle(region, tri)
             seen.add(key)
             out.append((tri, mirrored, name, None if remainder is None else [r.vertices for r in remainder]))
     return out

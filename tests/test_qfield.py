@@ -47,6 +47,14 @@ def test_order_matches_sign_of_difference(a, b):
         assert (b < a, b > a) == (s > 0, s < 0)  # the reflected comparisons
 
 
+@given(st.one_of(rationals, st.integers(-10**30, 10**30)))
+def test_a_rational_value_hashes_as_the_number_it_equals(x):
+    # equal values are interchangeable as set members and dict keys
+    q = QRoot3(x)
+    assert q == x and hash(q) == hash(x)
+    assert q in {x} and {x: "x"}.get(q) == "x"
+
+
 def test_order_near_ties():
     # 7/4 against sqrt3 and a point of Q(sqrt3) against its neighbours
     for a, b in [(QRoot3(Fraction(7, 4)), SQRT3), (QRoot3(97, -56), QRoot3(0)),

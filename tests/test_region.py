@@ -31,7 +31,7 @@ from tilingforge.search.region import (
     _VERTEX_LINES,
     _along,
     _faces,
-    place,
+    fit,
     splice,
     subtract_triangle,
 )
@@ -48,7 +48,7 @@ def test_polygon_normalization():
     p = Polygon.from_points([pt(0, 0), pt(1, 0), pt(2, 0), pt(2, 2), pt(0, 2)])
     assert len(p) == 4  # collinear vertex merged
     assert p.vertices[0] == pt(0, 0)
-    assert p.area() == QRoot3(4)
+    assert p.area2 / 2 == QRoot3(4)
 
 
 def test_polygon_rejects_clockwise():
@@ -71,7 +71,7 @@ def test_subtract_corner_triangle():
     p = sq(0, 0, 2, 2)
     out = subtract_triangle(p, (pt(0, 0), pt(1, 0), pt(0, 1)))
     assert len(out) == 1
-    assert out[0].area() == QRoot3(2) + QRoot3(Fraction(3, 2))
+    assert out[0].area2 / 2 == QRoot3(2) + QRoot3(Fraction(3, 2))
     assert pt(1, 0) in out[0].vertices and pt(0, 1) in out[0].vertices
 
 
@@ -87,7 +87,7 @@ def test_subtract_splits_region():
     tri = (pt(0, 0), pt(4, 0), pt(2, 4))
     out = subtract_triangle(p, tri)
     assert len(out) == 2
-    assert sorted(float(q.area()) for q in out) == [4.0, 4.0]
+    assert sorted(float(q.area2 / 2) for q in out) == [4.0, 4.0]
 
 
 def test_subtract_with_vertex_touch():
@@ -97,7 +97,7 @@ def test_subtract_with_vertex_touch():
     out = subtract_triangle(p, tri)
     assert len(out) == 2
     for q in out:
-        assert q.area() == QRoot3(1)
+        assert q.area2 / 2 == QRoot3(1)
 
 
 def test_subtract_exact_half():
@@ -129,7 +129,7 @@ def test_sqrt3_coordinates():
     half = QRoot3(Fraction(1, 2))
     s32 = QRoot3(0, Fraction(1, 2))
     tri = Polygon.from_points([pt(0, 0), pt(1, 0), Point(half, s32)])
-    assert tri.area() == QRoot3(0, Fraction(1, 4))
+    assert tri.area2 / 2 == QRoot3(0, Fraction(1, 4))
     out = subtract_triangle(tri, (pt(0, 0), pt(1, 0), Point(half, s32)))
     assert out == []
 
@@ -298,7 +298,7 @@ def test_far_run_around_vertex_zero(corner, far):
     dx, dy = (-2 if x else 2), (-2 if y else 2)
     tri = triangle_ccw(pt(x, y), pt(x + dx, y), pt(x, y + dy))
     assert sorted(_far_edges(SQUARE, tri)) == sorted(far)
-    rest = place(SQUARE, tri)
+    rest = subtract_triangle(SQUARE, tri)
     assert rest == _ref_subtract(SQUARE, tri)
     assert len(rest) == 1 and list(rest[0].angles) == _fresh_angles(rest[0])
 
@@ -310,7 +310,7 @@ def test_all_far_region_is_a_hole():
     assert _far_edges(SQUARE, tri) == [0, 1, 2, 3]
     assert _ref_fits(SQUARE, tri)
     with pytest.raises(GeometryError):
-        place(SQUARE, tri)
+        subtract_triangle(SQUARE, tri)
     with pytest.raises(GeometryError):
         _ref_subtract(SQUARE, tri)
 
@@ -321,19 +321,31 @@ def test_place_rejects_a_crossing_no_midpoint_sees():
     # is on the right side, so only the proper crossings reject the tile
     region = Polygon.from_points([pt(0, 0), pt(3, 0), pt(4, 3), pt(5, 0), pt(20, 0), pt(20, 20), pt(0, 20)])
     for tri in [(pt(2, 2), pt(18, 2), pt(10, 18)), (pt(18, 2), pt(10, 18), pt(2, 2))]:
-        assert not _ref_fits(region, tri) and place(region, tri) is None
+        assert not _ref_fits(region, tri) and fit(region, tri, {}) is None
     clear = (pt(6, 0), pt(18, 0), pt(12, 10))
     assert _ref_fits(region, clear)
-    assert place(region, clear) == _ref_subtract(region, clear)
+    assert subtract_triangle(region, clear) == _ref_subtract(region, clear)
 
 
 def test_fit_and_subtract_are_views_of_place():
+    # the containment test is the fit test, and subtraction splices what it found
     region = sq(0, 0, 4, 4)
     inside, poking = (pt(0, 0), pt(4, 0), pt(2, 4)), (pt(0, 0), pt(5, 0), pt(0, 2))
-    assert tile_fits_in_region(region, inside) and place(region, inside) == subtract_triangle(region, inside)
-    assert place(region, poking) is None and not tile_fits_in_region(region, poking)
+    touch = fit(region, inside, {})
+    assert tile_fits_in_region(region, inside) and touch is not None
+    assert subtract_triangle(region, inside) == splice(region, inside, touch, polygon_area_twice(inside))
+    assert fit(region, poking, {}) is None and not tile_fits_in_region(region, poking)
     with pytest.raises(GeometryError):
         subtract_triangle(region, poking)
+
+
+def test_a_tile_strictly_inside_fits():
+    # no point of the square's boundary lies on the tile: it fits, and
+    # subtracting it would leave a hole
+    tri = (pt(4, 4), pt(6, 4), pt(4, 6))
+    assert tile_fits_in_region(SQUARE, tri)
+    with pytest.raises(GeometryError, match="hole"):
+        subtract_triangle(SQUARE, tri)
 
 
 def test_splice_guards_reject_a_slit_and_a_hole():
@@ -349,12 +361,17 @@ def test_splice_guards_reject_a_slit_and_a_hole():
 
 # -- the containment probe: triangles that the region loop lets through ---------
 
-def _place_verdict(region, tri):
-    """True or False for fit, or "error" when place raises."""
+def _fit_verdict(region, tri):
+    """True or False for fit, or "error" when the splice of a fitting tile
+    raises; the fit test is looked up on the module, where spies wrap it."""
+    touch = region_module.fit(region, tri, {})
+    if touch is None:
+        return False
     try:
-        return place(region, tri) is not None
+        splice(region, tri, touch, polygon_area_twice(tri))
     except GeometryError:
         return "error"
+    return True
 
 
 def _assert_remainder_matches_reference(region, tri):
@@ -362,19 +379,19 @@ def _assert_remainder_matches_reference(region, tri):
     faces and their vertex order, every stored angle against the one its
     vertices give, and every stored area against its vertices' and the
     reference's; return the remainder."""
-    rest, want = place(region, tri), _ref_subtract(region, tri)
+    rest, want = subtract_triangle(region, tri), _ref_subtract(region, tri)
     assert [p.vertices for p in rest] == [p.vertices for p in want]
     assert all(list(p.angles) == _fresh_angles(p) for p in rest)
     assert [p.area2 for p in rest] == [polygon_area_twice(p.vertices) for p in rest] == [
-        p.area_twice() for p in want]
+        p.area2 for p in want]
     return rest
 
 
 def _assert_verdict_matches_reference(region, tri):
-    """Check place's verdict against _ref_fits, and a fitting tile's
+    """Check the fit verdict against _ref_fits, and a fitting tile's
     remainder against _ref_subtract; return the verdict."""
     tri = triangle_ccw(*tri)
-    want, got = _ref_fits(region, tri), _place_verdict(region, tri)
+    want, got = _ref_fits(region, tri), _fit_verdict(region, tri)
     if got == "error":
         # a tile strictly inside the region, or touching its boundary at one
         # point only (a hole): both sides raise
@@ -409,7 +426,7 @@ def test_probe_rejects_a_triangle_outside(tri):
     # them: the three that share a piece of a region edge running the other
     # way are rejected by it, the others by the interior probe
     assert not _ref_fits(CONVEX, tri)
-    assert place(CONVEX, tri) is None
+    assert fit(CONVEX, tri, {}) is None
     assert not tile_fits_in_region(CONVEX, tri)
 
 
@@ -418,14 +435,14 @@ def test_probe_rejects_a_triangle_in_the_notch():
     # three sides, touching it along the notch's walls and floor
     for tri in [(pt(2, 2), pt(3, 2), pt(2, 5)), (pt(2, 2), pt(3, 2), pt(3, 5)),
                 (pt(2, 3), pt(3, 3), pt(2, 4))]:
-        assert not _ref_fits(NON_CONVEX, tri) and place(NON_CONVEX, tri) is None
+        assert not _ref_fits(NON_CONVEX, tri) and fit(NON_CONVEX, tri, {}) is None
 
 
 def test_hole_raises_on_both_sides():
     tri = (pt(1, 1), pt(2, 1), pt(1, 2))
     assert _ref_fits(CONVEX, tri)
     with pytest.raises(GeometryError):
-        place(CONVEX, tri)
+        subtract_triangle(CONVEX, tri)
     with pytest.raises(GeometryError):
         _ref_subtract(CONVEX, tri)
 
@@ -481,7 +498,8 @@ def _boundary_enters(region, tri):
 
 
 def _spy_on_fit(monkeypatch):
-    """Wrap the fit test where `place` and `candidate_placements` call it.
+    """Wrap the fit test where `_fit_verdict`, `subtract_triangle` and
+    `candidate_placements` call it.
     Whenever a region edge shares a piece with a tile edge, the fit takes
     its verdict from it and makes no probe; if the region's boundary keeps
     out of the open tile, that verdict and every shared piece's direction
@@ -555,6 +573,30 @@ def test_the_benchmark_searches_read_the_flush_edge_off_the_signs(monkeypatch, t
     assert calls == []
 
 
+@PINNED_SEARCHES
+def test_a_polygon_built_from_its_vertices_has_the_carried_area_and_angles(monkeypatch, tile, sides, allow_mirror,
+                                                                            budget, expected):
+    # every region the search enters carries its area and angles over from
+    # the splice; a polygon given its vertices alone measures the same
+    entered = []
+    real_splice = engine.splice
+
+    def recorded(*args):
+        rest = real_splice(*args)
+        entered.extend(rest)
+        return rest
+
+    monkeypatch.setattr(engine, "splice", recorded)
+    config = SearchConfig(allow_mirror=allow_mirror, node_budget=budget or SearchConfig().node_budget)
+    search = TilingSearch(tile, triangle_spec(tile, sides), config)
+    out = search.run()
+    assert (out.status, out.stats.nodes) == expected
+    assert entered
+    for region in [search.initial, *entered]:
+        whole = Polygon(region.vertices)
+        assert (whole, whole.area2, whole.angles) == (region, region.area2, region.angles)
+
+
 @pytest.mark.parametrize("poly", [CONVEX, NON_CONVEX], ids=["convex", "non-convex"])
 def test_shared_piece_verdicts_agree_with_the_probe(monkeypatch, poly):
     # the lattice sweep's tiles, with the fit test spied on
@@ -563,7 +605,7 @@ def test_shared_piece_verdicts_agree_with_the_probe(monkeypatch, poly):
         for dy in range(-2, 7):
             for shape in SHAPES:
                 tri = triangle_ccw(*[pt(p.x + dx, p.y + dy) for p in shape])
-                _place_verdict(poly, tri)
+                _fit_verdict(poly, tri)
     assert tally["inside"] > 0 and tally["outside"] > 0
     assert 0 < tally["probes"] <= tally["fits"] - tally["shared"]
 
@@ -608,7 +650,7 @@ def test_a_shared_piece_strictly_inside_a_tile_edge_takes_one_orientation(monkey
     assert _assert_verdict_matches_reference(poly, tri) is fits
     calls = []
     monkeypatch.setattr(region_module, "orientation", lambda *args: calls.append(args) or orientation(*args))
-    assert (place(poly, tri) is not None) is fits
+    assert (fit(poly, tri, {}) is not None) is fits
     assert calls == [(*edge, tri[2])]
 
 
@@ -650,7 +692,7 @@ def test_a_region_edge_holding_a_whole_tile_edge(k):
     # the edge runs the other way: the tile lies outside the square below
     below = sq(0, -4, 4, 0)
     assert not _ref_fits(below, tri)
-    assert place(below, tri) is None
+    assert fit(below, tri, {}) is None
 
 
 # -- the rule table against the branchy fit test --------------------------------
@@ -711,7 +753,7 @@ def _branchy_fit(region, tri):
 
 
 def _check_against_branchy_fit(monkeypatch):
-    """Wrap the fit test where `place` and `candidate_placements` call it,
+    """Wrap the fit test where `subtract_triangle` and `candidate_placements` call it,
     so that every call must return what `_branchy_fit` returns; returns the
     tallies of fitting and rejected tiles."""
     tally = {"fits": 0, "rejected": 0}
@@ -758,6 +800,7 @@ def test_lattice_sweep_matches_the_branchy_fit(monkeypatch, poly):
     for tri in _sweep(poly):
         got = region_module.fit(poly, tri, {})
         assert got == _branchy_fit(poly, tri)
+        assert tile_fits_in_region(poly, tri) is (got is not None)
         seen.add(got is not None)
     assert seen == {True, False}
     rules = region_module._RULES.values()
@@ -788,7 +831,7 @@ def test_the_sweeps_and_searches_splice_three_faces_and_wrap_the_last_gap(monkey
         if len(faces) == 3 or len(faces) > 1 and wraps:
             kinds["three"] += len(faces) == 3
             kinds["wrapped"] += len(faces) > 1 and wraps
-            try:  # not swallowed by the sweep's `_place_verdict`
+            try:  # not swallowed by the sweep's `_fit_verdict`
                 want = _ref_subtract(region, tri)
             except GeometryError as err:
                 raise AssertionError("the reference finds no simple faces") from err
@@ -799,7 +842,7 @@ def test_the_sweeps_and_searches_splice_three_faces_and_wrap_the_last_gap(monkey
     monkeypatch.setattr(region_module, "_faces", counted)
     for poly in (CONVEX, NON_CONVEX, BENT, SPIKES, L_SHAPE):
         for tri in _sweep(poly):
-            _place_verdict(poly, tri)
+            _fit_verdict(poly, tri)
     for tile, sides, allow_mirror, budget, expected in PINNED:
         config = SearchConfig(allow_mirror=allow_mirror, node_budget=budget or SearchConfig().node_budget)
         out = run_search(tile, triangle_spec(tile, sides), config)
@@ -881,7 +924,7 @@ def _naive_tilings(tile, target, allow_mirror):
             return
         region, i = min(((r, i) for r in regions for i in range(len(r))),
                         key=lambda ri: (ri[0].vertices[ri[1]].y, ri[0].vertices[ri[1]].x))
-        v, w = region.edge(i)
+        v, w = region.vertices[i], region.vertices[(i + 1) % len(region)]
         length = segment_length(v, w)
         ux, uy = (w.x - v.x) / length, (w.y - v.y) / length
         tried = set()  # an isosceles tile gives some triangles twice

@@ -225,7 +225,7 @@ def test_area_conservation_along_a_branch():
     while regions:
         total = QRoot3(0)
         for r in regions:
-            total = total + r.area()
+            total = total + r.area2 / 2
         assert total == (n - len(placed)) * T357.area
         frame = s._node(regions, placed)
         assert frame.regions == regions and frame.placed == placed
@@ -354,6 +354,17 @@ def test_split_expands_each_node_once(monkeypatch, depth):
     out = run_search(T357, tri_eq(T357, QRoot3(15)), SearchConfig(split_depth=depth, workers=1))
     assert (out.status, out.stats.nodes) == ("exhausted", 380)
     assert calls == {"expand": 381, "setup": 1}
+
+
+@pytest.mark.parametrize("depth", [1, 2, 4, 6])
+def test_split_walk_counts_against_the_node_budget(depth):
+    # the walk down to the split depth and the subtrees below it share one
+    # budget: a split run reports no more nodes than a sequential one
+    tri = tri_eq(T357, QRoot3(30))
+    assert run_search(T357, tri, SearchConfig(node_budget=10)).stats.nodes == 10
+    for budget in (1, 10, 40):
+        out = run_search(T357, tri, SearchConfig(node_budget=budget, split_depth=depth, workers=1))
+        assert out.status == "budget" and 0 < out.stats.nodes <= budget, (budget, out.stats)
 
 
 def test_mirror_flag_respected():
