@@ -310,33 +310,40 @@ def _run_subtree(job) -> Outcome:
     return search._drive([frame], 1, budget)
 
 
-def _merge(frontier, outcomes, stats: SearchStats) -> Outcome:
+def _merge(frontier, outcomes, stats: SearchStats, budget: int) -> Outcome:
     """Add the subtree outcomes, in frontier order, to the prefix walk's
-    `stats`, up to the first tiling."""
-    status, walked = "exhausted", stats.nodes
+    `stats`, counting nodes in preorder as the sequential search does: the
+    other nodes before a subtree, then every subtree up to it.  As there, a
+    tiling within `budget` nodes ends the merge, and otherwise reaching
+    `budget` nodes ends it with exactly that many."""
+    done = 0  # the nodes of the subtrees merged so far
     for (_, before), out in zip(frontier, outcomes):
-        stats.nodes += out.stats.nodes
+        at = before + done + out.stats.nodes  # the preorder count at its last node
         stats.max_depth = max(stats.max_depth, out.stats.max_depth)
-        if out.status == "found":
-            # the preorder count: the other nodes before this subtree and
-            # every subtree up to the tiling
-            stats.nodes -= walked - before
+        if out.status == "found" and at <= budget:
+            stats.nodes = at
             return Outcome("found", stats, certificate=out.certificate)
-        if out.status == "budget":
-            status = "budget"
-    return Outcome(status, stats)
+        if at >= budget:
+            stats.nodes = budget
+            return Outcome("budget", stats)
+        done += out.stats.nodes
+    stats.nodes = min(stats.nodes + done, budget)
+    return Outcome("exhausted" if stats.nodes < budget else "budget", stats)
 
 
 def run_search(tile: TileShape, target: TriangleSpec, config: Optional[SearchConfig] = None) -> Outcome:
     """Entry point: sequential when split_depth == 0, else partitioned into
     subtrees handled by a pool of `workers` processes.
 
-    The walk down to split_depth counts against the node budget, and each
-    subtree below it gets an equal share of what is left, so a run reports
-    at most node_budget nodes.  Results are taken in canonical order up to
-    the first tiling, so unless the walk or a subtree runs out of budget
-    the status, node count, max_depth and certificate are the sequential
-    ones at every split depth and worker count.
+    The walk down to split_depth counts against the node budget, frontier
+    nodes included, and each subtree below it gets all that is left of the
+    budget after the nodes that come before it in preorder, taking every
+    earlier subtree as its frontier node alone.  Results are taken in
+    canonical order up to the first tiling and the first subtree that
+    takes the preorder count past the budget, which then reports `budget`
+    with node_budget nodes; so whenever the sequential search stays within
+    the budget, the status, node count, max_depth and certificate are the
+    sequential ones at every split depth and worker count.
     Split mode writes no checkpoint, so a `checkpoint_path` with it is a
     ValueError.
     """
@@ -350,21 +357,23 @@ def run_search(tile: TileShape, target: TriangleSpec, config: Optional[SearchCon
     t0 = time.monotonic()
     stats = SearchStats(conditional_on_paper_lemmas=search._pruning_active)
     frontier, stats.nodes, stats.max_depth, cert = _subtree_prefixes(search, cfg.split_depth)
-    rest = cfg.node_budget - stats.nodes - len(frontier)
+    budget = cfg.node_budget
+    rest = budget - stats.nodes - len(frontier)
     if cert is not None or not frontier or rest <= 0:
         stats.nodes += len(frontier)
         stats.elapsed = time.monotonic() - t0
         status = "found" if cert else "budget" if rest <= 0 else "exhausted"
         return Outcome(status, stats, certificate=cert)
-    # each subtree's budget counts its frontier node, already walked
-    jobs = [(search, frame, 1 + rest // len(frontier)) for frame, _ in frontier]
+    # subtree k follows its `before` other nodes and k earlier frontier
+    # nodes; its budget counts its own frontier node, already walked
+    jobs = [(search, frame, budget - before - k) for k, (frame, before) in enumerate(frontier)]
     if cfg.workers <= 1:
-        outcome = _merge(frontier, map(_run_subtree, jobs), stats)
+        outcome = _merge(frontier, map(_run_subtree, jobs), stats, budget)
     else:
         import multiprocessing  # only a worker pool needs it
 
         # leaving the block terminates the subtrees still running
         with multiprocessing.get_context("spawn").Pool(processes=cfg.workers) as pool:
-            outcome = _merge(frontier, pool.imap(_run_subtree, jobs), stats)
+            outcome = _merge(frontier, pool.imap(_run_subtree, jobs), stats, budget)
     stats.elapsed = time.monotonic() - t0
     return outcome

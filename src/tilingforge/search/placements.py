@@ -30,10 +30,16 @@ rotation, chirality test or filter is run per node.
 A backtracking search meets the same triangle at the same corner of many
 regions, so `TileGeometry` keeps each placed triangle, keyed by the
 `Point.key` of the corner and of the shape option's two offsets: its
-three points, built the first time, and its code table for the fit test
-(`region.fit`).  A candidate met before costs no point sum, and its fit
-test takes the signs only of the vertices its table misses; the table is
-exact, so the verdicts and the tree are those of fresh signs.
+`Placement` (its three points and the option's chirality), built the
+first time, and its code table and table of across rows for the fit test
+(`region.fit`).  A candidate met before costs no point sum and no new
+placement, and its fit test takes the signs only of the vertices and
+edges its tables miss; the tables are exact, so the verdicts and the tree
+are those of fresh signs.
+
+The corner is chosen on integers too: two angles of one rank by one
+cross product of their `AngleVec` ints, two tied vertices by their
+integer forms (`select_corner`).
 
 A candidate keeps its placement, its tile angle and the points where the
 fit test found the boundaries meet; the search splices its remainder from
@@ -50,6 +56,7 @@ from math import gcd
 
 from ..constraints import side_compositions, tile_angle_sums
 from ..exactnum import QRoot3
+from ..exactnum.qfield import _sign
 from ..geometry import AngleVec, Point, _of_form, segment_length
 from ..tilealgebra import TileShape
 from .certificate import Placement, placement_chirality
@@ -205,20 +212,39 @@ def _turned(u: Point, p: Point) -> Point:
 
 def select_corner(region: Polygon) -> int:
     """Index of the corner with the smallest interior angle; ties broken by
-    lexicographic vertex order."""
+    lexicographic vertex order.  Angles of one rank in a band are ordered
+    by the sign of one cross product of their ints (as `AngleVec.compare`),
+    and tied vertices by their integer forms."""
     angles, verts = region.angles, region.vertices
-    best = 0
+    best, b = 0, angles[0]
     for i in range(1, len(angles)):
-        order = angles[i].compare(angles[best])
-        if order < 0 or (order == 0 and verts[i].lex_less(verts[best])):
-            best = i
+        a = angles[i]
+        if a.rank == b.rank:
+            # the sign of cross(b, a), positive when a is the larger angle
+            turn = 0 if a.rank in (0, 2) else _sign(
+                b.c1 * a.s1 - b.s1 * a.c1 + 3 * (b.c3 * a.s3 - b.s3 * a.c3),
+                b.c1 * a.s3 + b.c3 * a.s1 - b.s1 * a.c3 - b.s3 * a.c1)
+            if turn > 0 or turn == 0 and not _lex_before(verts[i].form, verts[best].form):
+                continue
+        elif a.rank > b.rank:
+            continue
+        best, b = i, a
     return best
+
+
+def _lex_before(p: tuple, q: tuple) -> bool:
+    """Whether the point of integer form p comes before the point of form
+    q in lexicographic order: a smaller x, or an equal x and a smaller y."""
+    px1, px3, py1, py3, pd = p
+    qx1, qx3, qy1, qy3, qd = q
+    s = _sign(px1 * qd - qx1 * pd, px3 * qd - qx3 * pd)
+    return (s or _sign(py1 * qd - qy1 * pd, py3 * qd - qy3 * pd)) < 0
 
 
 def tile_fits_in_region(region: Polygon, tri: tuple[Point, Point, Point]) -> bool:
     """Whether the counterclockwise triangle lies in the region: the fit
     test `fit`, which splices nothing, so a tile strictly inside fits."""
-    return fit(region, tri, {}) is not None
+    return fit(region, tri, {}, {}) is not None
 
 
 def candidate_placements(region: Polygon, corner: int, geom: TileGeometry) -> list[Candidate]:
@@ -233,8 +259,9 @@ def candidate_placements(region: Polygon, corner: int, geom: TileGeometry) -> li
     the region (`fit`).  The search splices a candidate's remainder when it
     enters it.  The shapes that pass the angle, length and mirror filters,
     with their chirality, come from the corner's kind
-    (`TileGeometry.shapes`), and each candidate's triangle and code table
-    from the table of placed triangles, built on first sight.
+    (`TileGeometry.shapes`), and each candidate's placement and the tables
+    of its fit test from the table of placed triangles, built on first
+    sight.
     """
     verts, angles = region.vertices, region.angles
     v = verts[corner]
@@ -247,9 +274,9 @@ def candidate_placements(region: Polygon, corner: int, geom: TileGeometry) -> li
             key = (v.key, f_off.key, g_off.key)
             hit = placed.get(key)
             if hit is None:
-                hit = placed[key] = ((v, v + f_off, v + g_off), {})
-            tri, codes = hit
-            touch = fit(region, tri, codes)
+                hit = placed[key] = (Placement((v, v + f_off, v + g_off), mirrored), {}, {})
+            placement, codes, rows = hit
+            touch = fit(region, placement.vertices, codes, rows)
             if touch is not None:
-                out.append(Candidate(Placement(tri, mirrored), name, touch))
+                out.append(Candidate(placement, name, touch))
     return out

@@ -2,9 +2,10 @@
 
 The uncovered part of the target is a list of simple polygons with
 counterclockwise boundary (interior on the left of each directed edge),
-each held with twice its area and its corner angles (`Polygon`).  The
-fit test `fit(region, tri, codes)` decides whether a triangle lies in the
-region and returns the points where the two boundaries meet, or None;
+each held with twice its area, its corner angles and its vertices'
+`Point.key`s (`Polygon`).  The fit test `fit(region, tri, codes, rows)`
+decides whether a triangle lies in the region and returns the points
+where the two boundaries meet, or None;
 `splice` builds what is left of the region from them.  The search runs
 the fit test on every candidate and splices only the candidates it
 enters; `subtract_triangle(region, tri)` runs the two in turn.
@@ -13,10 +14,12 @@ The fit test takes the side of every region vertex against each of the
 three tile-edge lines, and decides from that sign table, not from new
 determinants, wherever it can (exact geometric computation; Yap, CGTA 7,
 1997).  The caller passes the triangle's code table, each point's signs
-as its code (see below) keyed by `Point.key`; the fit test computes the
-codes of the vertices missing from it, one `sides` row per tile line over
-those vertices only, and adds them.  `subtract_triangle` passes an empty
-table; the search keeps one table per placed triangle (`TileGeometry`),
+as its code (see below) keyed by `Point.key`, and its table of across
+rows (below), keyed by the `Point.key`s of a region edge's two ends; the
+fit test computes the codes of the vertices missing from the one, one
+`sides` row per tile line over those vertices only, and the rows missing
+from the other, and adds them.  `subtract_triangle` passes empty tables;
+the search keeps both tables with each placed triangle (`TileGeometry`),
 so it takes each sign once however often it meets the triangle again.  A
 region edge is *far* when both its ends lie strictly outside the same
 tile line: it can neither cross the tile, nor pass through a tile vertex,
@@ -72,11 +75,11 @@ tile vertices cut into the edge, the tile lines of its end when that lies
 on the tile's boundary, the shared piece's way and opposite tile vertex).
 For an edge strictly across two tile lines (68 of the 512 near code
 pairs) the rule says instead that the tile's signs decide: the `sides`
-row of the tile's vertices against the edge's line extends the key, and a
-second lookup gives one of the other two kinds.  `_rule` builds each rule
-the first time its key is met, so a search builds a few dozen; only the
-orientation fallback for a shared piece's way and the probe look at the
-geometry again.
+row of the tile's vertices against the edge's line, its *across row*,
+extends the key, and a second lookup gives one of the other two kinds.
+`_rule` builds each rule the first time its key is met, so a search
+builds a few dozen; only the orientation fallback for a shared piece's
+way and the probe look at the geometry again.
 
 Once the tile fits, the remainder is fixed by the *contacts*, the
 connected pieces of the region's boundary on the tile's: the boundary
@@ -135,13 +138,15 @@ from ..geometry import (
 @dataclass(frozen=True, slots=True)
 class Polygon:
     """Simple polygon, counterclockwise, no straight-angle vertices, with
-    twice its area and the interior angle at each vertex: the ccw angle
-    from the outgoing edge direction to the incoming-reversed direction.
-    A polygon given its vertices alone measures both when it is built."""
+    twice its area, the interior angle at each vertex (the ccw angle from
+    the outgoing edge direction to the incoming-reversed direction) and
+    each vertex's `Point.key`.  A polygon given its vertices alone
+    measures all three when it is built."""
 
     vertices: tuple[Point, ...]
     area2: QRoot3 = field(default=None, compare=False, repr=False)
     angles: tuple[AngleVec, ...] = field(default=None, compare=False, repr=False)
+    keys: tuple[tuple, ...] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.area2 is None:
@@ -149,6 +154,7 @@ class Polygon:
             object.__setattr__(self, "area2", polygon_area_twice(vs))
             object.__setattr__(self, "angles", tuple(
                 angle_at(vs[i], vs[(i + 1) % len(vs)], vs[i - 1]) for i in range(len(vs))))
+            object.__setattr__(self, "keys", tuple(v.key for v in vs))
 
     @staticmethod
     def from_points(points: Sequence[Point]) -> "Polygon":
@@ -185,7 +191,8 @@ class Polygon:
             raise GeometryError("polygon is not counterclockwise")
         keys = [p.key for p in pts]
         k = keys.index(min(keys))
-        return Polygon(tuple(pts[k:] + pts[:k]), area2, tuple(angles[k:] + angles[:k]))
+        return Polygon(tuple(pts[k:] + pts[:k]), area2, tuple(angles[k:] + angles[:k]),
+                       tuple(keys[k:] + keys[:k]))
 
     def __len__(self):
         return len(self.vertices)
@@ -223,7 +230,7 @@ _NO_FIT = "the tile cannot fit"
 _ACROSS = "strictly across two tile lines: the tile's signs decide"
 
 
-def fit(region: Polygon, tri: tuple[Point, Point, Point], codes: dict) -> Optional[list]:
+def fit(region: Polygon, tri: tuple[Point, Point, Point], codes: dict, rows: dict) -> Optional[list]:
     """The fit test: None if the counterclockwise triangle does not lie in
     the region (by the rules of the module docstring), else the points
     where the region's boundary meets the tile's, in the region's order.
@@ -231,15 +238,17 @@ def fit(region: Polygon, tri: tuple[Point, Point, Point], codes: dict) -> Option
     `Point.key` (bit k set when the point lies strictly outside tile line
     k, bit k + 3 when strictly inside); the codes of region vertices
     missing from it are computed, one `sides` row per tile line over those
-    vertices only, and added."""
-    verts = region.vertices
-    keys = [v.key for v in verts]
+    vertices only, and added.  `rows` is its table of across rows, the
+    `sides` row of the triangle's vertices against the line of a region
+    edge strictly across two tile lines by the `Point.key`s of the edge's
+    ends; a row missing from it is computed and added."""
+    verts, keys = region.vertices, region.keys
     code = list(map(codes.get, keys))
     if None in code:
         miss = [i for i, c in enumerate(code) if c is None]
         new = [verts[i] for i in miss]
-        rows = zip(sides(tri[0], tri[1], new), sides(tri[1], tri[2], new), sides(tri[2], tri[0], new))
-        for i, (s0, s1, s2) in zip(miss, rows):
+        signs = zip(sides(tri[0], tri[1], new), sides(tri[1], tri[2], new), sides(tri[2], tri[0], new))
+        for i, (s0, s1, s2) in zip(miss, signs):
             code[i] = codes[keys[i]] = _B0[s0] | _B1[s1] | _B2[s2]
     rules = _RULES
     # the points of the region's boundary on the tile's, if the tile fits,
@@ -256,7 +265,10 @@ def fit(region: Polygon, tri: tuple[Point, Point, Point], codes: dict) -> Option
         if rule is None:
             rule = rules[key] = _rule(cc, cd)
         if rule is _ACROSS:
-            o = sides(verts[i - 1], verts[i], tri)
+            edge = keys[i - 1], keys[i]
+            o = rows.get(edge)
+            if o is None:
+                o = rows[edge] = sides(verts[i - 1], verts[i], tri)
             key = (key, *o)
             rule = rules.get(key)
             if rule is None:
@@ -364,7 +376,7 @@ def splice(region: Polygon, tri: tuple[Point, Point, Point], touch: list, area2:
     if total != region.area2:
         raise GeometryError("area not conserved by subtraction")
     if len(polys) > 1:  # faces pinched apart at their first vertex go by the next
-        polys.sort(key=lambda p: [v.key for v in p.vertices])
+        polys.sort(key=lambda p: p.keys)
     return polys
 
 
@@ -398,7 +410,7 @@ def subtract_triangle(region: Polygon, tri: tuple[Point, Point, Point]) -> list[
     """The rest of the region once the counterclockwise triangle is placed
     in it: the fit test, then the splice.  Raises GeometryError if the
     triangle does not lie in the region or leaves a hole in it."""
-    touch = fit(region, tri, {})
+    touch = fit(region, tri, {}, {})
     if touch is None:
         raise GeometryError("triangle does not lie in the region")
     return splice(region, tri, touch, polygon_area_twice(tri))

@@ -1,11 +1,12 @@
 """Plain geometric helpers that the tests' reference oracles use: sorting
-points along a line, the open-triangle test and counterclockwise
-ordering of a triangle's vertices, each written directly from its
-definition."""
+points along a line, the open-triangle test, counterclockwise ordering
+of a triangle's vertices and the search's corner rule, each written
+directly from its definition."""
 
+from functools import cmp_to_key
 from typing import Sequence
 
-from tilingforge.geometry import GeometryError, Point, orientation
+from tilingforge.geometry import AngleVec, GeometryError, Point, orientation
 
 
 def sort_along(points: list[Point], a: Point, b: Point) -> None:
@@ -29,3 +30,12 @@ def triangle_ccw(a: Point, b: Point, c: Point) -> tuple[Point, Point, Point]:
     if s == 0:
         raise GeometryError("degenerate triangle")
     return (a, b, c) if s > 0 else (a, c, b)
+
+
+def smallest_corner(angles: Sequence[AngleVec], vertices: Sequence[Point]) -> int:
+    """The index of the corner with the smallest angle by `AngleVec.compare`,
+    ties broken by `Point.lex_less`."""
+    def order(i, j):
+        return (angles[i].compare(angles[j])
+                or vertices[j].lex_less(vertices[i]) - vertices[i].lex_less(vertices[j]))
+    return min(range(len(angles)), key=cmp_to_key(order))

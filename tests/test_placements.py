@@ -22,6 +22,8 @@ from tilingforge.search.placements import (
 from tilingforge.search.region import Polygon, fit, splice, subtract_triangle
 from tilingforge.tilealgebra import TileShape, tile_from_sides
 
+from reference_geometry import smallest_corner
+
 T357 = tile_from_sides(3, 5, 7)
 ISO = tile_from_sides(1, 1, SQRT3)
 
@@ -140,6 +142,23 @@ def test_select_corner_tie_lexicographic():
     assert sq.vertices[select_corner(sq)] == pt(0, 0)
 
 
+_R3 = Point(QRoot3(0), SQRT3)  # (0, sqrt3)
+
+
+@pytest.mark.parametrize("corners", [
+    [pt(0, 0), pt(2, 0), pt(1, 0) + _R3],  # equilateral: three tied corners
+    [pt(2, 0), pt(1, 0) + _R3, pt(-1, 0) + _R3, pt(-2, 0), pt(-1, 0) - _R3, pt(1, 0) - _R3],  # hexagon
+    [pt(0, 0), pt(2, 0), pt(3, 0) + _R3, pt(1, 0) + _R3],  # rhombus: two pairs of ties
+    [pt(0, 0), Point(SQRT3, QRoot3(0)), Point(SQRT3, QRoot3(1)), pt(0, 1)],  # tied on x, then y
+], ids=["equilateral", "hexagon", "rhombus", "rectangle"])
+def test_select_corner_breaks_ties_as_the_reference_rule(corners):
+    # every rotation of the vertex cycle, as given, so that the first
+    # vertex is not always the one that wins the tie
+    for k in range(len(corners)):
+        region = Polygon(tuple(corners[k:] + corners[:k]))
+        assert select_corner(region) == smallest_corner(region.angles, region.vertices), k
+
+
 # -- per-direction frames against the per-node construction they replace -------
 
 def _reference_candidates(region, corner, geom, allow_mirror):
@@ -177,7 +196,7 @@ def _reference_candidates(region, corner, geom, allow_mirror):
             assert mirrored is not None
             if mirrored and not allow_mirror:
                 continue
-            remainder = None if fit(region, tri, {}) is None else subtract_triangle(region, tri)
+            remainder = None if fit(region, tri, {}, {}) is None else subtract_triangle(region, tri)
             seen.add(key)
             out.append((tri, mirrored, name, None if remainder is None else [r.vertices for r in remainder]))
     return out
@@ -192,6 +211,18 @@ PINNED_SEARCHES = pytest.mark.parametrize("tile, sides, allow_mirror, nodes", [
     (T357, [QRoot3(30)] * 3, True, 400),
     (ISO, [5 * SQRT3] * 3, True, 75),
 ], ids=["357-eq15", "357-eq15-direct", "357-15,25,35", "iso-eq4sqrt3", "357-eq30-budget", "iso-eq5sqrt3"])
+
+
+@PINNED_SEARCHES
+def test_select_corner_matches_the_reference_rule(monkeypatch, tile, sides, allow_mirror, nodes):
+    # every region the search expands
+    regions, real = [], engine.select_corner
+    monkeypatch.setattr(engine, "select_corner", lambda region: regions.append(region) or real(region))
+    config = SearchConfig(allow_mirror=allow_mirror, node_budget=nodes)
+    assert TilingSearch(tile, triangle_spec(tile, sides), config).run().stats.nodes == nodes
+    assert regions
+    for region in regions:
+        assert select_corner(region) == smallest_corner(region.angles, region.vertices), region
 
 
 def _point_of_key(key):
@@ -237,11 +268,11 @@ def test_frames_match_the_per_node_construction(monkeypatch, tile, sides, allow_
     tested = []
     fit = placements.fit
 
-    def tables_checked(region, tri, codes):
+    def tables_checked(region, tri, codes, rows):
         # after the fit test, the code table kept with this candidate's
         # triangle holds every region vertex, each with the code that
         # fresh rows of this triangle's own lines give
-        touch = fit(region, tri, codes)
+        touch = fit(region, tri, codes, rows)
         assert all(code == _fresh_code(tri, key) for key, code in codes.items())
         assert {v.key for v in region.vertices} <= codes.keys()
         tested.append((tri, touch is not None))
@@ -398,15 +429,23 @@ def test_a_no_mirror_table_holds_no_mirrored_shape(monkeypatch):
 # -- the table of placed triangles ------------------------------------------------
 
 def _assert_placed_table_exact(geom):
-    """Every placed triangle is (v, v + f_off, v + g_off) built afresh from
-    its key, and every code in its table is the one three fresh `sides`
-    rows give."""
+    """Every placed triangle's placement is (v, v + f_off, v + g_off) built
+    afresh from its key, with the chirality its congruence test gives;
+    every code in its table is the one three fresh `sides` rows give; and
+    every across row is the fresh `sides` row of its vertices against a
+    region edge whose ends' codes put it strictly across two tile lines."""
     assert geom._placed
-    for key, (tri, codes) in geom._placed.items():
+    for key, (placement, codes, rows) in geom._placed.items():
+        tri = placement.vertices
         v, f, g = map(_point_of_key, key)
         assert tri == (v, Point(v.x + f.x, v.y + f.y), Point(v.x + g.x, v.y + g.y))
+        assert placement.mirrored is placement_chirality(geom.tile, placement), tri
+        assert geom.allow_mirror or not placement.mirrored
         assert codes  # every triangle was fit-tested
         assert all(code == _fresh_code(tri, p) for p, code in codes.items()), tri
+        for (c, d), row in rows.items():
+            assert region_module._rule(codes[c], codes[d]) is region_module._ACROSS, (tri, c, d)
+            assert row == geometry.sides(_point_of_key(c), _point_of_key(d), tri), (tri, c, d)
 
 
 @PINNED_SEARCHES
@@ -427,38 +466,49 @@ def test_the_placed_triangles_are_exact_off_the_benchmark_pins():
 
 def test_a_search_takes_each_sign_once(monkeypatch):
     # (3,5,7) on side 30 to 400 nodes: no side of a point against a tile
-    # line of a placed triangle is taken twice, every one taken is kept in
-    # that triangle's table, and each placed triangle costs at most two
-    # point sums
-    fits, signs, sums = [], Counter(), []
+    # line of a placed triangle is taken twice, nor the across row of a
+    # placed triangle against a region edge, every one taken is kept with
+    # that triangle, and each placed triangle costs at most two point sums
+    # and one placement
+    fits, signs, across, sums, built = [], Counter(), Counter(), [], []
     real_fit, real_sides, real_add = placements.fit, region_module.sides, Point.__add__
 
-    def recorded_fit(region, tri, codes):
+    def recorded_fit(region, tri, codes, rows):
         fits.append(tri)
-        return real_fit(region, tri, codes)
+        return real_fit(region, tri, codes, rows)
 
     def counted_sides(a, b, points):
         tri = fits[-1]
-        if points is not tri:  # else the tile's vertices against a region edge
+        tri_keys = tuple(t.key for t in tri)
+        if points is tri:  # the tile's vertices against a region edge
+            across[(tri_keys, a.key, b.key)] += 1
+        else:
             k = next(k for k in range(3) if a is tri[k] and b is tri[(k + 1) % 3])
-            signs.update((tuple(t.key for t in tri), k, p.key) for p in points)
+            signs.update((tri_keys, k, p.key) for p in points)
         return real_sides(a, b, points)
 
+    # set up before the counting: the tile's own frame tests its options' chirality
+    s = TilingSearch(T357, triangle_spec(T357, [QRoot3(30)] * 3), SearchConfig(node_budget=400))
     monkeypatch.setattr(placements, "fit", recorded_fit)
     monkeypatch.setattr(region_module, "sides", counted_sides)
     monkeypatch.setattr(Point, "__add__", lambda p, q: sums.append(1) or real_add(p, q))
-    s = TilingSearch(T357, triangle_spec(T357, [QRoot3(30)] * 3), SearchConfig(node_budget=400))
+    monkeypatch.setattr(placements, "Placement", lambda *args: built.append(args) or Placement(*args))
     out = s.run()
     assert (out.status, out.stats.nodes) == ("budget", 400)
     tables = s.geom._placed.values()
     assert max(signs.values()) == 1
-    assert len(signs) == 3 * sum(len(codes) for _, codes in tables)
+    assert len(signs) == 3 * sum(len(codes) for _, codes, _ in tables)
+    assert max(across.values()) == 1
+    assert across.keys() == {(tuple(t.key for t in p.vertices), *edge) for p, _, rows in tables for edge in rows}
     assert len(sums) <= 2 * len(tables) < len(fits)
+    assert len(built) == len(tables)
     # split mode ships the search, table included, to spawned workers: the
-    # copy takes no sign and builds no triangle
+    # copy takes no sign and builds no triangle or placement
     copy = pickle.loads(pickle.dumps(s))
     signs.clear()
+    across.clear()
     sums.clear()
+    built.clear()
     again = copy.run()
     assert (again.status, again.stats.nodes) == ("budget", 400)
-    assert not signs and not sums
+    assert not signs and not across and not sums and not built

@@ -234,8 +234,8 @@ def test_cut_matches_all_pairs_reference(monkeypatch, tile, sides, expected):
     tested = []
     real_fit = placements.fit
 
-    def spied_fit(region, tri, codes):
-        touch = real_fit(region, tri, codes)
+    def spied_fit(region, tri, codes, rows):
+        touch = real_fit(region, tri, codes, rows)
         tested.append((tri, touch is not None))
         return touch
 
@@ -321,7 +321,7 @@ def test_place_rejects_a_crossing_no_midpoint_sees():
     # is on the right side, so only the proper crossings reject the tile
     region = Polygon.from_points([pt(0, 0), pt(3, 0), pt(4, 3), pt(5, 0), pt(20, 0), pt(20, 20), pt(0, 20)])
     for tri in [(pt(2, 2), pt(18, 2), pt(10, 18)), (pt(18, 2), pt(10, 18), pt(2, 2))]:
-        assert not _ref_fits(region, tri) and fit(region, tri, {}) is None
+        assert not _ref_fits(region, tri) and fit(region, tri, {}, {}) is None
     clear = (pt(6, 0), pt(18, 0), pt(12, 10))
     assert _ref_fits(region, clear)
     assert subtract_triangle(region, clear) == _ref_subtract(region, clear)
@@ -331,10 +331,10 @@ def test_fit_and_subtract_are_views_of_place():
     # the containment test is the fit test, and subtraction splices what it found
     region = sq(0, 0, 4, 4)
     inside, poking = (pt(0, 0), pt(4, 0), pt(2, 4)), (pt(0, 0), pt(5, 0), pt(0, 2))
-    touch = fit(region, inside, {})
+    touch = fit(region, inside, {}, {})
     assert tile_fits_in_region(region, inside) and touch is not None
     assert subtract_triangle(region, inside) == splice(region, inside, touch, polygon_area_twice(inside))
-    assert fit(region, poking, {}) is None and not tile_fits_in_region(region, poking)
+    assert fit(region, poking, {}, {}) is None and not tile_fits_in_region(region, poking)
     with pytest.raises(GeometryError):
         subtract_triangle(region, poking)
 
@@ -364,7 +364,7 @@ def test_splice_guards_reject_a_slit_and_a_hole():
 def _fit_verdict(region, tri):
     """True or False for fit, or "error" when the splice of a fitting tile
     raises; the fit test is looked up on the module, where spies wrap it."""
-    touch = region_module.fit(region, tri, {})
+    touch = region_module.fit(region, tri, {}, {})
     if touch is None:
         return False
     try:
@@ -426,7 +426,7 @@ def test_probe_rejects_a_triangle_outside(tri):
     # them: the three that share a piece of a region edge running the other
     # way are rejected by it, the others by the interior probe
     assert not _ref_fits(CONVEX, tri)
-    assert fit(CONVEX, tri, {}) is None
+    assert fit(CONVEX, tri, {}, {}) is None
     assert not tile_fits_in_region(CONVEX, tri)
 
 
@@ -435,7 +435,7 @@ def test_probe_rejects_a_triangle_in_the_notch():
     # three sides, touching it along the notch's walls and floor
     for tri in [(pt(2, 2), pt(3, 2), pt(2, 5)), (pt(2, 2), pt(3, 2), pt(3, 5)),
                 (pt(2, 3), pt(3, 3), pt(2, 4))]:
-        assert not _ref_fits(NON_CONVEX, tri) and fit(NON_CONVEX, tri, {}) is None
+        assert not _ref_fits(NON_CONVEX, tri) and fit(NON_CONVEX, tri, {}, {}) is None
 
 
 def test_hole_raises_on_both_sides():
@@ -512,9 +512,9 @@ def _spy_on_fit(monkeypatch):
         tally["probes"] += 1
         return real_probe(p, vertices)
 
-    def spied(poly, tri, codes):
+    def spied(poly, tri, codes, rows):
         probes = tally["probes"]
-        got = real_fit(poly, tri, codes)
+        got = real_fit(poly, tri, codes, rows)
         tally["fits"] += 1
         shared = _shared_pieces(poly, tri)
         if not shared:
@@ -576,8 +576,9 @@ def test_the_benchmark_searches_read_the_flush_edge_off_the_signs(monkeypatch, t
 @PINNED_SEARCHES
 def test_a_polygon_built_from_its_vertices_has_the_carried_area_and_angles(monkeypatch, tile, sides, allow_mirror,
                                                                             budget, expected):
-    # every region the search enters carries its area and angles over from
-    # the splice; a polygon given its vertices alone measures the same
+    # every region the search enters carries its area, angles and vertex
+    # keys over from the splice; a polygon given its vertices alone
+    # measures the same
     entered = []
     real_splice = engine.splice
 
@@ -595,6 +596,7 @@ def test_a_polygon_built_from_its_vertices_has_the_carried_area_and_angles(monke
     for region in [search.initial, *entered]:
         whole = Polygon(region.vertices)
         assert (whole, whole.area2, whole.angles) == (region, region.area2, region.angles)
+        assert whole.keys == region.keys == tuple(v.key for v in region.vertices)
 
 
 @pytest.mark.parametrize("poly", [CONVEX, NON_CONVEX], ids=["convex", "non-convex"])
@@ -650,7 +652,7 @@ def test_a_shared_piece_strictly_inside_a_tile_edge_takes_one_orientation(monkey
     assert _assert_verdict_matches_reference(poly, tri) is fits
     calls = []
     monkeypatch.setattr(region_module, "orientation", lambda *args: calls.append(args) or orientation(*args))
-    assert (fit(poly, tri, {}) is not None) is fits
+    assert (fit(poly, tri, {}, {}) is not None) is fits
     assert calls == [(*edge, tri[2])]
 
 
@@ -692,7 +694,7 @@ def test_a_region_edge_holding_a_whole_tile_edge(k):
     # the edge runs the other way: the tile lies outside the square below
     below = sq(0, -4, 4, 0)
     assert not _ref_fits(below, tri)
-    assert fit(below, tri, {}) is None
+    assert fit(below, tri, {}, {}) is None
 
 
 # -- the rule table against the branchy fit test --------------------------------
@@ -759,8 +761,8 @@ def _check_against_branchy_fit(monkeypatch):
     tally = {"fits": 0, "rejected": 0}
     real_fit = region_module.fit
 
-    def checked(poly, tri, codes):
-        got = real_fit(poly, tri, codes)
+    def checked(poly, tri, codes, rows):
+        got = real_fit(poly, tri, codes, rows)
         assert got == _branchy_fit(poly, tri)
         tally["rejected" if got is None else "fits"] += 1
         return got
@@ -798,7 +800,7 @@ def test_lattice_sweep_matches_the_branchy_fit(monkeypatch, poly):
     monkeypatch.setattr(region_module, "_RULES", {})
     seen = set()
     for tri in _sweep(poly):
-        got = region_module.fit(poly, tri, {})
+        got = region_module.fit(poly, tri, {}, {})
         assert got == _branchy_fit(poly, tri)
         assert tile_fits_in_region(poly, tri) is (got is not None)
         seen.add(got is not None)

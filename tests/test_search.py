@@ -367,6 +367,35 @@ def test_split_walk_counts_against_the_node_budget(depth):
         assert out.status == "budget" and 0 < out.stats.nodes <= budget, (budget, out.stats)
 
 
+@pytest.mark.parametrize("depth, workers", [(1, 1), (2, 1), (3, 1), (2, 2)])
+def test_a_split_run_within_its_budget_keeps_the_sequential_verdict(depth, workers):
+    # side 15 exhausts in 380 nodes, so a budget of 400 holds the whole
+    # tree and the split run exhausts with it, whatever its subtrees' sizes
+    tri = tri_eq(T357, QRoot3(15))
+    sequential = _summary(run_search(T357, tri, SearchConfig(node_budget=400)))
+    assert sequential[:2] == ("exhausted", 380)
+    split = run_search(T357, tri, SearchConfig(node_budget=400, split_depth=depth, workers=workers))
+    assert _summary(split) == sequential
+
+
+@pytest.mark.parametrize("sides, budgets", [
+    ([QRoot3(15)] * 3, (100, 200, 379, 380, 381)),  # exhausts in 380 nodes
+    ([QRoot3(15), QRoot3(25), QRoot3(35)], (500, 813, 814, 815)),  # a tiling at node 814
+])
+def test_a_split_run_reports_the_sequential_status_at_every_budget(sides, budgets):
+    # a budget the tree reaches stops the split run with node_budget nodes,
+    # as it stops the sequential search; one it does not reach keeps the
+    # sequential verdict and count
+    tri = triangle_spec(T357, sides)
+    for budget in budgets:
+        sequential = run_search(T357, tri, SearchConfig(node_budget=budget))
+        for depth in (1, 2, 3):
+            split = run_search(T357, tri, SearchConfig(node_budget=budget, split_depth=depth, workers=1))
+            assert (split.status, split.stats.nodes) == (sequential.status, sequential.stats.nodes), (budget, depth)
+            if split.status != "budget":
+                assert _summary(split) == _summary(sequential), (budget, depth)
+
+
 def test_mirror_flag_respected():
     tri = triangle_spec(T357, [QRoot3(6), QRoot3(10), QRoot3(14)])
     out = run_search(T357, tri, SearchConfig(allow_mirror=False))
