@@ -12,7 +12,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .exactnum import QRoot3, qr3_sign
 from .geometry import AngleVec, Point, angle_at, polygon_area_twice
@@ -240,9 +240,10 @@ class DMatrix:
         return [list(r) for r in self.rows]
 
 
-def side_compositions(tile: TileShape, side: QRoot3) -> list[tuple[int, int, int]]:
-    """Nonnegative integer (u1, u2, u3) with u1 a + u2 b + u3 c = side."""
-    out = []
+def iter_side_compositions(tile: TileShape, side: QRoot3) -> Iterator[tuple[int, int, int]]:
+    """Each nonnegative integer (u1, u2, u3) with u1 a + u2 b + u3 c = side,
+    found one at a time, so a caller that asks only whether one exists
+    stops at the first."""
     inv_a = tile.a.inverse()
     rest3, u3 = side, 0
     while qr3_sign(rest3) >= 0:
@@ -250,10 +251,14 @@ def side_compositions(tile: TileShape, side: QRoot3) -> list[tuple[int, int, int
         while qr3_sign(rest2) >= 0:
             u1 = rest2 * inv_a  # nonnegative, as rest2 and a are
             if u1.n3 == 0 and u1.den == 1:
-                out.append((u1.n1, u2, u3))
+                yield u1.n1, u2, u3
             rest2, u2 = rest2 - tile.b, u2 + 1
         rest3, u3 = rest3 - tile.c, u3 + 1
-    return sorted(out)
+
+
+def side_compositions(tile: TileShape, side: QRoot3) -> list[tuple[int, int, int]]:
+    """Nonnegative integer (u1, u2, u3) with u1 a + u2 b + u3 c = side, sorted."""
+    return sorted(iter_side_compositions(tile, side))
 
 
 def enumerate_dmatrices(tile: TileShape, tri: TriangleSpec) -> list[DMatrix]:

@@ -7,11 +7,12 @@ and D > 0.  The predicates (orientation, segment and containment tests)
 multiply these integers into a determinant r + s*sqrt3 that positive
 denominators scale but never flip, and decide it with the shared kernel
 `_sign`: fraction-free, with no gcd and no QRoot3 built per call (exact
-geometric computation; Yap, CGTA 7, 1997).  `sides` takes one line's
-integer coefficients once for many points, and an `AngleVec` holds its
-angle as four ints with its band fixed at construction.  Sums and
-midpoints of points are taken on the forms, each coordinate normalised
-once.  No floating-point comparison participates in any decision.
+geometric computation; Yap, CGTA 7, 1997).  `line_form` reduces a line
+to integer coefficients once, which `sides` reads for many points, and
+an `AngleVec` holds its angle as four ints with its band fixed at
+construction.  Sums and midpoints of points are taken on the forms, each
+coordinate normalised once.  No floating-point comparison participates in
+any decision.
 """
 
 from __future__ import annotations
@@ -149,19 +150,28 @@ def orientation(a: Point, b: Point, c: Point) -> int:
     return _orient(a.form, b.form, c.form)
 
 
-def sides(a: Point, b: Point, points: Sequence[Point]) -> list[int]:
-    """[orientation(a, b, p) for p in points], with the line through a and
-    b reduced once to integer coefficients, so that each point costs one
-    linear form and one `_sign` (all zero when a == b)."""
+def line_form(a: Point, b: Point) -> tuple[int, int, int, int, int, int]:
+    """The line through a and b as integer coefficients (x1, x3, y1, y3,
+    k1, k3): for a point p of integer form (px1, px3, py1, py3, pd), the
+    linear forms r = x1*py1 - y1*px1 + 3*(x3*py3 - y3*px3) - pd*k1 and
+    s = x1*py3 + x3*py1 - y1*px3 - y3*px1 - pd*k3 give r + s*sqrt3 with
+    the sign of orientation(a, b, p) (all zero when a == b)."""
     ax1, ax3, ay1, ay3, ad = a.form
     bx1, bx3, by1, by3, bd = b.form
     ux1, ux3, uy1, uy3 = bx1 * ad - ax1 * bd, bx3 * ad - ax3 * bd, by1 * ad - ay1 * bd, by3 * ad - ay3 * bd
     # with u = (b - a)*ad*bd and the numerators p*pd, a*ad of p and a,
     # cross(b - a, p - a) times the positive ad*bd*ad*pd is
     # ad*(u x p*pd) - pd*(u x a*ad) = X*py - Y*px - pd*K
-    x1, x3, y1, y3 = ux1 * ad, ux3 * ad, uy1 * ad, uy3 * ad
-    k1 = ux1 * ay1 - uy1 * ax1 + 3 * (ux3 * ay3 - uy3 * ax3)
-    k3 = ux1 * ay3 + ux3 * ay1 - uy1 * ax3 - uy3 * ax1
+    return (ux1 * ad, ux3 * ad, uy1 * ad, uy3 * ad,
+            ux1 * ay1 - uy1 * ax1 + 3 * (ux3 * ay3 - uy3 * ax3),
+            ux1 * ay3 + ux3 * ay1 - uy1 * ax3 - uy3 * ax1)
+
+
+def sides(a: Point, b: Point, points: Sequence[Point]) -> list[int]:
+    """[orientation(a, b, p) for p in points], with the line through a and
+    b reduced once to its `line_form`, so that each point costs one
+    linear form and one `_sign` (all zero when a == b)."""
+    x1, x3, y1, y3, k1, k3 = line_form(a, b)
     tx3, ty3 = 3 * x3, 3 * y3
     return [_sign(x1 * py1 + tx3 * py3 - y1 * px1 - ty3 * px3 - pd * k1,
                   x1 * py3 + x3 * py1 - y1 * px3 - y3 * px1 - pd * k3)

@@ -310,14 +310,18 @@ def _run_subtree(job) -> Outcome:
     return search._drive([frame], 1, budget)
 
 
-def _merge(frontier, outcomes, stats: SearchStats, budget: int) -> Outcome:
+def _merge(frontier, outcome, stats: SearchStats, budget: int) -> Outcome:
     """Add the subtree outcomes, in frontier order, to the prefix walk's
     `stats`, counting nodes in preorder as the sequential search does: the
     other nodes before a subtree, then every subtree up to it.  As there, a
     tiling within `budget` nodes ends the merge, and otherwise reaching
-    `budget` nodes ends it with exactly that many."""
+    `budget` nodes ends it with exactly that many.  `outcome(k, left)` is
+    subtree k's outcome, where `left` is what the merged subtrees and the
+    nodes before it actually leave of the budget, its frontier node
+    included."""
     done = 0  # the nodes of the subtrees merged so far
-    for (_, before), out in zip(frontier, outcomes):
+    for k, (_, before) in enumerate(frontier):
+        out = outcome(k, budget - before - done)
         at = before + done + out.stats.nodes  # the preorder count at its last node
         stats.max_depth = max(stats.max_depth, out.stats.max_depth)
         if out.status == "found" and at <= budget:
@@ -337,8 +341,13 @@ def run_search(tile: TileShape, target: TriangleSpec, config: Optional[SearchCon
 
     The walk down to split_depth counts against the node budget, frontier
     nodes included, and each subtree below it gets all that is left of the
-    budget after the nodes that come before it in preorder, taking every
-    earlier subtree as its frontier node alone.  Results are taken in
+    budget after the nodes that come before it in preorder.  With one
+    worker the subtrees run in canonical order, each on what the earlier
+    ones actually left, so no subtree expands a node past the budget.  A
+    pool fixes every subtree's budget before any runs, taking every
+    earlier subtree as its frontier node alone, so the subtree that
+    crosses the budget, and those the workers took ahead of it, may
+    expand nodes that the run does not report.  Results are taken in
     canonical order up to the first tiling and the first subtree that
     takes the preorder count past the budget, which then reports `budget`
     with node_budget nodes; so whenever the sequential search stays within
@@ -364,16 +373,18 @@ def run_search(tile: TileShape, target: TriangleSpec, config: Optional[SearchCon
         stats.elapsed = time.monotonic() - t0
         status = "found" if cert else "budget" if rest <= 0 else "exhausted"
         return Outcome(status, stats, certificate=cert)
-    # subtree k follows its `before` other nodes and k earlier frontier
-    # nodes; its budget counts its own frontier node, already walked
-    jobs = [(search, frame, budget - before - k) for k, (frame, before) in enumerate(frontier)]
     if cfg.workers <= 1:
-        outcome = _merge(frontier, map(_run_subtree, jobs), stats, budget)
+        # each subtree runs on what the merged ones actually left
+        outcome = _merge(frontier, lambda k, left: _run_subtree((search, frontier[k][0], left)), stats, budget)
     else:
         import multiprocessing  # only a worker pool needs it
 
+        # subtree k follows its `before` other nodes and k earlier frontier
+        # nodes; its budget counts its own frontier node, already walked
+        jobs = [(search, frame, budget - before - k) for k, (frame, before) in enumerate(frontier)]
         # leaving the block terminates the subtrees still running
         with multiprocessing.get_context("spawn").Pool(processes=cfg.workers) as pool:
-            outcome = _merge(frontier, pool.imap(_run_subtree, jobs), stats, budget)
+            results = pool.imap(_run_subtree, jobs)
+            outcome = _merge(frontier, lambda k, left: next(results), stats, budget)
     stats.elapsed = time.monotonic() - t0
     return outcome

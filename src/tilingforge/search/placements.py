@@ -29,11 +29,13 @@ rotation, chirality test or filter is run per node.
 
 A backtracking search meets the same triangle at the same corner of many
 regions, so `TileGeometry` keeps each placed triangle, keyed by the
-`Point.key` of the corner and of the shape option's two offsets: its
-`Placement` (its three points and the option's chirality), built the
-first time, and its code table and table of across rows for the fit test
-(`region.fit`).  A candidate met before costs no point sum and no new
-placement, and its fit test takes the signs only of the vertices and
+`Point.key` of the corner and of the shape option's two offsets, as the
+entry (placement, lines, codes, rows): its `Placement` (its three points
+and the option's chirality) and the `line_form`s of its tile lines 0, 1
+and 2 (`region.tile_lines`), both built the first time, and its code
+table and table of across rows for the fit test (`region.fit`).  A
+candidate met before costs no point sum, no new placement and no line
+reduction, and its fit test takes the signs only of the vertices and
 edges its tables miss; the tables are exact, so the verdicts and the tree
 are those of fresh signs.
 
@@ -54,13 +56,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from ..constraints import side_compositions, tile_angle_sums
+from ..constraints import iter_side_compositions, tile_angle_sums
 from ..exactnum import QRoot3
 from ..exactnum.qfield import _sign
 from ..geometry import AngleVec, Point, _of_form, segment_length
 from ..tilealgebra import TileShape
 from .certificate import Placement, placement_chirality
-from .region import Polygon, fit
+from .region import Polygon, fit, tile_lines
 
 
 @dataclass(frozen=True)
@@ -104,11 +106,12 @@ class TileGeometry:
         return ang.ray_key() in self._angle_rays
 
     def length_representable(self, length: QRoot3) -> bool:
-        """length = p*a + q*b + r*c with nonnegative integers, exactly."""
+        """length = p*a + q*b + r*c with nonnegative integers, exactly: the
+        first composition found settles it."""
         key = (length.n1, length.n3, length.den)
         hit = self._length_cache.get(key)
         if hit is None:
-            hit = self._length_cache[key] = bool(side_compositions(self.tile, length))
+            hit = self._length_cache[key] = next(iter_side_compositions(self.tile, length), None) is not None
         return hit
 
     # -- candidate shapes per corner kind ----------------------------------------
@@ -244,7 +247,7 @@ def _lex_before(p: tuple, q: tuple) -> bool:
 def tile_fits_in_region(region: Polygon, tri: tuple[Point, Point, Point]) -> bool:
     """Whether the counterclockwise triangle lies in the region: the fit
     test `fit`, which splices nothing, so a tile strictly inside fits."""
-    return fit(region, tri, {}, {}) is not None
+    return fit(region, tri, tile_lines(tri), {}, {}) is not None
 
 
 def candidate_placements(region: Polygon, corner: int, geom: TileGeometry) -> list[Candidate]:
@@ -259,9 +262,9 @@ def candidate_placements(region: Polygon, corner: int, geom: TileGeometry) -> li
     the region (`fit`).  The search splices a candidate's remainder when it
     enters it.  The shapes that pass the angle, length and mirror filters,
     with their chirality, come from the corner's kind
-    (`TileGeometry.shapes`), and each candidate's placement and the tables
-    of its fit test from the table of placed triangles, built on first
-    sight.
+    (`TileGeometry.shapes`), and each candidate's placement, its tile
+    lines and the tables of its fit test from the table of placed
+    triangles, built on first sight.
     """
     verts, angles = region.vertices, region.angles
     v = verts[corner]
@@ -274,9 +277,10 @@ def candidate_placements(region: Polygon, corner: int, geom: TileGeometry) -> li
             key = (v.key, f_off.key, g_off.key)
             hit = placed.get(key)
             if hit is None:
-                hit = placed[key] = (Placement((v, v + f_off, v + g_off), mirrored), {}, {})
-            placement, codes, rows = hit
-            touch = fit(region, placement.vertices, codes, rows)
+                tri = (v, v + f_off, v + g_off)
+                hit = placed[key] = (Placement(tri, mirrored), tile_lines(tri), {}, {})
+            placement, lines, codes, rows = hit
+            touch = fit(region, placement.vertices, lines, codes, rows)
             if touch is not None:
                 out.append(Candidate(placement, name, touch))
     return out

@@ -3,28 +3,31 @@
 The uncovered part of the target is a list of simple polygons with
 counterclockwise boundary (interior on the left of each directed edge),
 each held with twice its area, its corner angles and its vertices'
-`Point.key`s (`Polygon`).  The fit test `fit(region, tri, codes, rows)`
-decides whether a triangle lies in the region and returns the points
-where the two boundaries meet, or None;
-`splice` builds what is left of the region from them.  The search runs
-the fit test on every candidate and splices only the candidates it
+`Point.key`s (`Polygon`).  The fit test
+`fit(region, tri, lines, codes, rows)` decides whether a triangle lies
+in the region and returns the points where the two boundaries meet, or
+None; `splice` builds what is left of the region from them.  The search
+runs the fit test on every candidate and splices only the candidates it
 enters; `subtract_triangle(region, tri)` runs the two in turn.
 
 The fit test takes the side of every region vertex against each of the
 three tile-edge lines, and decides from that sign table, not from new
 determinants, wherever it can (exact geometric computation; Yap, CGTA 7,
-1997).  The caller passes the triangle's code table, each point's signs
-as its code (see below) keyed by `Point.key`, and its table of across
-rows (below), keyed by the `Point.key`s of a region edge's two ends; the
-fit test computes the codes of the vertices missing from the one, one
-`sides` row per tile line over those vertices only, and the rows missing
-from the other, and adds them.  `subtract_triangle` passes empty tables;
-the search keeps both tables with each placed triangle (`TileGeometry`),
-so it takes each sign once however often it meets the triangle again.  A
-region edge is *far* when both its ends lie strictly outside the same
-tile line: it can neither cross the tile, nor pass through a tile vertex,
-nor share a piece with a tile edge, so no test looks at it.  On the
-other, *near* edges three rules read the sign table:
+1997).  The caller passes the triangle's three tile lines as integer
+line forms (`tile_lines`), its code table, each point's signs as its
+code (see below) keyed by `Point.key`, and its table of across rows
+(below), keyed by the `Point.key`s of a region edge's two ends; the fit
+test computes the codes of the vertices missing from the one, reading
+the kept line forms in one pass over those vertices only
+(`_fill_codes`), and the rows missing from the other, and adds them.
+`subtract_triangle` builds the lines fresh and passes empty tables; the
+search keeps the lines and both tables with each placed triangle
+(`TileGeometry`), so it takes each sign once however often it meets the
+triangle again.  A region edge is *far* when both its ends lie strictly
+outside the same tile line: it can neither cross the tile, nor pass
+through a tile vertex, nor share a piece with a tile edge, so no test
+looks at it.  On the other, *near* edges three rules read the sign
+table:
 
 - *Cuts.*  A simple polygon has no vertex inside its own edges, and
   neither has a triangle, so a near edge is cut at the tile vertices
@@ -121,12 +124,14 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..exactnum import QRoot3
+from ..exactnum.qfield import _sign
 from ..geometry import (
     AngleVec,
     GeometryError,
     Point,
     _span,
     angle_at,
+    line_form,
     midpoint,
     orientation,
     point_in_polygon,
@@ -216,8 +221,8 @@ _VERTEX_CODE = (0b010 << 3, 0b100 << 3, 0b001 << 3)
 # the place on the tile's boundary of a point on the tile lines of a mask:
 # 2k at tile vertex k, 2k + 1 inside tile edge k (vertex k to vertex k + 1)
 _TILE_POS = {0b001: 1, 0b010: 3, 0b100: 5, 0b101: 0, 0b011: 2, 0b110: 4}
-# the code bit of a side against tile line k, by `sides` value: none on
-# it, bit k + 3 strictly inside, bit k strictly outside (index -1)
+# the code bit of a side against tile line k, by its sign: none on it,
+# bit k + 3 strictly inside, bit k strictly outside (index -1)
 _B0, _B1, _B2 = [(0, 8 << k, 1 << k) for k in range(3)]
 # the rule of a near region edge by the codes of its ends, cc << 6 | cd,
 # and, for an edge strictly across two tile lines, by (that key, the
@@ -230,26 +235,49 @@ _NO_FIT = "the tile cannot fit"
 _ACROSS = "strictly across two tile lines: the tile's signs decide"
 
 
-def fit(region: Polygon, tri: tuple[Point, Point, Point], codes: dict, rows: dict) -> Optional[list]:
+def tile_lines(tri: tuple[Point, Point, Point]) -> tuple:
+    """The `line_form`s of the triangle's three tile lines, line k through
+    tile vertices k and k + 1."""
+    return line_form(tri[0], tri[1]), line_form(tri[1], tri[2]), line_form(tri[2], tri[0])
+
+
+def _fill_codes(lines: tuple, verts: Sequence[Point], keys: Sequence[tuple], code: list, codes: dict) -> None:
+    """Fill in each missing (None) entry of `code`, the codes of `verts` in
+    order, and add it to the code table `codes` under its key in `keys`:
+    in one pass over the missing vertices, each one's integer form read
+    once and its three linear forms against the tile lines `lines`
+    (`tile_lines`) decided through `_sign`."""
+    (x1, x3, y1, y3, k1, k3), (u1, u3, v1, v3, l1, l3), (w1, w3, z1, z3, m1, m3) = lines
+    for i, c in enumerate(code):
+        if c is None:
+            px1, px3, py1, py3, pd = verts[i].form
+            code[i] = codes[keys[i]] = (
+                _B0[_sign(x1 * py1 - y1 * px1 + 3 * (x3 * py3 - y3 * px3) - pd * k1,
+                          x1 * py3 + x3 * py1 - y1 * px3 - y3 * px1 - pd * k3)]
+                | _B1[_sign(u1 * py1 - v1 * px1 + 3 * (u3 * py3 - v3 * px3) - pd * l1,
+                            u1 * py3 + u3 * py1 - v1 * px3 - v3 * px1 - pd * l3)]
+                | _B2[_sign(w1 * py1 - z1 * px1 + 3 * (w3 * py3 - z3 * px3) - pd * m1,
+                            w1 * py3 + w3 * py1 - z1 * px3 - z3 * px1 - pd * m3)])
+
+
+def fit(region: Polygon, tri: tuple[Point, Point, Point], lines: tuple, codes: dict,
+        rows: dict) -> Optional[list]:
     """The fit test: None if the counterclockwise triangle does not lie in
     the region (by the rules of the module docstring), else the points
     where the region's boundary meets the tile's, in the region's order.
-    `codes` is the triangle's code table, the code of each point by
-    `Point.key` (bit k set when the point lies strictly outside tile line
-    k, bit k + 3 when strictly inside); the codes of region vertices
-    missing from it are computed, one `sides` row per tile line over those
-    vertices only, and added.  `rows` is its table of across rows, the
-    `sides` row of the triangle's vertices against the line of a region
-    edge strictly across two tile lines by the `Point.key`s of the edge's
-    ends; a row missing from it is computed and added."""
+    `lines` are the triangle's `tile_lines`.  `codes` is its code table,
+    the code of each point by `Point.key` (bit k set when the point lies
+    strictly outside tile line k, bit k + 3 when strictly inside); the
+    codes of region vertices missing from it are computed from the kept
+    line forms in one pass over those vertices only (`_fill_codes`), and
+    added.  `rows` is its table of across rows, the `sides` row of the
+    triangle's vertices against the line of a region edge strictly across
+    two tile lines by the `Point.key`s of the edge's ends; a row missing
+    from it is computed and added."""
     verts, keys = region.vertices, region.keys
     code = list(map(codes.get, keys))
     if None in code:
-        miss = [i for i, c in enumerate(code) if c is None]
-        new = [verts[i] for i in miss]
-        signs = zip(sides(tri[0], tri[1], new), sides(tri[1], tri[2], new), sides(tri[2], tri[0], new))
-        for i, (s0, s1, s2) in zip(miss, signs):
-            code[i] = codes[keys[i]] = _B0[s0] | _B1[s1] | _B2[s2]
+        _fill_codes(lines, verts, keys, code, codes)
     rules = _RULES
     # the points of the region's boundary on the tile's, if the tile fits,
     # in the region's order: (place on the region's boundary, 2i inside
@@ -410,7 +438,7 @@ def subtract_triangle(region: Polygon, tri: tuple[Point, Point, Point]) -> list[
     """The rest of the region once the counterclockwise triangle is placed
     in it: the fit test, then the splice.  Raises GeometryError if the
     triangle does not lie in the region or leaves a hole in it."""
-    touch = fit(region, tri, {}, {})
+    touch = fit(region, tri, tile_lines(tri), {}, {})
     if touch is None:
         raise GeometryError("triangle does not lie in the region")
     return splice(region, tri, touch, polygon_area_twice(tri))

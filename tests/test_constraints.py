@@ -14,6 +14,7 @@ from tilingforge.constraints import (
     area_equation_nac_holds,
     enumerate_dmatrices,
     enumerate_vertex_splits,
+    iter_side_compositions,
     side_compositions,
     solve_alpha_from_split,
     target_vertices,
@@ -22,6 +23,7 @@ from tilingforge.constraints import (
     xz_coefficients,
 )
 from tilingforge.geometry import AngleVec, pt
+from tilingforge.search.placements import TileGeometry
 from tilingforge.tilealgebra import eisenstein_triple, tile_from_sides
 
 T357 = tile_from_sides(3, 5, 7)
@@ -65,6 +67,36 @@ def test_solve_then_enumerate_consistency():
 
 def test_side_compositions_15():
     assert side_compositions(T357, QRoot3(15)) == [(0, 3, 0), (1, 1, 1), (5, 0, 0)]
+
+
+def _brute_compositions(tile, length):
+    """Every (u1, u2, u3) with u1 a + u2 b + u3 c = length, from plain-int
+    parts: the sides and the length as (rational part, sqrt3 part), each
+    count bounded by the length over its side in floats, with a margin."""
+    assert all(q.den == 1 for q in (tile.a, tile.b, tile.c, length))
+    (a1, a3), (b1, b3), (c1, c3), (l1, l3) = [(q.n1, q.n3) for q in (tile.a, tile.b, tile.c, length)]
+    top = [int(float(length) / float(side)) + 1 for side in (tile.a, tile.b, tile.c)]
+    return sorted((u1, u2, u3) for u1 in range(top[0] + 1) for u2 in range(top[1] + 1) for u3 in range(top[2] + 1)
+                  if u1 * a1 + u2 * b1 + u3 * c1 == l1 and u1 * a3 + u2 * b3 + u3 * c3 == l3)
+
+
+@pytest.mark.parametrize("tile, lengths, gaps", [
+    (T357, [QRoot3(n) for n in range(1, 61)], [1, 2, 4]),
+    (ISO, [QRoot3(n) for n in range(1, 21)] + [n * SQRT3 for n in range(1, 21)], []),
+    (tile_from_sides(6, 10, 14), [QRoot3(n) for n in range(1, 61)], [n for n in range(1, 61) if n % 2 or n in (2, 4, 8)]),
+])
+def test_the_length_test_agrees_with_the_sorted_compositions(tile, lengths, gaps):
+    # the length test stops at the first composition the generator finds;
+    # it must say what the full, sorted list says, which the generator
+    # builds in full and the brute-force count confirms
+    geom = TileGeometry(tile)
+    for length in lengths:
+        every = side_compositions(tile, length)
+        assert every == sorted(iter_side_compositions(tile, length))
+        assert every == _brute_compositions(tile, length), length
+        assert geom.length_representable(length) is bool(every), length
+    unrepresentable = [length for length in lengths if not geom.length_representable(length)]
+    assert unrepresentable == [QRoot3(n) for n in gaps]
 
 
 def test_dmatrices_equilateral_15():

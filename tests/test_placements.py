@@ -19,7 +19,7 @@ from tilingforge.search.placements import (
     placement_chirality,
     select_corner,
 )
-from tilingforge.search.region import Polygon, fit, splice, subtract_triangle
+from tilingforge.search.region import Polygon, fit, splice, subtract_triangle, tile_lines
 from tilingforge.tilealgebra import TileShape, tile_from_sides
 
 from reference_geometry import smallest_corner
@@ -196,7 +196,7 @@ def _reference_candidates(region, corner, geom, allow_mirror):
             assert mirrored is not None
             if mirrored and not allow_mirror:
                 continue
-            remainder = None if fit(region, tri, {}, {}) is None else subtract_triangle(region, tri)
+            remainder = None if fit(region, tri, tile_lines(tri), {}, {}) is None else subtract_triangle(region, tri)
             seen.add(key)
             out.append((tri, mirrored, name, None if remainder is None else [r.vertices for r in remainder]))
     return out
@@ -268,11 +268,11 @@ def test_frames_match_the_per_node_construction(monkeypatch, tile, sides, allow_
     tested = []
     fit = placements.fit
 
-    def tables_checked(region, tri, codes, rows):
+    def tables_checked(region, tri, lines, codes, rows):
         # after the fit test, the code table kept with this candidate's
         # triangle holds every region vertex, each with the code that
         # fresh rows of this triangle's own lines give
-        touch = fit(region, tri, codes, rows)
+        touch = fit(region, tri, lines, codes, rows)
         assert all(code == _fresh_code(tri, key) for key, code in codes.items())
         assert {v.key for v in region.vertices} <= codes.keys()
         tested.append((tri, touch is not None))
@@ -431,15 +431,17 @@ def test_a_no_mirror_table_holds_no_mirrored_shape(monkeypatch):
 def _assert_placed_table_exact(geom):
     """Every placed triangle's placement is (v, v + f_off, v + g_off) built
     afresh from its key, with the chirality its congruence test gives;
+    every kept tile line is a fresh `line_form` of its two tile vertices;
     every code in its table is the one three fresh `sides` rows give; and
     every across row is the fresh `sides` row of its vertices against a
     region edge whose ends' codes put it strictly across two tile lines."""
     assert geom._placed
-    for key, (placement, codes, rows) in geom._placed.items():
+    for key, (placement, lines, codes, rows) in geom._placed.items():
         tri = placement.vertices
         v, f, g = map(_point_of_key, key)
         assert tri == (v, Point(v.x + f.x, v.y + f.y), Point(v.x + g.x, v.y + g.y))
         assert placement.mirrored is placement_chirality(geom.tile, placement), tri
+        assert lines == tuple(geometry.line_form(tri[k], tri[(k + 1) % 3]) for k in range(3)), tri
         assert geom.allow_mirror or not placement.mirrored
         assert codes  # every triangle was fit-tested
         assert all(code == _fresh_code(tri, p) for p, code in codes.items()), tri
@@ -465,50 +467,58 @@ def test_the_placed_triangles_are_exact_off_the_benchmark_pins():
 
 
 def test_a_search_takes_each_sign_once(monkeypatch):
-    # (3,5,7) on side 30 to 400 nodes: no side of a point against a tile
-    # line of a placed triangle is taken twice, nor the across row of a
+    # (3,5,7) on side 30 to 400 nodes: no code of a point against the tile
+    # lines of a placed triangle is taken twice, nor the across row of a
     # placed triangle against a region edge, every one taken is kept with
-    # that triangle, and each placed triangle costs at most two point sums
-    # and one placement
-    fits, signs, across, sums, built = [], Counter(), Counter(), [], []
-    real_fit, real_sides, real_add = placements.fit, region_module.sides, Point.__add__
+    # that triangle, and each placed triangle costs at most two point sums,
+    # one placement and one reduction of its tile lines
+    fits, signs, across, sums, built, reduced = [], Counter(), Counter(), [], [], []
+    real_fit, real_fill, real_sides = placements.fit, region_module._fill_codes, region_module.sides
+    real_add, real_lines = Point.__add__, placements.tile_lines
 
-    def recorded_fit(region, tri, codes, rows):
+    def recorded_fit(region, tri, lines, codes, rows):
         fits.append(tri)
-        return real_fit(region, tri, codes, rows)
+        return real_fit(region, tri, lines, codes, rows)
+
+    def counted_fill(lines, verts, keys, code, codes):
+        # the kernel's codes: three signs against the kept lines for each
+        # vertex whose code is missing
+        tri = fits[-1]
+        assert lines == tile_lines(tri)
+        signs.update((tuple(t.key for t in tri), key) for key, c in zip(keys, code) if c is None)
+        return real_fill(lines, verts, keys, code, codes)
 
     def counted_sides(a, b, points):
         tri = fits[-1]
-        tri_keys = tuple(t.key for t in tri)
-        if points is tri:  # the tile's vertices against a region edge
-            across[(tri_keys, a.key, b.key)] += 1
-        else:
-            k = next(k for k in range(3) if a is tri[k] and b is tri[(k + 1) % 3])
-            signs.update((tri_keys, k, p.key) for p in points)
+        assert points is tri  # only the tile's vertices against a region edge
+        across[(tuple(t.key for t in tri), a.key, b.key)] += 1
         return real_sides(a, b, points)
 
     # set up before the counting: the tile's own frame tests its options' chirality
     s = TilingSearch(T357, triangle_spec(T357, [QRoot3(30)] * 3), SearchConfig(node_budget=400))
     monkeypatch.setattr(placements, "fit", recorded_fit)
+    monkeypatch.setattr(region_module, "_fill_codes", counted_fill)
     monkeypatch.setattr(region_module, "sides", counted_sides)
     monkeypatch.setattr(Point, "__add__", lambda p, q: sums.append(1) or real_add(p, q))
     monkeypatch.setattr(placements, "Placement", lambda *args: built.append(args) or Placement(*args))
+    monkeypatch.setattr(placements, "tile_lines", lambda tri: reduced.append(tri) or real_lines(tri))
     out = s.run()
     assert (out.status, out.stats.nodes) == ("budget", 400)
     tables = s.geom._placed.values()
     assert max(signs.values()) == 1
-    assert len(signs) == 3 * sum(len(codes) for _, codes, _ in tables)
+    assert len(signs) == sum(len(codes) for _, _, codes, _ in tables)
     assert max(across.values()) == 1
-    assert across.keys() == {(tuple(t.key for t in p.vertices), *edge) for p, _, rows in tables for edge in rows}
+    assert across.keys() == {(tuple(t.key for t in p.vertices), *edge) for p, _, _, rows in tables for edge in rows}
     assert len(sums) <= 2 * len(tables) < len(fits)
-    assert len(built) == len(tables)
+    assert len(built) == len(reduced) == len(tables)
     # split mode ships the search, table included, to spawned workers: the
-    # copy takes no sign and builds no triangle or placement
+    # copy takes no sign and builds no triangle, placement or line
     copy = pickle.loads(pickle.dumps(s))
     signs.clear()
     across.clear()
     sums.clear()
     built.clear()
+    reduced.clear()
     again = copy.run()
     assert (again.status, again.stats.nodes) == ("budget", 400)
-    assert not signs and not across and not sums and not built
+    assert not signs and not across and not sums and not built and not reduced

@@ -3,6 +3,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilingforge.cli import parse_target
 from tilingforge.constraints import triangle_spec
@@ -30,10 +32,12 @@ from tilingforge.search.region import (
     _VERTEX_CODE,
     _VERTEX_LINES,
     _along,
+    _fill_codes,
     _faces,
     fit,
     splice,
     subtract_triangle,
+    tile_lines,
 )
 from tilingforge.tilealgebra import tile_from_sides
 
@@ -234,8 +238,8 @@ def test_cut_matches_all_pairs_reference(monkeypatch, tile, sides, expected):
     tested = []
     real_fit = placements.fit
 
-    def spied_fit(region, tri, codes, rows):
-        touch = real_fit(region, tri, codes, rows)
+    def spied_fit(region, tri, lines, codes, rows):
+        touch = real_fit(region, tri, lines, codes, rows)
         tested.append((tri, touch is not None))
         return touch
 
@@ -321,7 +325,7 @@ def test_place_rejects_a_crossing_no_midpoint_sees():
     # is on the right side, so only the proper crossings reject the tile
     region = Polygon.from_points([pt(0, 0), pt(3, 0), pt(4, 3), pt(5, 0), pt(20, 0), pt(20, 20), pt(0, 20)])
     for tri in [(pt(2, 2), pt(18, 2), pt(10, 18)), (pt(18, 2), pt(10, 18), pt(2, 2))]:
-        assert not _ref_fits(region, tri) and fit(region, tri, {}, {}) is None
+        assert not _ref_fits(region, tri) and fit(region, tri, tile_lines(tri), {}, {}) is None
     clear = (pt(6, 0), pt(18, 0), pt(12, 10))
     assert _ref_fits(region, clear)
     assert subtract_triangle(region, clear) == _ref_subtract(region, clear)
@@ -331,10 +335,10 @@ def test_fit_and_subtract_are_views_of_place():
     # the containment test is the fit test, and subtraction splices what it found
     region = sq(0, 0, 4, 4)
     inside, poking = (pt(0, 0), pt(4, 0), pt(2, 4)), (pt(0, 0), pt(5, 0), pt(0, 2))
-    touch = fit(region, inside, {}, {})
+    touch = fit(region, inside, tile_lines(inside), {}, {})
     assert tile_fits_in_region(region, inside) and touch is not None
     assert subtract_triangle(region, inside) == splice(region, inside, touch, polygon_area_twice(inside))
-    assert fit(region, poking, {}, {}) is None and not tile_fits_in_region(region, poking)
+    assert fit(region, poking, tile_lines(poking), {}, {}) is None and not tile_fits_in_region(region, poking)
     with pytest.raises(GeometryError):
         subtract_triangle(region, poking)
 
@@ -364,7 +368,7 @@ def test_splice_guards_reject_a_slit_and_a_hole():
 def _fit_verdict(region, tri):
     """True or False for fit, or "error" when the splice of a fitting tile
     raises; the fit test is looked up on the module, where spies wrap it."""
-    touch = region_module.fit(region, tri, {}, {})
+    touch = region_module.fit(region, tri, tile_lines(tri), {}, {})
     if touch is None:
         return False
     try:
@@ -426,7 +430,7 @@ def test_probe_rejects_a_triangle_outside(tri):
     # them: the three that share a piece of a region edge running the other
     # way are rejected by it, the others by the interior probe
     assert not _ref_fits(CONVEX, tri)
-    assert fit(CONVEX, tri, {}, {}) is None
+    assert fit(CONVEX, tri, tile_lines(tri), {}, {}) is None
     assert not tile_fits_in_region(CONVEX, tri)
 
 
@@ -435,7 +439,7 @@ def test_probe_rejects_a_triangle_in_the_notch():
     # three sides, touching it along the notch's walls and floor
     for tri in [(pt(2, 2), pt(3, 2), pt(2, 5)), (pt(2, 2), pt(3, 2), pt(3, 5)),
                 (pt(2, 3), pt(3, 3), pt(2, 4))]:
-        assert not _ref_fits(NON_CONVEX, tri) and fit(NON_CONVEX, tri, {}, {}) is None
+        assert not _ref_fits(NON_CONVEX, tri) and fit(NON_CONVEX, tri, tile_lines(tri), {}, {}) is None
 
 
 def test_hole_raises_on_both_sides():
@@ -512,9 +516,9 @@ def _spy_on_fit(monkeypatch):
         tally["probes"] += 1
         return real_probe(p, vertices)
 
-    def spied(poly, tri, codes, rows):
+    def spied(poly, tri, lines, codes, rows):
         probes = tally["probes"]
-        got = real_fit(poly, tri, codes, rows)
+        got = real_fit(poly, tri, lines, codes, rows)
         tally["fits"] += 1
         shared = _shared_pieces(poly, tri)
         if not shared:
@@ -652,7 +656,7 @@ def test_a_shared_piece_strictly_inside_a_tile_edge_takes_one_orientation(monkey
     assert _assert_verdict_matches_reference(poly, tri) is fits
     calls = []
     monkeypatch.setattr(region_module, "orientation", lambda *args: calls.append(args) or orientation(*args))
-    assert (fit(poly, tri, {}, {}) is not None) is fits
+    assert (fit(poly, tri, tile_lines(tri), {}, {}) is not None) is fits
     assert calls == [(*edge, tri[2])]
 
 
@@ -694,7 +698,7 @@ def test_a_region_edge_holding_a_whole_tile_edge(k):
     # the edge runs the other way: the tile lies outside the square below
     below = sq(0, -4, 4, 0)
     assert not _ref_fits(below, tri)
-    assert fit(below, tri, {}, {}) is None
+    assert fit(below, tri, tile_lines(tri), {}, {}) is None
 
 
 # -- the rule table against the branchy fit test --------------------------------
@@ -761,8 +765,8 @@ def _check_against_branchy_fit(monkeypatch):
     tally = {"fits": 0, "rejected": 0}
     real_fit = region_module.fit
 
-    def checked(poly, tri, codes, rows):
-        got = real_fit(poly, tri, codes, rows)
+    def checked(poly, tri, lines, codes, rows):
+        got = real_fit(poly, tri, lines, codes, rows)
         assert got == _branchy_fit(poly, tri)
         tally["rejected" if got is None else "fits"] += 1
         return got
@@ -800,7 +804,7 @@ def test_lattice_sweep_matches_the_branchy_fit(monkeypatch, poly):
     monkeypatch.setattr(region_module, "_RULES", {})
     seen = set()
     for tri in _sweep(poly):
-        got = region_module.fit(poly, tri, {}, {})
+        got = region_module.fit(poly, tri, tile_lines(tri), {}, {})
         assert got == _branchy_fit(poly, tri)
         assert tile_fits_in_region(poly, tri) is (got is not None)
         seen.add(got is not None)
@@ -964,3 +968,42 @@ def test_corner_rule_finds_the_naive_tilings(tile, sides, tilings, allow_mirror)
     got = {frozenset(frozenset(v.lex_key() for v in p.vertices) for p in c.placements) for c in certs}
     assert len(got) == len(certs) == tilings
     assert got == _naive_tilings(tile, target, allow_mirror)
+
+
+# -- the one-pass codes ------------------------------------------------------------
+
+_big = st.integers(-(2**300), 2**300)
+_small = st.integers(-40, 40)
+_coords = st.one_of(st.builds(QRoot3._raw, _small, _small, st.integers(1, 6)),
+                    st.builds(QRoot3._raw, _big, _big, st.integers(1, 2**300)))
+_points = st.builds(Point, _coords, _coords)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(_points, _points, _points), st.lists(_points, max_size=5),
+       st.lists(st.tuples(st.integers(0, 2), st.fractions(-3, 3, max_denominator=10**6)), max_size=5))
+def test_the_one_pass_codes_are_the_orientation_signs(tri, free, on_lines):
+    # the code of each point from the kept line forms, read in one pass, is
+    # bit k for orientation(tri[k], tri[k + 1], p) < 0 and bit k + 3 for > 0;
+    # points on each tile line (between, at and beyond its tile vertices)
+    # and the tile's own vertices lie on their lines, so their bits are 0
+    on = []
+    for k, t in on_lines:
+        a, b = tri[k], tri[(k + 1) % 3]
+        on.append((k, Point(a.x + QRoot3(t) * (b.x - a.x), a.y + QRoot3(t) * (b.y - a.y))))
+    points = [*tri, *free, *[p for _, p in on]]
+    keys = [p.key for p in points]
+    want = [sum((o < 0) << k | (o > 0) << k + 3
+                for k, o in enumerate(orientation(tri[k], tri[(k + 1) % 3], p) for k in range(3)))
+            for p in points]
+    code, codes = [None] * len(points), {}
+    _fill_codes(tile_lines(tri), points, keys, code, codes)
+    assert code == want
+    assert codes == dict(zip(keys, want))
+    lines_of = [(2, 0), (0, 1), (1, 2)] + [()] * len(free) + [(k,) for k, _ in on]
+    assert all(not c >> k & 9 for c, ks in zip(code, lines_of) for k in ks)
+    # a code already known is left as it is and not added again
+    code, codes = [-1, *[None] * (len(points) - 1)], {}
+    _fill_codes(tile_lines(tri), points, keys, code, codes)
+    assert code == [-1, *want[1:]]
+    assert codes == dict(zip(keys[1:], want[1:]))

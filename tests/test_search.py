@@ -396,6 +396,35 @@ def test_a_split_run_reports_the_sequential_status_at_every_budget(sides, budget
                 assert _summary(split) == _summary(sequential), (budget, depth)
 
 
+def test_a_split_run_with_one_worker_expands_only_what_it_reports(monkeypatch):
+    # (3,5,7) / equilateral 15 to 300 nodes at split depth 2: the subtrees
+    # run in frontier order, each on what the earlier ones left, so the
+    # other nodes before the last subtree run plus the subtrees' own nodes,
+    # frontier nodes included, come to exactly the 300 the run reports
+    walks, runs = [], []
+    real_prefixes, real_run = engine._subtree_prefixes, engine._run_subtree
+
+    def recorded_prefixes(search, depth):
+        walk = real_prefixes(search, depth)
+        walks.append(walk)
+        return walk
+
+    def recorded_run(job):
+        out = real_run(job)
+        runs.append((job[1], out.stats.nodes))
+        return out
+
+    monkeypatch.setattr(engine, "_subtree_prefixes", recorded_prefixes)
+    monkeypatch.setattr(engine, "_run_subtree", recorded_run)
+    out = run_search(T357, tri_eq(T357, QRoot3(15)), SearchConfig(node_budget=300, split_depth=2, workers=1))
+    assert (out.status, out.stats.nodes) == ("budget", 300)
+    ((frontier, *_),) = walks
+    assert [frame for frame, _ in runs] == [frame for frame, _ in frontier[:len(runs)]]
+    assert len(runs) < len(frontier)  # the merge stops at the subtree that reaches the budget
+    before = frontier[len(runs) - 1][1]
+    assert before + sum(nodes for _, nodes in runs) == 300
+
+
 def test_mirror_flag_respected():
     tri = triangle_spec(T357, [QRoot3(6), QRoot3(10), QRoot3(14)])
     out = run_search(T357, tri, SearchConfig(allow_mirror=False))
